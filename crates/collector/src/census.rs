@@ -1,154 +1,64 @@
-//! Mark-time heap-census accumulation.
+//! The heap-census pass: one walk over the survivors of a collection.
 //!
-//! A [`CensusSink`] rides along with the mark phase and tallies, for every
-//! object whose mark bit is claimed, its class (object and word counts) and
-//! its heap slot. The sink deliberately knows nothing about class *names*
-//! or allocation sites: attribution is resolved after the cycle by the VM,
-//! which owns the type registry and the per-slot allocation-site table.
-//! Recording slots is sound because every observed object was marked and
-//! therefore survives the sweep — its slot still resolves afterwards.
-//!
-//! Accumulation is pure summation, so per-worker shards from the parallel
-//! mark phase merge with [`CensusSink::absorb`] in any order and produce
-//! the same totals — the same determinism argument as the engine's sharded
-//! instance counters.
+//! A census asks "what is live after this sweep?". Every strategy answers
+//! that the same way — the objects carrying `MARK` when the trace is done —
+//! so the cycle driver takes the census there, once, instead of threading
+//! an accumulator through each trace loop: [`take`] walks `live & MARK`
+//! page by page (the bitmap walk the sweep does for the complement) and
+//! hands every survivor to the caller. The pass knows nothing about class
+//! *names* or allocation sites: attribution is the VM's, which owns the
+//! type registry and the per-slot allocation-site table.
 
-use std::collections::HashMap;
+use gca_heap::{Heap, HeapError, ObjRef, Object};
 
-use gca_heap::{ClassId, Flags, Heap, ObjRef};
+use crate::collector::for_each_marked;
 
-/// Returns whether any live object already carries the mark bit — stale
-/// marks left behind by a minor collection on a non-generational heap. A
-/// census riding the next full cycle legitimately undercounts then (the
-/// mark phase never re-claims a pre-marked object), so callers skip the
-/// [`CensusSink::verify_live_totals`] cross-check for such cycles.
-pub fn heap_has_stale_marks(heap: &Heap) -> bool {
-    (0..heap.page_count()).any(|pid| {
-        let meta = heap.page_meta(pid);
-        meta.live_mask() & meta.flag_word(Flags::MARK) != 0
-    })
-}
+/// What a census pass hands each survivor to: the object's handle and the
+/// object itself.
+pub type SurvivorVisitor<'a> = dyn FnMut(ObjRef, &Object) + 'a;
 
-/// Per-class running totals: `(objects, words)`.
-type ClassTally = (u64, u64);
-
-/// A mark-time census accumulator.
+/// Calls `visit` once for every marked live object, in index order, and
+/// returns the `(objects, words)` it covered. Run between the end of the
+/// trace and the sweep, that is exactly the population the sweep keeps.
 ///
-/// The sequential [`crate::Tracer`] carries an optional sink and feeds it
-/// on every first visit; parallel-mark visitors carry one per shard. The
-/// caller observes each object exactly once per cycle (the tracer and the
-/// parallel mark both claim mark bits exactly once), so totals equal the
-/// live population.
-#[derive(Debug, Default, Clone)]
-pub struct CensusSink {
-    classes: HashMap<ClassId, ClassTally>,
-    marked_slots: Vec<u32>,
+/// # Errors
+///
+/// Reference-validity errors, which indicate a broken heap invariant.
+pub(crate) fn take(
+    heap: &mut Heap,
+    visit: &mut SurvivorVisitor<'_>,
+) -> Result<(usize, usize), HeapError> {
+    let mut totals = (0, 0);
+    for_each_marked(heap, |heap, r| {
+        let o = heap.get(r)?;
+        visit(r, o);
+        totals.0 += 1;
+        totals.1 += o.size_words();
+        Ok(())
+    })?;
+    Ok(totals)
 }
 
-impl CensusSink {
-    /// Creates an empty sink.
-    pub fn new() -> CensusSink {
-        CensusSink::default()
-    }
-
-    /// Tallies one newly-marked object. Invalid references are ignored
-    /// (defensive; the mark phase only observes live objects).
-    pub fn observe(&mut self, heap: &Heap, obj: ObjRef) {
-        if let Ok(o) = heap.get(obj) {
-            let tally = self.classes.entry(o.class()).or_insert((0, 0));
-            tally.0 += 1;
-            tally.1 += o.size_words() as u64;
-            self.marked_slots.push(obj.index());
-        }
-    }
-
-    /// Folds another sink's totals into this one. Summation commutes, so
-    /// merging parallel shards in any order is deterministic.
-    pub fn absorb(&mut self, other: CensusSink) {
-        for (class, (objects, words)) in other.classes {
-            let tally = self.classes.entry(class).or_insert((0, 0));
-            tally.0 += objects;
-            tally.1 += words;
-        }
-        self.marked_slots.extend(other.marked_slots);
-    }
-
-    /// Per-class `(objects, words)` totals, in arbitrary order.
-    pub fn classes(&self) -> impl Iterator<Item = (ClassId, u64, u64)> + '_ {
-        self.classes
-            .iter()
-            .map(|(&class, &(objects, words))| (class, objects, words))
-    }
-
-    /// Heap slots of every observed object, in observation order.
-    pub fn marked_slots(&self) -> &[u32] {
-        &self.marked_slots
-    }
-
-    /// Total objects observed.
-    pub fn total_objects(&self) -> u64 {
-        self.classes.values().map(|&(objects, _)| objects).sum()
-    }
-
-    /// Drops all tallies, keeping allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.classes.clear();
-        self.marked_slots.clear();
-    }
-
-    /// Debug-build heap cross-check: after the census cycle's sweep, the
-    /// tallies must agree with a fresh walk of the live heap — the same
-    /// per-class object and word totals, the same overall population and
-    /// occupancy, and every recorded slot still resolving. Compiles away
-    /// entirely in release builds. Callers must skip it for cycles that
-    /// began with stale mark bits (see [`heap_has_stale_marks`]).
-    pub fn verify_live_totals(&self, heap: &Heap) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let mut walked: HashMap<ClassId, ClassTally> = HashMap::new();
-        let mut walked_words = 0u64;
-        for (_, o) in heap.iter() {
-            let tally = walked.entry(o.class()).or_insert((0, 0));
-            tally.0 += 1;
-            tally.1 += o.size_words() as u64;
-            walked_words += o.size_words() as u64;
-        }
-        debug_assert_eq!(
-            self.total_objects() as usize,
-            heap.live_objects(),
-            "census object total drifted from the live heap"
-        );
-        debug_assert_eq!(
-            walked_words as usize,
-            heap.occupied_words(),
-            "heap occupancy accounting drifted from the live population"
-        );
-        for (class, objects, words) in self.classes() {
-            let &(expect_objects, expect_words) = walked.get(&class).unwrap_or(&(0, 0));
-            debug_assert_eq!(
-                (objects, words),
-                (expect_objects, expect_words),
-                "census totals drifted for class {class:?}"
-            );
-        }
-        debug_assert_eq!(
-            walked.len(),
-            self.classes.len(),
-            "census missed a live class entirely"
-        );
-        for &slot in self.marked_slots() {
-            debug_assert!(
-                heap.object_at(slot).is_some(),
-                "census slot {slot} no longer resolves after the sweep"
-            );
-        }
-    }
+/// Debug-build cross-check, after the census cycle's sweep: the pass must
+/// have covered exactly the population and occupancy the heap now
+/// accounts for. Compiles away entirely in release builds.
+pub(crate) fn verify_live_totals(heap: &Heap, (objects, words): (usize, usize)) {
+    debug_assert_eq!(
+        objects,
+        heap.live_objects(),
+        "census object total drifted from the live heap"
+    );
+    debug_assert_eq!(
+        words,
+        heap.occupied_words(),
+        "heap occupancy accounting drifted from the live population"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gca_heap::Flags;
 
     fn two_class_heap() -> (Heap, Vec<ObjRef>) {
         let mut heap = Heap::new();
@@ -162,88 +72,29 @@ mod tests {
 
     #[test]
     fn observe_tallies_objects_words_and_slots() {
-        let (heap, objs) = two_class_heap();
-        let mut sink = CensusSink::new();
-        for &o in &objs {
-            sink.observe(&heap, o);
+        let (mut heap, objs) = two_class_heap();
+        for &o in &objs[1..] {
+            heap.set_flag(o, Flags::MARK).unwrap();
         }
-        assert_eq!(sink.total_objects(), 3);
-        assert_eq!(sink.marked_slots().len(), 3);
-        let mut by_class: Vec<(u64, u64)> = sink.classes().map(|(_, o, w)| (o, w)).collect();
-        by_class.sort_unstable();
-        // Node: 2 objects, header(2)+1 ref each = 3 words; Blob: 2+6 = 8.
-        assert_eq!(by_class, vec![(1, 8), (2, 6)]);
-    }
-
-    #[test]
-    fn absorb_merges_shards_commutatively() {
-        let (heap, objs) = two_class_heap();
-        let mut left = CensusSink::new();
-        let mut right = CensusSink::new();
-        left.observe(&heap, objs[0]);
-        right.observe(&heap, objs[1]);
-        right.observe(&heap, objs[2]);
-
-        let mut ab = left.clone();
-        ab.absorb(right.clone());
-        let mut ba = right;
-        ba.absorb(left);
-
-        let norm = |s: &CensusSink| {
-            let mut v: Vec<_> = s.classes().collect();
-            v.sort_unstable();
-            let mut slots = s.marked_slots().to_vec();
-            slots.sort_unstable();
-            (v, slots)
-        };
-        assert_eq!(norm(&ab), norm(&ba));
-        assert_eq!(ab.total_objects(), 3);
-    }
-
-    #[test]
-    fn invalid_refs_are_ignored() {
-        let heap = Heap::new();
-        let mut sink = CensusSink::new();
-        sink.observe(&heap, ObjRef::NULL);
-        assert_eq!(sink.total_objects(), 0);
-        assert!(sink.marked_slots().is_empty());
+        let mut seen = Vec::new();
+        let totals = take(&mut heap, &mut |r, o| seen.push((r, o.size_words()))).unwrap();
+        // Unmarked `a` is not a survivor. Node: header(2)+1 ref = 3 words;
+        // Blob: 2+6 = 8.
+        assert_eq!(seen, vec![(objs[1], 3), (objs[2], 8)]);
+        assert_eq!(totals, (2, 11));
     }
 
     #[test]
     fn verify_live_totals_accepts_a_faithful_census() {
-        let (heap, objs) = two_class_heap();
-        let mut sink = CensusSink::new();
-        for &o in &objs {
-            sink.observe(&heap, o);
-        }
-        sink.verify_live_totals(&heap);
+        let (heap, _) = two_class_heap();
+        verify_live_totals(&heap, (3, 14));
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "census object total drifted")]
     fn verify_live_totals_catches_an_undercount() {
-        let (heap, objs) = two_class_heap();
-        let mut sink = CensusSink::new();
-        sink.observe(&heap, objs[0]); // objs[1] and objs[2] missing
-        sink.verify_live_totals(&heap);
-    }
-
-    #[test]
-    fn stale_marks_are_detected() {
-        let (heap, objs) = two_class_heap();
-        assert!(!heap_has_stale_marks(&heap));
-        heap.set_flag(objs[0], gca_heap::Flags::MARK).unwrap();
-        assert!(heap_has_stale_marks(&heap));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let (heap, objs) = two_class_heap();
-        let mut sink = CensusSink::new();
-        sink.observe(&heap, objs[0]);
-        sink.clear();
-        assert_eq!(sink.total_objects(), 0);
-        assert!(sink.marked_slots().is_empty());
+        let (heap, _) = two_class_heap();
+        verify_live_totals(&heap, (1, 3)); // two objects missing
     }
 }

@@ -1,20 +1,39 @@
-//! Collection-cycle orchestration: pre-root phase, mark, sweep, timing.
+//! The collection cycle: one driver for every root-mark strategy.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use gca_heap::{Flags, Heap, HeapError, ObjRef};
+use gca_heap::{Flags, Heap, HeapError, ObjRef, SpaceKind};
 
-use crate::census::CensusSink;
+use crate::census::SurvivorVisitor;
 use crate::hooks::TraceHooks;
+use crate::minor::{self, MinorStats};
 use crate::stats::{CycleStats, GcStats};
-use crate::tracer::Tracer;
+use crate::tracer::{Provenance, Tracer};
 
-/// A full-heap mark-sweep collector.
+/// How a cycle marks from the roots — its only strategy-specific step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RootMark {
+    /// The path-tagged LIFO drain of §2.7 ([`Tracer::drain`]).
+    Lifo,
+    /// Breadth-first evacuation ([`crate::copying`]).
+    Cheney,
+    /// Work-stealing mark with this many workers
+    /// ([`TraceHooks::mark_roots_parallel`]).
+    Parallel(usize),
+}
+
+/// A full-heap tracing collector.
 ///
 /// The paper uses Jikes RVM's MarkSweep plan because it is a *full-heap*
-/// collector that checks every assertion at every collection (§2.2); this
-/// is the Rust analogue. The collector owns a reusable [`Tracer`] and
-/// cumulative [`GcStats`].
+/// collector that checks every assertion at every collection (§2.2), and
+/// notes that the assertions "work with any tracing collector"; this is
+/// the Rust analogue of both. One cycle driver sequences every collection;
+/// how it marks from the roots follows from what it is given: a
+/// [`SpaceKind::Semispace`] heap is evacuated by a Cheney scan, a
+/// [`SpaceKind::Paged`] heap is marked in place — by the sequential
+/// path-tracking tracer, or by work-stealing workers when the caller has
+/// more than one tracing thread. The collector owns a reusable [`Tracer`]
+/// and cumulative [`GcStats`].
 ///
 /// # Example
 ///
@@ -39,6 +58,8 @@ use crate::tracer::Tracer;
 #[derive(Debug, Default)]
 pub struct Collector {
     tracer: Tracer,
+    /// First-arrival edges of the Cheney scan, for path reconstruction.
+    prov: Provenance,
     stats: GcStats,
 }
 
@@ -59,8 +80,9 @@ impl Collector {
         self.stats = GcStats::new();
     }
 
-    /// Runs one full collection cycle: `gc_begin`, the hooks' pre-root
-    /// phase, root scan + transitive mark, `trace_done`, sweep, `gc_end`.
+    /// Runs one full collection cycle with a single tracing thread and no
+    /// census: `gc_begin`, the hooks' pre-root phase, root scan +
+    /// transitive mark, `trace_done`, sweep, `gc_end`.
     ///
     /// `roots` is the stop-the-world snapshot of all thread stacks and
     /// global variables. Unreachable objects are freed; survivors have
@@ -68,110 +90,240 @@ impl Collector {
     ///
     /// # Errors
     ///
-    /// Propagates reference-validity errors from tracing, which indicate a
-    /// broken collector invariant (e.g. a caller-supplied stale root).
+    /// As for [`Collector::collect_with`].
     pub fn collect<H: TraceHooks>(
         &mut self,
         heap: &mut Heap,
         roots: &[ObjRef],
         hooks: &mut H,
     ) -> Result<CycleStats, HeapError> {
+        Ok(self.collect_with(heap, roots, hooks, 1, None)?.0)
+    }
+
+    /// Runs one full collection cycle with `workers` tracing threads.
+    ///
+    /// With `survivors`, a heap census rides along: after the trace and
+    /// before the sweep, every object the sweep is about to keep is handed
+    /// to it exactly once (see [`SurvivorVisitor`]) — including objects only
+    /// a hooks-driven pre-root drain marked.
+    ///
+    /// Returns the cycle statistics and the busy time of each tracing
+    /// worker during the root mark (a sequential mark is one worker busy
+    /// for the whole mark span).
+    ///
+    /// # Errors
+    ///
+    /// Propagates reference-validity errors from tracing, which indicate a
+    /// broken collector invariant (e.g. a caller-supplied stale root). The
+    /// failed cycle is abandoned cleanly: no per-GC flag, open evacuation
+    /// or hook state survives it, the heap still verifies, and the next
+    /// collection behaves as if this one had never started.
+    pub fn collect_with<H: TraceHooks>(
+        &mut self,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        hooks: &mut H,
+        workers: usize,
+        survivors: Option<&mut SurvivorVisitor<'_>>,
+    ) -> Result<(CycleStats, Vec<Duration>), HeapError> {
+        let strategy = match heap.space_kind() {
+            SpaceKind::Semispace => RootMark::Cheney,
+            SpaceKind::Paged if workers > 1 => RootMark::Parallel(workers),
+            SpaceKind::Paged => RootMark::Lifo,
+        };
+        let result = self.cycle(heap, roots, hooks, strategy, survivors);
+        if result.is_err() {
+            if strategy == RootMark::Cheney {
+                // Keep every object still in the heap resident across the
+                // flip that closes the evacuation.
+                let unforwarded: Vec<ObjRef> = heap
+                    .iter()
+                    .map(|(r, _)| r)
+                    .filter(|&r| heap.evac_forwarding_of(r).is_none())
+                    .collect();
+                for r in unforwarded {
+                    let _ = heap.evac_forward(r);
+                }
+                heap.evac_finish();
+            }
+            for pid in 0..heap.page_count() {
+                heap.clear_flag_word(pid, Flags::PER_GC, u64::MAX);
+            }
+            hooks.gc_abort(heap);
+        }
+        result
+    }
+
+    /// The cycle driver: the one place a collection is sequenced.
+    fn cycle<H: TraceHooks>(
+        &mut self,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        hooks: &mut H,
+        strategy: RootMark,
+        survivors: Option<&mut SurvivorVisitor<'_>>,
+    ) -> Result<(CycleStats, Vec<Duration>), HeapError> {
         let cycle_start = Instant::now();
+        // Invariant modules (debug builds and the `mcheck` profile): each
+        // check sits at the exact point of the cycle where its property
+        // must hold.
+        #[cfg(debug_assertions)]
+        {
+            let problems = crate::invariants::stale_mark_violations(heap);
+            assert!(problems.is_empty(), "stale marks at gc_begin: {problems:?}");
+        }
         hooks.gc_begin(heap);
+        let evacuating = strategy == RootMark::Cheney;
+        if evacuating {
+            heap.evac_begin();
+        }
 
-        self.tracer.set_path_mode(hooks.wants_paths());
+        // The pre-root phase (the §2.5.2 ownership trace) is specified as a
+        // DFS with a path-tagged worklist and runs on the sequential tracer
+        // under every strategy; what it marks is "already marked" to
+        // whichever root mark follows.
+        let path_mode = hooks.wants_paths();
+        self.tracer.set_path_mode(path_mode);
         self.tracer.begin_cycle();
-
         let t = Instant::now();
         hooks.pre_root_phase(heap, &mut self.tracer)?;
         let pre_root = t.elapsed();
         let pre_root_edges = self.tracer.edges_traced();
 
         let t = Instant::now();
-        for &r in roots {
-            self.tracer.push_root(r);
-        }
-        self.tracer.drain(heap, hooks)?;
+        let (root_marked, root_edges, worker_busy) = match strategy {
+            RootMark::Lifo => {
+                for &r in roots {
+                    self.tracer.push_root(r);
+                }
+                self.tracer.drain(heap, hooks)?;
+                (0, 0, None)
+            }
+            RootMark::Cheney => {
+                let prov = path_mode.then_some(&mut self.prov);
+                let (marked, edges) = crate::copying::evacuate(heap, roots, hooks, prov)?;
+                (marked, edges, None)
+            }
+            RootMark::Parallel(workers) => {
+                let par = hooks.mark_roots_parallel(heap, roots, workers)?;
+                (par.objects_marked, par.edges_traced, Some(par.worker_busy))
+            }
+        };
+        // The census rides inside the mark span: it is part of what
+        // tracing with a census costs, and `CycleStats::total` covers it.
+        let censused = survivors
+            .map(|visit| crate::census::take(heap, visit))
+            .transpose()?;
         let mark = t.elapsed();
 
         hooks.trace_done(heap);
 
-        // Invariant module (debug builds and the `mcheck` profile): the
-        // transitive mark is complete, so no black-to-white edge may
-        // exist — the sweep is about to free everything unmarked.
+        // The trace is complete (and the evacuation, if any, still open):
+        // no black-to-white edge may exist — the sweep is about to free
+        // everything unmarked — and exactly the marked objects carry a
+        // forwarding address.
         #[cfg(debug_assertions)]
         {
             let problems = crate::invariants::tricolor_violations(heap);
             assert!(problems.is_empty(), "tri-color at trace_done: {problems:?}");
+            if evacuating {
+                let problems = crate::invariants::forwarding_totality_violations(heap);
+                assert!(
+                    problems.is_empty(),
+                    "forwarding totality at trace_done: {problems:?}"
+                );
+            }
         }
 
+        // Every strategy reclaims the same way: everything without a MARK
+        // bit goes. In copying terms these are the objects that were never
+        // evacuated; freeing the slot models their abandonment in
+        // from-space.
         let t = Instant::now();
         let (objects_swept, words_swept) = sweep_heap(heap, hooks)?;
-        let sweep_time = t.elapsed();
+        let sweep = t.elapsed();
+
+        if evacuating {
+            let flips_before = heap.space().flips();
+            heap.evac_finish();
+            debug_assert_eq!(
+                heap.space().flips(),
+                flips_before + 1,
+                "the flip counter must advance exactly once per cycle"
+            );
+            debug_assert!(
+                heap.verify().is_empty(),
+                "post-flip heap invariants: {:?}",
+                heap.verify()
+            );
+        }
+        if let Some(totals) = censused {
+            crate::census::verify_live_totals(heap, totals);
+        }
 
         let cycle = CycleStats {
             total: cycle_start.elapsed(),
             pre_root,
             mark,
-            sweep: sweep_time,
-            objects_marked: self.tracer.objects_marked(),
-            edges_traced: self.tracer.edges_traced(),
+            sweep,
+            objects_marked: self.tracer.objects_marked() + root_marked,
+            edges_traced: self.tracer.edges_traced() + root_edges,
             pre_root_edges,
             objects_swept,
             words_swept,
         };
         hooks.gc_end(heap, &cycle);
         self.stats.absorb(&cycle);
-        Ok(cycle)
+        Ok((cycle, worker_busy.unwrap_or_else(|| vec![mark])))
     }
 
-    /// Runs one full collection cycle like [`Collector::collect`], with a
-    /// heap census riding along: `sink` is installed in the tracer for the
-    /// duration of the cycle, so every marked object — including objects
-    /// marked by hooks-driven pre-root drains — is tallied. Returns the
-    /// cycle statistics together with the filled sink.
+    /// Runs a nursery collection on the collector's tracer; see
+    /// [`MinorStats`] and the `minor` module docs for the contract. Minor
+    /// cycles are not folded into [`Collector::stats`].
     ///
     /// # Errors
     ///
-    /// As for [`Collector::collect`]. The sink is taken back out of the
-    /// tracer even on error, so a failed cycle never leaks census state
-    /// into the next one.
-    ///
-    /// In debug builds the returned sink is cross-checked against a fresh
-    /// walk of the post-sweep heap ([`CensusSink::verify_live_totals`]),
-    /// unless the cycle began with stale mark bits, in which case an
-    /// undercount is legitimate.
-    pub fn collect_census<H: TraceHooks>(
+    /// Tracing errors, which indicate a broken collector invariant.
+    pub fn collect_minor<H: TraceHooks>(
         &mut self,
         heap: &mut Heap,
         roots: &[ObjRef],
+        remembered: &[ObjRef],
+        young: &[ObjRef],
         hooks: &mut H,
-        sink: CensusSink,
-    ) -> Result<(CycleStats, CensusSink), HeapError> {
-        let cross_check = cfg!(debug_assertions) && !crate::census::heap_has_stale_marks(heap);
-        self.tracer.set_census(sink);
-        let result = self.collect(heap, roots, hooks);
-        let sink = self.tracer.take_census().unwrap_or_default();
-        let stats = result?;
-        if cross_check {
-            sink.verify_live_totals(heap);
-        }
-        Ok((stats, sink))
+    ) -> Result<MinorStats, HeapError> {
+        minor::collect_minor(&mut self.tracer, heap, roots, remembered, young, hooks)
     }
+}
 
-    /// Folds an externally-orchestrated cycle (e.g. a parallel-mark cycle
-    /// driven by [`crate::mark_parallel`]) into the cumulative statistics.
-    pub fn record_cycle(&mut self, cycle: &CycleStats) {
-        self.stats.absorb(cycle);
+/// Calls `f` for every marked live object, page by page in index order —
+/// the bitmap walk [`sweep_heap`] does for the unmarked complement.
+pub(crate) fn for_each_marked(
+    heap: &mut Heap,
+    mut f: impl FnMut(&mut Heap, ObjRef) -> Result<(), HeapError>,
+) -> Result<(), HeapError> {
+    for pid in 0..heap.page_count() {
+        let meta = heap.page_meta(pid);
+        let mut marked = meta.live_mask() & meta.flag_word(Flags::MARK);
+        while marked != 0 {
+            let slot = marked.trailing_zeros() as usize;
+            marked &= marked - 1;
+            let r = heap
+                .page_meta(pid)
+                .handle(slot)
+                .expect("live bitmap slot must hold an object");
+            f(heap, r)?;
+        }
     }
+    Ok(())
 }
 
 /// Sweeps the heap: frees every unmarked object (calling
 /// [`TraceHooks::swept`] first) and clears the per-GC flags of survivors.
 /// Returns `(objects_swept, words_swept)`.
 ///
-/// Public so that callers orchestrating their own mark phase (the parallel
-/// collector in `gc-assertions`) can reuse the identical sweep.
+/// Public so that layer probes can time the sweep on its own; collections
+/// reach it only through [`Collector`]'s cycle driver.
 ///
 /// # Errors
 ///
@@ -209,6 +361,7 @@ mod tests {
     use crate::hooks::NoHooks;
     use crate::tracer::TraceCtx;
     use crate::Visit;
+    use gca_heap::Object;
 
     #[test]
     fn unreachable_objects_are_reclaimed() {
@@ -388,6 +541,21 @@ mod tests {
         assert_eq!(cycle.edges_traced, 4);
     }
 
+    /// Runs a census cycle, returning the survivors the pass reported.
+    fn census<H: TraceHooks>(
+        gc: &mut Collector,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        hooks: &mut H,
+    ) -> (CycleStats, Vec<ObjRef>) {
+        let mut seen = Vec::new();
+        let mut observe = |r: ObjRef, _: &Object| seen.push(r);
+        let (cycle, _) = gc
+            .collect_with(heap, roots, hooks, 1, Some(&mut observe))
+            .unwrap();
+        (cycle, seen)
+    }
+
     #[test]
     fn census_cycle_tallies_live_objects_and_slots_resolve() {
         let mut heap = Heap::new();
@@ -397,16 +565,14 @@ mod tests {
         let _dead = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(root, 0, kept).unwrap();
         let mut gc = Collector::new();
-        let (cycle, sink) = gc
-            .collect_census(&mut heap, &[root], &mut NoHooks, CensusSink::new())
-            .unwrap();
+        let (cycle, seen) = census(&mut gc, &mut heap, &[root], &mut NoHooks);
         assert_eq!(cycle.objects_marked, 2);
-        assert_eq!(sink.total_objects(), 2);
-        // Every censused slot survived the sweep and still resolves.
-        for &slot in sink.marked_slots() {
-            assert!(heap.object_at(slot).is_some());
+        assert_eq!(seen, vec![root, kept]);
+        // Every censused object survived the sweep and still resolves.
+        for &r in &seen {
+            assert!(heap.is_valid(r));
         }
-        // The sink was taken back out: a plain collect is unaffected.
+        // A plain collect afterwards is unaffected.
         let cycle2 = gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
         assert_eq!(cycle2.objects_marked, 2);
     }
@@ -414,7 +580,7 @@ mod tests {
     #[test]
     fn census_counts_pre_root_phase_marks() {
         // `child` is marked only by the hooks' pre-root drain; the census
-        // must still see it (the sink lives in the tracer, not the hooks).
+        // must still see it (the pass walks the marks, whoever set them).
         let mut heap = Heap::new();
         let c = heap.register_class("T", &["f"]);
         let unrooted = heap.alloc(c, 1, 0).unwrap();
@@ -422,10 +588,53 @@ mod tests {
         heap.set_ref_field(unrooted, 0, child).unwrap();
         let mut gc = Collector::new();
         let mut hooks = Premarker { target: unrooted };
-        let (_, sink) = gc
-            .collect_census(&mut heap, &[], &mut hooks, CensusSink::new())
-            .unwrap();
-        assert_eq!(sink.total_objects(), 1);
+        let (_, seen) = census(&mut gc, &mut heap, &[], &mut hooks);
+        assert_eq!(seen, vec![child]);
+    }
+
+    /// The abandoned-cycle path, for each way of marking from the roots:
+    /// a stale root fails the cycle after part of the graph is marked (the
+    /// roots are listed so that every strategy reaches `a` first); the
+    /// next cycle must neither see stale marks nor free `b`, which `a`
+    /// only acquires afterwards.
+    #[test]
+    fn failed_cycle_leaves_no_marks_behind() {
+        for (kind, workers) in [
+            (SpaceKind::Paged, 1),
+            (SpaceKind::Semispace, 1),
+            (SpaceKind::Paged, 2),
+        ] {
+            let mut heap = Heap::with_space(kind);
+            let c = heap.register_class("T", &["f"]);
+            let stale = heap.alloc(c, 1, 0).unwrap();
+            heap.free(stale).unwrap();
+            let a = heap.alloc(c, 1, 0).unwrap();
+            let a_child = heap.alloc(c, 1, 0).unwrap();
+            heap.set_ref_field(a, 0, a_child).unwrap();
+            let roots = match kind {
+                SpaceKind::Semispace => [a, stale],
+                SpaceKind::Paged => [stale, a],
+            };
+            let mut gc = Collector::new();
+            let mut counter = Counter::default();
+            let err = gc
+                .collect_with(&mut heap, &roots, &mut counter, workers, None)
+                .unwrap_err();
+            assert_eq!(err, HeapError::StaleRef(stale), "{kind:?}/{workers}");
+            assert!(crate::invariants::stale_mark_violations(&heap).is_empty());
+            assert_eq!(heap.verify(), Vec::<String>::new(), "{kind:?}/{workers}");
+            assert_eq!((counter.begun, counter.ended), (1, 0));
+            assert_eq!(gc.stats().collections, 0, "a failed cycle is not counted");
+
+            let b = heap.alloc(c, 1, 0).unwrap();
+            heap.set_ref_field(a_child, 0, b).unwrap();
+            let (cycle, _) = gc
+                .collect_with(&mut heap, &[a], &mut counter, workers, None)
+                .unwrap();
+            assert_eq!(cycle.objects_marked, 3, "{kind:?}/{workers}");
+            assert!(heap.is_valid(b), "{kind:?}/{workers}");
+            assert_eq!(heap.verify(), Vec::<String>::new(), "{kind:?}/{workers}");
+        }
     }
 
     #[test]

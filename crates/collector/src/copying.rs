@@ -1,14 +1,17 @@
-//! The semispace copying (Cheney-scan) collector backend.
+//! The semispace copying (Cheney-scan) root-mark strategy.
 //!
 //! The paper's assertion machinery (§2.2–2.5) is defined in terms of the
 //! *trace*, not of MarkSweep: dead and unshared bits are checked when the
 //! trace first (or again) reaches an object, instance counters tally first
 //! visits, and the ownership pre-phase is its own bounded trace. This
 //! module makes that claim executable with a second, structurally
-//! different collector: survivors are **evacuated** to a to-space in
+//! different way to mark from the roots: on a [`SpaceKind::Semispace`]
+//! heap, [`Collector`](crate::Collector)'s one cycle driver swaps the LIFO
+//! drain for [`evacuate`] — survivors are **evacuated** to a to-space in
 //! Cheney's breadth-first order, a forwarding address is installed per
-//! object, and the spaces flip. Every assertion check rides along at
-//! evacuation time:
+//! object, and the spaces flip. Everything else in the cycle (pre-root
+//! phase, invariant checks, sweep, statistics) is the driver's, shared
+//! with mark-sweep. Every assertion check rides along at evacuation time:
 //!
 //! * [`TraceHooks::visit_new`] fires exactly once per object, when it is
 //!   copied — same multiplicity as the mark-sweep first visit, in a
@@ -17,372 +20,158 @@
 //!   (the "forwarding word already installed" case) — same multiplicity
 //!   as mark-sweep re-visits;
 //! * the §2.5.2 ownership phase runs unchanged as a bounded
-//!   pre-evacuation pass on the sequential [`Tracer`], with ownee
-//!   truncation; objects it marks are forwarded without rescanning,
-//!   exactly as the sequential drain does not descend into already-marked
-//!   objects;
+//!   pre-evacuation pass on the sequential [`Tracer`](crate::Tracer),
+//!   with ownee truncation; objects it marks are forwarded without
+//!   rescanning, exactly as the sequential drain does not descend into
+//!   already-marked objects;
 //! * root-to-object violation paths are reconstructed from the scan
 //!   frontier's first-arrival edges (a [`Provenance`] table), since a
 //!   Cheney queue — unlike the §2.7 LIFO worklist — holds no path.
 //!
 //! Because the heap's [`ObjRef`] handles are relocation-stable (the
-//! [`SemiSpaces`] indirection moves *addresses*, not slots), mutator
+//! semispace indirection moves *addresses*, not slots), mutator
 //! roots, assertion registrations, alloc-site tags and replay logs all
 //! survive evacuation untouched. Copying changes *where* objects live and
 //! how their death is effected (eviction by non-copy rather than sweep),
 //! not *whether* they are live — all assertion verdicts are identical to
 //! mark-sweep, which `crates/core/tests/copying_equivalence.rs` checks by
 //! differential fuzzing.
+//!
+//! # Example
+//!
+//! ```
+//! use gca_collector::{Collector, NoHooks};
+//! use gca_heap::{Heap, SpaceKind};
+//!
+//! # fn main() -> Result<(), gca_heap::HeapError> {
+//! let mut heap = Heap::with_space(SpaceKind::Semispace);
+//! let c = heap.register_class("Node", &["next"]);
+//! let a = heap.alloc(c, 1, 0)?;
+//! let b = heap.alloc(c, 1, 0)?;
+//! let dead = heap.alloc(c, 1, 0)?;
+//! heap.set_ref_field(a, 0, b)?;
+//!
+//! // The same entry point as mark-sweep: the heap's space kind selects
+//! // evacuation.
+//! let mut gc = Collector::new();
+//! let cycle = gc.collect(&mut heap, &[a], &mut NoHooks)?;
+//! assert_eq!(cycle.objects_swept, 1); // only `dead` was unreachable
+//! assert!(heap.is_valid(b), "handles are relocation-stable");
+//! assert_eq!(heap.space().flips(), 1);
+//! # Ok(())
+//! # }
+//! ```
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
-use gca_heap::{Flags, Heap, HeapError, ObjRef};
+#[cfg(doc)]
+use gca_heap::SpaceKind;
+use gca_heap::{Heap, HeapError, ObjRef};
 
-use crate::census::CensusSink;
-use crate::collector::sweep_heap;
+use crate::collector::for_each_marked;
 use crate::hooks::{TraceHooks, Visit};
-use crate::stats::{CycleStats, GcStats};
-use crate::tracer::{Provenance, TraceCtx, Tracer};
+use crate::tracer::{visit, Provenance, TraceCtx};
 
-/// A full-heap semispace copying collector, hook-compatible with
-/// [`Collector`](crate::Collector).
-///
-/// The same [`TraceHooks`] implementation (in particular the assertion
-/// engine) drives both backends unmodified; only the traversal order and
-/// the reclamation mechanism differ.
-///
-/// # Example
-///
-/// ```
-/// use gca_collector::{CopyingCollector, NoHooks};
-/// use gca_heap::{Heap, SpaceKind};
-///
-/// # fn main() -> Result<(), gca_heap::HeapError> {
-/// let mut heap = Heap::with_space(SpaceKind::Semispace);
-/// let c = heap.register_class("Node", &["next"]);
-/// let a = heap.alloc(c, 1, 0)?;
-/// let b = heap.alloc(c, 1, 0)?;
-/// let dead = heap.alloc(c, 1, 0)?;
-/// heap.set_ref_field(a, 0, b)?;
-///
-/// let mut gc = CopyingCollector::new();
-/// let cycle = gc.collect(&mut heap, &[a], &mut NoHooks)?;
-/// assert_eq!(cycle.objects_swept, 1); // only `dead` was unreachable
-/// assert!(heap.is_valid(b), "handles are relocation-stable");
-/// assert_eq!(heap.space().flips(), 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct CopyingCollector {
-    /// Sequential tracer, used only for the hooks' pre-root (ownership)
-    /// phase — that phase is specified as a DFS with path-tagged worklist
-    /// and must behave identically across backends.
-    tracer: Tracer,
-    /// First-arrival edges of the Cheney scan, for path reconstruction.
-    prov: Provenance,
-    stats: GcStats,
+/// State of one Cheney scan: the FIFO *object* queue, the first-arrival
+/// edges for path reconstruction (`None` in plain mode), and the counters.
+struct Cheney<'a> {
+    gray: VecDeque<ObjRef>,
+    prov: Option<&'a mut Provenance>,
+    marked: u64,
+    edges: u64,
+    /// Fault injection (see `crate::sabotage`): while armed, drop the
+    /// first forwarding install of every cycle. The invariant modules
+    /// and the model checker must catch the resulting corruption.
+    skip_forward: bool,
 }
 
-impl CopyingCollector {
-    /// Creates a copying collector with zeroed statistics.
-    pub fn new() -> CopyingCollector {
-        CopyingCollector::default()
+/// Installs `obj`'s forwarding address, unless the armed fault eats it.
+fn forward(heap: &mut Heap, obj: ObjRef, skip: &mut bool) -> Result<(), HeapError> {
+    if !std::mem::take(skip) {
+        heap.evac_forward(obj)?;
     }
+    Ok(())
+}
 
-    /// Cumulative statistics across all collections.
-    pub fn stats(&self) -> &GcStats {
-        &self.stats
-    }
-
-    /// Zeroes the cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = GcStats::new();
-    }
-
-    /// Runs one full evacuation cycle: `gc_begin`, the hooks' pre-root
-    /// phase (on the sequential tracer), breadth-first evacuation of
-    /// everything reachable from `roots`, `trace_done`, sweep of the
-    /// non-evacuated remainder, space flip, `gc_end`.
-    ///
-    /// The hook schedule matches [`Collector::collect`]
-    /// (crate::Collector::collect) call-for-call except for traversal
-    /// order; see the module docs for the multiplicity argument.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reference-validity errors from tracing, which indicate a
-    /// broken collector invariant (e.g. a caller-supplied stale root).
-    pub fn collect<H: TraceHooks>(
-        &mut self,
-        heap: &mut Heap,
-        roots: &[ObjRef],
-        hooks: &mut H,
-    ) -> Result<CycleStats, HeapError> {
-        let cycle_start = Instant::now();
-        hooks.gc_begin(heap);
-
-        let path_mode = hooks.wants_paths();
-        self.tracer.set_path_mode(path_mode);
-        self.tracer.begin_cycle();
-        if path_mode {
-            self.prov.begin_cycle(heap.index_bound());
-        }
-
-        let t = Instant::now();
-        hooks.pre_root_phase(heap, &mut self.tracer)?;
-        let pre_root = t.elapsed();
-        let pre_root_edges = self.tracer.edges_traced();
-
-        // The census sink (if installed) lives in the tracer so the
-        // pre-root drain tallies into it; borrow it for the scan and put
-        // it back afterwards so `collect_census`'s take sees it.
-        let mut census = self.tracer.take_census();
-
-        heap.evac_begin();
-
-        let t = Instant::now();
-        let scan = self.evacuate(heap, roots, hooks, &mut census, path_mode);
-        if let Some(sink) = census {
-            self.tracer.set_census(sink);
-        }
-        let (bfs_marked, bfs_edges) = match scan {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Abandon the half-done evacuation so the address space
-                // stays consistent for whoever inspects the wreckage.
-                heap.evac_finish();
-                return Err(e);
-            }
-        };
-        let mark = t.elapsed();
-
-        hooks.trace_done(heap);
-
-        // Invariant modules (debug builds and the `mcheck` profile): the
-        // trace is complete and the evacuation is still open, so both the
-        // tri-color and the forwarding-totality properties must hold
-        // exactly here.
-        #[cfg(debug_assertions)]
-        {
-            let problems = crate::invariants::tricolor_violations(heap);
-            assert!(problems.is_empty(), "tri-color at trace_done: {problems:?}");
-            let problems = crate::invariants::forwarding_totality_violations(heap);
-            assert!(
-                problems.is_empty(),
-                "forwarding totality at trace_done: {problems:?}"
-            );
-        }
-
-        // Identical reclamation decisions to mark-sweep: everything
-        // without a MARK bit goes. In copying terms these are the objects
-        // that were never evacuated; freeing the slot models their
-        // abandonment in from-space.
-        let t = Instant::now();
-        let (objects_swept, words_swept) = sweep_heap(heap, hooks)?;
-        let sweep_time = t.elapsed();
-
-        let flips_before = heap.space().flips();
-        heap.evac_finish();
-        debug_assert_eq!(
-            heap.space().flips(),
-            flips_before + 1,
-            "the flip counter must advance exactly once per cycle"
-        );
-        debug_assert!(
-            heap.verify().is_empty(),
-            "post-flip heap invariants: {:?}",
-            heap.verify()
-        );
-
-        let cycle = CycleStats {
-            total: cycle_start.elapsed(),
-            pre_root,
-            mark,
-            sweep: sweep_time,
-            objects_marked: self.tracer.objects_marked() + bfs_marked,
-            edges_traced: self.tracer.edges_traced() + bfs_edges,
-            pre_root_edges,
-            objects_swept,
-            words_swept,
-        };
-        hooks.gc_end(heap, &cycle);
-        self.stats.absorb(&cycle);
-        Ok(cycle)
-    }
-
-    /// Runs one evacuation cycle like [`CopyingCollector::collect`] with a
-    /// heap census riding along, mirroring
-    /// [`Collector::collect_census`](crate::Collector::collect_census):
-    /// the sink sees everything evacuated this cycle, including objects
-    /// marked by the pre-root phase.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CopyingCollector::collect`]; the sink is recovered even on
-    /// error.
-    pub fn collect_census<H: TraceHooks>(
-        &mut self,
-        heap: &mut Heap,
-        roots: &[ObjRef],
-        hooks: &mut H,
-        sink: CensusSink,
-    ) -> Result<(CycleStats, CensusSink), HeapError> {
-        let cross_check = cfg!(debug_assertions) && !crate::census::heap_has_stale_marks(heap);
-        self.tracer.set_census(sink);
-        let result = self.collect(heap, roots, hooks);
-        let sink = self.tracer.take_census().unwrap_or_default();
-        let stats = result?;
-        if cross_check {
-            sink.verify_live_totals(heap);
-        }
-        Ok((stats, sink))
-    }
-
-    /// Folds an externally-recorded cycle into the cumulative statistics.
-    pub fn record_cycle(&mut self, cycle: &CycleStats) {
-        self.stats.absorb(cycle);
-    }
-
-    /// The breadth-first evacuation proper. Returns
-    /// `(objects_marked, edges_traced)` for the scan (excluding pre-root
-    /// phase work, which the tracer counts).
-    fn evacuate<H: TraceHooks>(
-        &mut self,
-        heap: &mut Heap,
-        roots: &[ObjRef],
-        hooks: &mut H,
-        census: &mut Option<CensusSink>,
-        path_mode: bool,
-    ) -> Result<(u64, u64), HeapError> {
-        // Fault injection (see `crate::sabotage`): while armed, drop the
-        // first forwarding install of every cycle. The invariant modules
-        // and the model checker must catch the resulting corruption.
-        let mut skip_forwards = usize::from(crate::sabotage::skip_first_forward());
-
-        // Objects the pre-root phase already marked are forwarded up
-        // front, in index order, *without* rescanning their fields — the
-        // exact analogue of the sequential drain not descending into
-        // already-marked objects. (With ownee truncation this also keeps
-        // the ownership phase's bounded-collection property.)
-        for pid in 0..heap.page_count() {
-            let meta = heap.page_meta(pid);
-            let mut premarked = meta.live_mask() & meta.flag_word(Flags::MARK);
-            while premarked != 0 {
-                let slot = premarked.trailing_zeros() as usize;
-                premarked &= premarked - 1;
-                let r = heap
-                    .page_meta(pid)
-                    .handle(slot)
-                    .expect("live bitmap slot must hold an object");
-                if skip_forwards > 0 {
-                    skip_forwards -= 1;
-                } else {
-                    heap.evac_forward(r)?;
-                }
-            }
-        }
-
-        let mut marked = 0u64;
-        let mut edges = 0u64;
-        let mut gray: VecDeque<ObjRef> = VecDeque::new();
-
-        for &r in roots {
-            if r.is_some() {
-                self.process_edge(
-                    heap,
-                    hooks,
-                    census,
-                    path_mode,
-                    ObjRef::NULL,
-                    None,
-                    r,
-                    &mut gray,
-                    &mut marked,
-                    &mut skip_forwards,
-                )?;
-            }
-        }
-
-        while let Some(obj) = gray.pop_front() {
-            // Snapshot the fields: hooks may borrow the heap mutably.
-            let fields: Vec<(usize, ObjRef)> = heap
-                .get(obj)?
-                .refs()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_some())
-                .map(|(i, &c)| (i, c))
-                .collect();
-            for (i, child) in fields {
-                edges += 1;
-                self.process_edge(
-                    heap,
-                    hooks,
-                    census,
-                    path_mode,
-                    obj,
-                    Some(i),
-                    child,
-                    &mut gray,
-                    &mut marked,
-                    &mut skip_forwards,
-                )?;
-            }
-        }
-        Ok((marked, edges))
-    }
-
+impl Cheney<'_> {
     /// Processes one scan-frontier edge `parent.field -> child`: evacuate
     /// on first arrival (calling `visit_new`), or report the extra edge
     /// (`visit_marked`) if the child's forwarding word is already
     /// installed — which is exactly what the MARK bit means here.
-    #[allow(clippy::too_many_arguments)]
-    fn process_edge<H: TraceHooks>(
+    fn edge<H: TraceHooks>(
         &mut self,
         heap: &mut Heap,
         hooks: &mut H,
-        census: &mut Option<CensusSink>,
-        path_mode: bool,
         parent: ObjRef,
         field: Option<usize>,
         child: ObjRef,
-        gray: &mut VecDeque<ObjRef>,
-        marked: &mut u64,
-        skip_forwards: &mut usize,
     ) -> Result<(), HeapError> {
-        if heap.has_flag(child, Flags::MARK)? {
-            let ctx =
-                TraceCtx::from_provenance(path_mode.then_some(&self.prov), parent, child, field);
-            hooks.visit_marked(heap, child, &ctx);
-            return Ok(());
+        let ctx = TraceCtx::from_provenance(self.prov.as_deref(), parent, child, field);
+        let first = visit(heap, hooks, child, &ctx, |heap| {
+            forward(heap, child, &mut self.skip_forward)
+        })?;
+        let Some(action) = first else { return Ok(()) };
+        self.marked += 1;
+        if let (Some(prov), Some(f)) = (self.prov.as_deref_mut(), field) {
+            prov.record(child, parent, f);
         }
-        heap.set_flag(child, Flags::MARK)?;
-        *marked += 1;
-        if *skip_forwards > 0 {
-            *skip_forwards -= 1;
-        } else {
-            heap.evac_forward(child)?;
-        }
-        if path_mode && parent.is_some() {
-            if let Some(f) = field {
-                self.prov.record(child, parent, f);
-            }
-        }
-        if let Some(sink) = census.as_mut() {
-            sink.observe(heap, child);
-        }
-        let action = {
-            let ctx =
-                TraceCtx::from_provenance(path_mode.then_some(&self.prov), parent, child, field);
-            hooks.visit_new(heap, child, &ctx)
-        };
         if action == Visit::Descend {
-            gray.push_back(child);
+            self.gray.push_back(child);
         }
         Ok(())
     }
+}
+
+/// Marks from `roots` by breadth-first evacuation. The caller has opened
+/// the evacuation ([`Heap::evac_begin`]) and run the pre-root phase; it
+/// closes the evacuation after the sweep. Returns
+/// `(objects_marked, edges_traced)` for the scan (excluding pre-root phase
+/// work, which the tracer counts).
+pub(crate) fn evacuate<H: TraceHooks>(
+    heap: &mut Heap,
+    roots: &[ObjRef],
+    hooks: &mut H,
+    prov: Option<&mut Provenance>,
+) -> Result<(u64, u64), HeapError> {
+    let mut scan = Cheney {
+        gray: VecDeque::new(),
+        prov,
+        marked: 0,
+        edges: 0,
+        skip_forward: crate::sabotage::skip_first_forward(),
+    };
+    if let Some(prov) = scan.prov.as_deref_mut() {
+        prov.begin_cycle(heap.index_bound());
+    }
+
+    // Objects the pre-root phase already marked are forwarded up front,
+    // in index order, *without* rescanning their fields — the exact
+    // analogue of the sequential drain not descending into already-marked
+    // objects. (With ownee truncation this also keeps the ownership
+    // phase's bounded-collection property.)
+    for_each_marked(heap, |heap, r| forward(heap, r, &mut scan.skip_forward))?;
+
+    for &r in roots {
+        if r.is_some() {
+            scan.edge(heap, hooks, ObjRef::NULL, None, r)?;
+        }
+    }
+    while let Some(obj) = scan.gray.pop_front() {
+        // Snapshot the fields: hooks may borrow the heap mutably.
+        let fields: Vec<(usize, ObjRef)> = heap
+            .get(obj)?
+            .refs()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.is_some())
+            .map(|(i, &c)| (i, c))
+            .collect();
+        for (i, child) in fields {
+            scan.edges += 1;
+            scan.edge(heap, hooks, obj, Some(i), child)?;
+        }
+    }
+    Ok((scan.marked, scan.edges))
 }
 
 #[cfg(test)]
@@ -390,7 +179,9 @@ mod tests {
     use super::*;
     use crate::hooks::NoHooks;
     use crate::path::HeapPath;
-    use gca_heap::SpaceKind;
+    use crate::tracer::Tracer;
+    use crate::Collector;
+    use gca_heap::{Flags, Object, SpaceKind};
 
     fn semispace_heap() -> Heap {
         Heap::with_space(SpaceKind::Semispace)
@@ -407,7 +198,7 @@ mod tests {
         heap.set_ref_field(root, 0, kept).unwrap();
         heap.set_ref_field(dead1, 0, dead2).unwrap();
 
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let cycle = gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
         assert_eq!(cycle.objects_marked, 2);
         assert_eq!(cycle.objects_swept, 2);
@@ -426,7 +217,7 @@ mod tests {
         heap.set_ref_field(root, 0, kept).unwrap();
         let before_root = heap.space().address_of(root.index()).unwrap();
 
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
 
         let after_root = heap.space().address_of(root.index()).unwrap();
@@ -450,7 +241,7 @@ mod tests {
         heap.set_ref_field(a, 0, b).unwrap();
         heap.set_ref_field(b, 0, a).unwrap();
         heap.set_ref_field(a, 1, a).unwrap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let cycle = gc.collect(&mut heap, &[a], &mut NoHooks).unwrap();
         assert_eq!(cycle.objects_marked, 2);
         assert_eq!(cycle.edges_traced, 3);
@@ -493,7 +284,7 @@ mod tests {
         heap.set_ref_field(l, 0, shared).unwrap();
         heap.set_ref_field(r, 0, shared).unwrap();
 
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let mut rec = Recorder::default();
         let cycle = gc.collect(&mut heap, &[root], &mut rec).unwrap();
         assert_eq!(rec.new.len(), 4, "one visit_new per object");
@@ -516,7 +307,7 @@ mod tests {
         heap.set_ref_field(root, 1, right).unwrap();
         heap.set_ref_field(right, 0, leaf).unwrap();
 
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let mut rec = Recorder::default();
         gc.collect(&mut heap, &[root], &mut rec).unwrap();
 
@@ -536,7 +327,7 @@ mod tests {
         heap.set_flag(root, Flags::DEAD | Flags::UNSHARED | Flags::OWNEE)
             .unwrap();
         heap.set_flag(root, Flags::OWNED).unwrap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
         assert!(!heap.has_flag(root, Flags::MARK).unwrap());
         assert!(!heap.has_flag(root, Flags::OWNED).unwrap());
@@ -573,7 +364,7 @@ mod tests {
         let unrooted = heap.alloc(c, 1, 0).unwrap();
         let child = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(unrooted, 0, child).unwrap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let mut hooks = Premarker { target: unrooted };
         let cycle = gc.collect(&mut heap, &[], &mut hooks).unwrap();
         assert!(!heap.is_valid(unrooted));
@@ -587,6 +378,20 @@ mod tests {
         assert!(!heap.is_valid(child));
     }
 
+    /// Runs a census cycle, returning the survivors the pass reported.
+    fn census<H: TraceHooks>(
+        gc: &mut Collector,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        hooks: &mut H,
+    ) -> Vec<ObjRef> {
+        let mut seen = Vec::new();
+        let mut observe = |r: ObjRef, _: &Object| seen.push(r);
+        gc.collect_with(heap, roots, hooks, 1, Some(&mut observe))
+            .unwrap();
+        seen
+    }
+
     #[test]
     fn census_cycle_tallies_evacuated_objects() {
         let mut heap = semispace_heap();
@@ -595,16 +400,13 @@ mod tests {
         let kept = heap.alloc(c, 1, 0).unwrap();
         let _dead = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(root, 0, kept).unwrap();
-        let mut gc = CopyingCollector::new();
-        let (cycle, sink) = gc
-            .collect_census(&mut heap, &[root], &mut NoHooks, CensusSink::new())
-            .unwrap();
-        assert_eq!(cycle.objects_marked, 2);
-        assert_eq!(sink.total_objects(), 2);
-        for &slot in sink.marked_slots() {
-            assert!(heap.object_at(slot).is_some());
+        let mut gc = Collector::new();
+        let seen = census(&mut gc, &mut heap, &[root], &mut NoHooks);
+        assert_eq!(seen, vec![root, kept]);
+        for &r in &seen {
+            assert!(heap.is_valid(r));
         }
-        // Sink was taken back out; a plain collect is unaffected.
+        // A plain collect afterwards is unaffected.
         let cycle2 = gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
         assert_eq!(cycle2.objects_marked, 2);
     }
@@ -616,18 +418,16 @@ mod tests {
         let unrooted = heap.alloc(c, 1, 0).unwrap();
         let child = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(unrooted, 0, child).unwrap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let mut hooks = Premarker { target: unrooted };
-        let (_, sink) = gc
-            .collect_census(&mut heap, &[], &mut hooks, CensusSink::new())
-            .unwrap();
-        assert_eq!(sink.total_objects(), 1);
+        let seen = census(&mut gc, &mut heap, &[], &mut hooks);
+        assert_eq!(seen, vec![child]);
     }
 
     #[test]
     fn empty_heap_collects_cleanly() {
         let mut heap = semispace_heap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         let cycle = gc.collect(&mut heap, &[], &mut NoHooks).unwrap();
         assert_eq!(cycle.objects_marked, 0);
         assert_eq!(cycle.objects_swept, 0);
@@ -641,7 +441,7 @@ mod tests {
         let mut heap = semispace_heap();
         let c = heap.register_class("T", &[]);
         let root = heap.alloc(c, 0, 0).unwrap();
-        let mut gc = CopyingCollector::new();
+        let mut gc = Collector::new();
         gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
         let root_addr = heap.space().address_of(root.index()).unwrap();
         let fresh = heap.alloc(c, 0, 0).unwrap();

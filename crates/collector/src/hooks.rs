@@ -2,6 +2,7 @@
 
 use gca_heap::{Heap, HeapError, ObjRef};
 
+use crate::parallel::{mark_parallel, NoParVisitor, ParMarkStats};
 use crate::stats::CycleStats;
 use crate::tracer::{TraceCtx, Tracer};
 
@@ -31,9 +32,14 @@ pub enum Visit {
 ///    (ownership phase)
 /// 3. root scan + transitive marking, calling [`TraceHooks::visit_new`] on
 ///    each first visit and [`TraceHooks::visit_marked`] on each re-visit
+///    (a cycle with several tracing workers calls
+///    [`TraceHooks::mark_roots_parallel`] for this step instead)
 /// 4. [`TraceHooks::trace_done`]
 /// 5. sweep, calling [`TraceHooks::swept`] for each reclaimed object
 /// 6. [`TraceHooks::gc_end`]
+///
+/// A cycle that fails with a heap error stops wherever it is and calls
+/// [`TraceHooks::gc_abort`] instead of the remaining hooks.
 pub trait TraceHooks {
     /// If `true`, the collector uses the path-tracking worklist (§2.7) so
     /// [`TraceCtx::current_path`] can reconstruct root-to-object paths.
@@ -75,6 +81,28 @@ pub trait TraceHooks {
         let _ = (heap, obj, ctx);
     }
 
+    /// The root scan of a cycle with `workers > 1` tracing threads: marks
+    /// everything reachable from `roots` with [`mark_parallel`], observing
+    /// through per-worker [`crate::ParVisitor`] shards what `visit_new` /
+    /// `visit_marked` observe in a sequential trace. Objects the pre-root
+    /// phase marked are "already marked" to the workers.
+    ///
+    /// The default marks without observing anything — right for hooks
+    /// that override neither visit method (the Base configuration); hooks
+    /// that do must override this too.
+    ///
+    /// # Errors
+    ///
+    /// The first heap error any worker trips.
+    fn mark_roots_parallel(
+        &mut self,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        workers: usize,
+    ) -> Result<ParMarkStats, HeapError> {
+        mark_parallel(heap, roots, &mut vec![NoParVisitor; workers])
+    }
+
     /// Called when marking has finished, before the sweep. Volume
     /// assertions check their accumulated counts here.
     fn trace_done(&mut self, heap: &mut Heap) {
@@ -90,6 +118,13 @@ pub trait TraceHooks {
     /// Called when the cycle is complete.
     fn gc_end(&mut self, heap: &mut Heap, cycle: &CycleStats) {
         let _ = (heap, cycle);
+    }
+
+    /// Called when the cycle failed with a heap error, after the collector
+    /// has cleared every per-GC flag: hooks drop what they accumulated for
+    /// this cycle, so the next one starts as if this one never ran.
+    fn gc_abort(&mut self, heap: &mut Heap) {
+        let _ = heap;
     }
 }
 

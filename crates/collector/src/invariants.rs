@@ -13,6 +13,22 @@
 
 use gca_heap::{Flags, Heap};
 
+/// Mark-plane hygiene at `gc_begin` time: no live object may carry `MARK`
+/// from before the cycle. A stale mark makes the trace treat a survivor as
+/// already visited — its subgraph is never traced and the sweep frees
+/// reachable objects. Every way out of a cycle (the sweep, a minor
+/// collection's cleanup, the abandoned-cycle path, a probe traversal)
+/// must therefore leave the plane clear.
+pub fn stale_mark_violations(heap: &Heap) -> Vec<String> {
+    (0..heap.page_count())
+        .filter_map(|pid| {
+            let meta = heap.page_meta(pid);
+            let stale = meta.live_mask() & meta.flag_word(Flags::MARK);
+            (stale != 0).then(|| format!("page {pid} enters the cycle with marks {stale:#x}"))
+        })
+        .collect()
+}
+
 /// Tri-color consistency at `trace_done` time (after the transitive mark,
 /// before the sweep): no black-to-white edge may exist — every reference
 /// field of a MARK'd (black) object must point to a MARK'd object. An
@@ -22,17 +38,6 @@ pub fn tricolor_violations(heap: &Heap) -> Vec<String> {
     let mut problems = Vec::new();
     for (r, obj) in heap.iter() {
         if !heap.has_flag(r, Flags::MARK).unwrap_or(false) {
-            continue;
-        }
-        // §2.5.2 exemption: ownership scans *truncate* at ownees. An
-        // ownee reached only through a foreign owner's region is marked
-        // (and reported NotOwned/ImproperOwnership) but deliberately
-        // never descended below — OWNED is exactly the bit that records
-        // "my own owner's scan resumed under me", so a marked ownee
-        // without it is a documented truncation point, not a lost edge.
-        if heap.has_flag(r, Flags::OWNEE).unwrap_or(false)
-            && !heap.has_flag(r, Flags::OWNED).unwrap_or(false)
-        {
             continue;
         }
         for (i, &child) in obj.refs().iter().enumerate() {
@@ -86,6 +91,16 @@ pub fn forwarding_totality_violations(heap: &Heap) -> Vec<String> {
 mod tests {
     use super::*;
     use gca_heap::{ObjRef, SpaceKind};
+
+    #[test]
+    fn stale_marks_are_detected() {
+        let mut heap = Heap::new();
+        let c = heap.register_class("T", &[]);
+        let a = heap.alloc(c, 0, 0).unwrap();
+        assert!(stale_mark_violations(&heap).is_empty());
+        heap.set_flag(a, Flags::MARK).unwrap();
+        assert_eq!(stale_mark_violations(&heap).len(), 1);
+    }
 
     #[test]
     fn tricolor_flags_a_lost_edge() {

@@ -1,12 +1,21 @@
-//! # gca-collector — mark-sweep collector with trace hooks
+//! # gca-collector — tracing collector with trace hooks
 //!
-//! The tracing mark-sweep collector for the GC-assertions reproduction
-//! (Aftandilian & Guyer, PLDI 2009). The paper implements its assertions by
-//! *piggybacking on the normal GC tracing process*; this crate provides the
-//! piggyback points:
+//! The tracing collector for the GC-assertions reproduction (Aftandilian &
+//! Guyer, PLDI 2009). The paper implements its assertions by *piggybacking
+//! on the normal GC tracing process* and notes they "work with any tracing
+//! collector" (§2.2); this crate provides the piggyback points and spells
+//! the collection cycle out exactly once:
 //!
-//! * [`Collector::collect`] runs a full mark-sweep cycle over a
+//! * [`Collector::collect`] runs a full collection cycle over a
 //!   [`gca_heap::Heap`], generic over a [`TraceHooks`] implementation.
+//!   One private driver sequences every cycle — `gc_begin`, pre-root
+//!   phase, mark from the roots, optional census pass, `trace_done`,
+//!   invariant checks, sweep, statistics, `gc_end`, and the clean-up of a
+//!   cycle that fails. Its only strategy-specific step is "mark from the
+//!   roots", chosen from what the driver is given: the path-tagged LIFO
+//!   drain, Cheney evacuation on a semispace heap (the `copying` module),
+//!   or the work-stealing mark when [`Collector::collect_with`] is handed
+//!   more than one tracing worker.
 //! * [`NoHooks`] compiles every hook away — this is the paper's **Base**
 //!   configuration (an unmodified collector).
 //! * A hooks object that returns `true` from [`TraceHooks::wants_paths`]
@@ -18,8 +27,9 @@
 //! * Hooks can run a *pre-root phase* ([`TraceHooks::pre_root_phase`]) that
 //!   drives the [`Tracer`] directly — this is how the assertion engine
 //!   implements the `assert-ownedby` ownership phase, which must trace from
-//!   owner objects **before** the root scan (§2.5.2).
-//! * [`mark_parallel`] is the work-stealing **parallel mark phase**: N
+//!   owner objects **before** the root scan (§2.5.2). It runs once,
+//!   sequentially, under every strategy.
+//! * [`mark_parallel`] is the work-stealing **parallel root scan**: N
 //!   workers with private mark stacks and [`StealDeque`]s race to claim
 //!   mark bits with an atomic RMW, calling a per-worker [`ParVisitor`]
 //!   shard exactly once per object (`visit_new`) and once per extra edge
@@ -67,16 +77,14 @@ pub mod sabotage;
 mod stats;
 mod tracer;
 
-pub use census::{heap_has_stale_marks, CensusSink};
+pub use census::SurvivorVisitor;
 pub use collector::{sweep_heap, Collector};
-pub use copying::CopyingCollector;
 pub use deque::StealDeque;
 pub use hooks::{NoHooks, TraceHooks, Visit};
-pub use invariants::{forwarding_totality_violations, tricolor_violations};
-pub use minor::{collect_minor, MinorStats};
+pub use invariants::{forwarding_totality_violations, stale_mark_violations, tricolor_violations};
+pub use minor::MinorStats;
 pub use parallel::{
-    mark_parallel, push_child_items, reconstruct_path, NoParVisitor, ParMarkStats, ParVisitor,
-    WorkItem, CTX_NONE,
+    mark_parallel, reconstruct_path, NoParVisitor, ParMarkStats, ParVisitor, WorkItem,
 };
 pub use path::{HeapPath, PathDisplay, PathStep};
 pub use stats::{CycleStats, GcStats};

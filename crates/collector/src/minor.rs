@@ -82,7 +82,7 @@ impl TraceHooks for MinorHooks {
 /// # Errors
 ///
 /// Tracing errors, which indicate a broken collector invariant.
-pub fn collect_minor<H: TraceHooks>(
+pub(crate) fn collect_minor<H: TraceHooks>(
     tracer: &mut Tracer,
     heap: &mut Heap,
     roots: &[ObjRef],

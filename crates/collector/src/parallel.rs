@@ -23,6 +23,12 @@
 //! the handful of flagged objects are reconstructed on demand after the
 //! trace with [`reconstruct_path`].
 //!
+//! The workers only ever run the *root scan*. A pre-root phase (the
+//! §2.5.2 ownership trace) has already run, sequentially, by the time they
+//! start; whatever it marked is simply "already marked" to them. Every
+//! fact a visitor can observe is therefore per-object or per-edge and
+//! final, and nothing a cycle reports depends on the steal schedule.
+//!
 //! Termination uses an idle-worker counter: a worker that finds no local
 //! work and nothing to steal registers as idle; when all N workers are
 //! idle and every public deque is empty the phase is over. All counter and
@@ -41,45 +47,33 @@ use crate::deque::StealDeque;
 use crate::hooks::Visit;
 use crate::path::{HeapPath, PathStep};
 
-/// Field value for items seeded directly (roots and owner-scan seeds have
-/// no parent edge).
+/// Field value for root items, which have no parent edge.
 const NO_FIELD: u32 = u32::MAX;
-
-/// Context value for items that belong to no particular scan (the root
-/// phase).
-pub const CTX_NONE: u32 = u32::MAX;
 
 /// One unit of marking work: an object to visit plus its one-edge
 /// provenance.
-///
-/// `ctx` is an opaque tag the seeding code chooses and children inherit;
-/// the assertion engine uses it to distinguish which owner scan reached an
-/// object during the parallel ownership phase (§2.5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkItem {
     /// Object to visit.
     pub obj: ObjRef,
     /// Object whose reference field produced this item ([`ObjRef::NULL`]
-    /// for seeds).
+    /// for roots).
     pub parent: ObjRef,
-    /// Field index in `parent` ([`u32::MAX`] for seeds).
+    /// Field index in `parent` ([`u32::MAX`] for roots).
     pub field: u32,
-    /// Scan tag, inherited by children.
-    pub ctx: u32,
 }
 
 impl WorkItem {
-    /// A seed item with no parent edge (a root, or an owner-scan seed).
-    pub fn seed(obj: ObjRef, ctx: u32) -> WorkItem {
+    /// A root item, with no parent edge.
+    pub fn root(obj: ObjRef) -> WorkItem {
         WorkItem {
             obj,
             parent: ObjRef::NULL,
             field: NO_FIELD,
-            ctx,
         }
     }
 
-    /// The edge through which this item was produced, or `None` for seeds.
+    /// The edge through which this item was produced, or `None` for roots.
     pub fn parent_edge(&self) -> Option<(ObjRef, usize)> {
         if self.parent.is_null() || self.field == NO_FIELD {
             None
@@ -136,13 +130,10 @@ pub struct ParMarkStats {
 }
 
 /// Appends a [`WorkItem`] for every non-null reference field of `parent`,
-/// tagged with `ctx`, returning the number of edges pushed. This is the
-/// parallel counterpart of the sequential tracer's `push_children_of`
-/// (used to seed owner scans, which *do* count their seed edges).
-pub fn push_child_items(
+/// returning the number of edges pushed.
+fn push_child_items(
     heap: &Heap,
     parent: ObjRef,
-    ctx: u32,
     out: &mut Vec<WorkItem>,
 ) -> Result<u64, HeapError> {
     let obj = heap.get(parent)?;
@@ -153,7 +144,6 @@ pub fn push_child_items(
                 obj: child,
                 parent,
                 field: i as u32,
-                ctx,
             });
             edges += 1;
         }
@@ -164,15 +154,16 @@ pub fn push_child_items(
 /// Spill the private stack's oldest half once it outgrows this.
 const SPILL_THRESHOLD: usize = 64;
 
-/// Runs a parallel mark phase over `heap` from `seeds`, with one worker
-/// per element of `visitors` (`visitors.len()` is the degree of
-/// parallelism; pass one visitor to run the same protocol inline without
-/// spawning).
+/// Runs a parallel mark phase over `heap` from `roots` (nulls are
+/// skipped), with one worker per element of `visitors` (`visitors.len()`
+/// is the degree of parallelism; pass one visitor to run the same protocol
+/// inline without spawning).
 ///
-/// Seed items are processed like any other: each fires `visit_new` or
-/// `visit_marked` depending on who wins the mark race. Edges pushed *by*
-/// the workers are counted in the returned stats; edges represented by the
-/// seeds themselves are the seeder's to count (see [`push_child_items`]).
+/// Root items are processed like any other: each fires `visit_new` or
+/// `visit_marked` depending on who wins the mark race — or on whether a
+/// pre-root phase marked the object before the workers started. Only
+/// edges pushed *by* the workers are counted in the returned stats,
+/// matching the sequential tracer.
 ///
 /// # Errors
 ///
@@ -181,16 +172,21 @@ const SPILL_THRESHOLD: usize = 64;
 /// returned.
 pub fn mark_parallel<V: ParVisitor>(
     heap: &Heap,
-    seeds: Vec<WorkItem>,
+    roots: &[ObjRef],
     visitors: &mut [V],
 ) -> Result<ParMarkStats, HeapError> {
     let workers = visitors.len();
     assert!(workers > 0, "mark_parallel needs at least one visitor");
 
+    let seeds: Vec<WorkItem> = roots
+        .iter()
+        .filter(|r| r.is_some())
+        .map(|&r| WorkItem::root(r))
+        .collect();
     let deques: Vec<StealDeque<WorkItem>> = (0..workers).map(|_| StealDeque::new()).collect();
-    // Contiguous seed chunks: root sets and owner scans tend to be laid
-    // out in allocation order, so chunking keeps each worker in one heap
-    // region until stealing kicks in.
+    // Contiguous seed chunks: root sets tend to be laid out in allocation
+    // order, so chunking keeps each worker in one heap region until
+    // stealing kicks in.
     let chunk = seeds.len().div_ceil(workers).max(1);
     for (i, batch) in seeds.chunks(chunk).enumerate() {
         deques[i].push_batch(batch.iter().copied());
@@ -307,7 +303,7 @@ fn worker_loop<V: ParVisitor>(
         if visitor.visit_new(heap, item.obj, prev, &item) == Visit::Skip {
             continue;
         }
-        match push_child_items(heap, item.obj, item.ctx, &mut local) {
+        match push_child_items(heap, item.obj, &mut local) {
             Ok(edges) => stats.edges_traced += edges,
             Err(e) => {
                 let mut slot = error.lock().expect("error slot poisoned");
@@ -329,54 +325,28 @@ fn worker_loop<V: ParVisitor>(
     stats
 }
 
-/// Reconstructs a path from one of `starts` to `target` over the current
-/// heap graph by breadth-first search, visiting starts in the given order
+/// Reconstructs a path from one of `roots` to `target` over the current
+/// heap graph by breadth-first search, visiting roots in the given order
 /// and fields in index order (so the result is deterministic: the
-/// shortest such path, ties broken by seed/field order).
+/// shortest such path, ties broken by root/field order).
 ///
-/// Each start pairs the object with the field annotation of its first
-/// step: `None` for a root, `Some(i)` when the start is field `i` of a
-/// scanned owner (the sequential ownership phase reports such paths
-/// starting at the owner's child, §2.5.2).
-///
-/// `may_descend` gates which objects the search may traverse *through*
-/// (the target may always be reached); the caller uses it to mirror the
-/// tracer's truncation rules (e.g. not descending into foreign owner
-/// regions during the ownership phase).
-///
-/// Returns `None` if `target` is unreachable from `starts` under
-/// `may_descend` — callers fall back to [`HeapPath::empty`].
-pub fn reconstruct_path<F>(
-    heap: &Heap,
-    starts: &[(ObjRef, Option<usize>)],
-    target: ObjRef,
-    mut may_descend: F,
-) -> Option<HeapPath>
-where
-    F: FnMut(&Heap, ObjRef) -> bool,
-{
-    // Predecessor edge for every discovered object; starts map to None.
+/// Returns `None` if `target` is unreachable from `roots` — callers fall
+/// back to [`HeapPath::empty`].
+pub fn reconstruct_path(heap: &Heap, roots: &[ObjRef], target: ObjRef) -> Option<HeapPath> {
+    // Predecessor edge for every discovered object; roots map to None.
     let mut pred: HashMap<ObjRef, Option<(ObjRef, usize)>> = HashMap::new();
-    let mut first_field: HashMap<ObjRef, Option<usize>> = HashMap::new();
     let mut queue: VecDeque<ObjRef> = VecDeque::new();
 
-    for &(s, f) in starts {
-        if !heap.is_valid(s) || pred.contains_key(&s) {
-            continue;
+    for &r in roots {
+        if heap.is_valid(r) && !pred.contains_key(&r) {
+            pred.insert(r, None);
+            queue.push_back(r);
         }
-        pred.insert(s, None);
-        first_field.insert(s, f);
-        queue.push_back(s);
     }
 
     let found = pred.contains_key(&target)
         || 'bfs: {
             while let Some(u) = queue.pop_front() {
-                if u != target && !may_descend(heap, u) && pred[&u].is_some() {
-                    // Truncation point (starts themselves are always expanded:
-                    // the tracer scanned their children to get here).
-                    continue;
-                }
                 let obj = match heap.get(u) {
                     Ok(o) => o,
                     Err(_) => continue,
@@ -398,21 +368,14 @@ where
         return None;
     }
 
-    // Walk the predecessor chain back to a start, then emit root-first.
+    // Walk the predecessor chain back to a root, then emit root-first.
     let mut rev: Vec<(ObjRef, Option<usize>)> = Vec::new();
     let mut cur = target;
-    loop {
-        match pred[&cur] {
-            Some((p, f)) => {
-                rev.push((cur, Some(f)));
-                cur = p;
-            }
-            None => {
-                rev.push((cur, first_field[&cur]));
-                break;
-            }
-        }
+    while let Some((p, f)) = pred[&cur] {
+        rev.push((cur, Some(f)));
+        cur = p;
     }
+    rev.push((cur, None));
     rev.reverse();
     let mut steps = Vec::with_capacity(rev.len());
     for (obj, field) in rev {
@@ -468,8 +431,7 @@ mod tests {
             };
             let heap = _garbage;
             let mut visitors = vec![NoParVisitor; workers];
-            let stats =
-                mark_parallel(&heap, vec![WorkItem::seed(root, CTX_NONE)], &mut visitors).unwrap();
+            let stats = mark_parallel(&heap, &[root], &mut visitors).unwrap();
             assert_eq!(stats.objects_marked, 364, "workers={workers}");
             assert_eq!(stats.edges_traced, 363, "workers={workers}");
             assert_eq!(marked_count(&heap), 364, "workers={workers}");
@@ -507,7 +469,7 @@ mod tests {
             heap.set_ref_field(l, 0, shared).unwrap();
             heap.set_ref_field(r, 0, shared).unwrap();
             let mut visitors: Vec<Counting> = (0..workers).map(|_| Counting::default()).collect();
-            mark_parallel(&heap, vec![WorkItem::seed(root, CTX_NONE)], &mut visitors).unwrap();
+            mark_parallel(&heap, &[root], &mut visitors).unwrap();
             let new: u64 = visitors.iter().map(|v| v.new).sum();
             let marked: u64 = visitors.iter().map(|v| v.marked).sum();
             assert_eq!(new, 4, "workers={workers}");
@@ -536,7 +498,7 @@ mod tests {
         heap.set_ref_field(a, 0, b).unwrap();
         heap.set_ref_field(b, 0, d).unwrap();
         let mut visitors = vec![SkipAt(b), SkipAt(b)];
-        mark_parallel(&heap, vec![WorkItem::seed(a, CTX_NONE)], &mut visitors).unwrap();
+        mark_parallel(&heap, &[a], &mut visitors).unwrap();
         assert!(heap.has_flag(a, Flags::MARK).unwrap());
         assert!(heap.has_flag(b, Flags::MARK).unwrap());
         assert!(!heap.has_flag(d, Flags::MARK).unwrap(), "truncated at b");
@@ -549,12 +511,11 @@ mod tests {
         let a = heap.alloc(c, 1, 0).unwrap();
         let b = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(a, 0, b).unwrap();
-        assert_eq!(WorkItem::seed(a, 0).parent_edge(), None);
+        assert_eq!(WorkItem::root(a).parent_edge(), None);
         let mut out = Vec::new();
-        let edges = push_child_items(&heap, a, 7, &mut out).unwrap();
+        let edges = push_child_items(&heap, a, &mut out).unwrap();
         assert_eq!(edges, 1);
         assert_eq!(out[0].obj, b);
-        assert_eq!(out[0].ctx, 7);
         assert_eq!(out[0].parent_edge(), Some((a, 0)));
     }
 
@@ -573,8 +534,7 @@ mod tests {
         heap.set_ref_field(long2, 0, target).unwrap();
         heap.set_ref_field(root, 1, mid).unwrap();
         heap.set_ref_field(mid, 0, target).unwrap();
-        let path =
-            reconstruct_path(&heap, &[(root, None)], target, |_, _| true).expect("reachable");
+        let path = reconstruct_path(&heap, &[root], target).expect("reachable");
         let objs: Vec<ObjRef> = path.steps().iter().map(|s| s.object).collect();
         assert_eq!(objs, vec![root, mid, target]);
         assert_eq!(path.steps()[0].field, None);
@@ -583,39 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_path_respects_truncation() {
-        let mut heap = Heap::new();
-        let c = heap.register_class("T", &["f"]);
-        let root = heap.alloc(c, 1, 0).unwrap();
-        let wall = heap.alloc(c, 1, 0).unwrap();
-        let target = heap.alloc(c, 1, 0).unwrap();
-        heap.set_ref_field(root, 0, wall).unwrap();
-        heap.set_ref_field(wall, 0, target).unwrap();
-        let blocked = reconstruct_path(&heap, &[(root, None)], target, |_, o| o != wall);
-        assert!(blocked.is_none(), "wall may not be traversed through");
-        // The wall itself is still reachable as a target.
-        let to_wall = reconstruct_path(&heap, &[(root, None)], wall, |_, o| o != wall);
-        assert!(to_wall.is_some());
-    }
-
-    #[test]
-    fn reconstruct_path_from_owner_child_start() {
-        let mut heap = Heap::new();
-        let c = heap.register_class("T", &["f"]);
-        let child = heap.alloc(c, 1, 0).unwrap();
-        let target = heap.alloc(c, 1, 0).unwrap();
-        heap.set_ref_field(child, 0, target).unwrap();
-        let path = reconstruct_path(&heap, &[(child, Some(3))], target, |_, _| true).unwrap();
-        assert_eq!(path.steps()[0].field, Some(3), "owner-field annotation");
-        assert_eq!(path.target(), Some(target));
-    }
-
-    #[test]
     fn start_equal_to_target_yields_single_step() {
         let mut heap = Heap::new();
         let c = heap.register_class("T", &[]);
         let o = heap.alloc(c, 0, 0).unwrap();
-        let path = reconstruct_path(&heap, &[(o, None)], o, |_, _| true).unwrap();
+        let path = reconstruct_path(&heap, &[o], o).unwrap();
         assert_eq!(path.len(), 1);
         assert_eq!(path.target(), Some(o));
     }
@@ -662,8 +594,7 @@ mod tests {
             .collect();
 
         let mut visitors = vec![NoParVisitor; 4];
-        let seeds = roots.iter().map(|&r| WorkItem::seed(r, CTX_NONE)).collect();
-        let stats = mark_parallel(&heap, seeds, &mut visitors).unwrap();
+        let stats = mark_parallel(&heap, &roots, &mut visitors).unwrap();
         let par_marked: Vec<bool> = (0..heap.index_bound() as u32)
             .map(|i| {
                 heap.object_at(i)

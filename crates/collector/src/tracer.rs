@@ -3,7 +3,6 @@
 
 use gca_heap::{Flags, Heap, HeapError, ObjRef};
 
-use crate::census::CensusSink;
 use crate::hooks::{TraceHooks, Visit};
 use crate::path::{HeapPath, PathStep};
 
@@ -38,7 +37,6 @@ pub struct Tracer {
     path_mode: bool,
     objects_marked: u64,
     edges_traced: u64,
-    census: Option<CensusSink>,
 }
 
 impl Tracer {
@@ -58,27 +56,10 @@ impl Tracer {
     }
 
     /// Resets per-cycle counters and drops any leftover worklist entries.
-    ///
-    /// An installed census sink is deliberately left untouched: the caller
-    /// installs it just before a cycle (see
-    /// [`crate::Collector::collect_census`]) and must see everything marked
-    /// during that cycle, including objects marked by hooks-driven pre-root
-    /// drains that happen after `begin_cycle`.
     pub fn begin_cycle(&mut self) {
         self.entries.clear();
         self.objects_marked = 0;
         self.edges_traced = 0;
-    }
-
-    /// Installs a census sink; every object marked by subsequent
-    /// [`Tracer::drain`] calls is tallied into it until it is taken back.
-    pub fn set_census(&mut self, sink: CensusSink) {
-        self.census = Some(sink);
-    }
-
-    /// Removes and returns the installed census sink, if any.
-    pub fn take_census(&mut self) -> Option<CensusSink> {
-        self.census.take()
     }
 
     /// Objects marked so far this cycle.
@@ -145,34 +126,18 @@ impl Tracer {
                 continue;
             }
             let r = entry.obj;
-            if heap.has_flag(r, Flags::MARK)? {
-                let ctx = TraceCtx {
-                    entries: &self.entries,
-                    path_mode: self.path_mode,
-                    tip: r,
-                    tip_field: field_index(entry.field),
-                    prov: None,
-                    parent: ObjRef::NULL,
-                };
-                hooks.visit_marked(heap, r, &ctx);
-                continue;
-            }
-            heap.set_flag(r, Flags::MARK)?;
-            self.objects_marked += 1;
-            if let Some(census) = self.census.as_mut() {
-                census.observe(heap, r);
-            }
-            let action = {
-                let ctx = TraceCtx {
-                    entries: &self.entries,
-                    path_mode: self.path_mode,
-                    tip: r,
-                    tip_field: field_index(entry.field),
-                    prov: None,
-                    parent: ObjRef::NULL,
-                };
-                hooks.visit_new(heap, r, &ctx)
+            let ctx = TraceCtx {
+                entries: &self.entries,
+                path_mode: self.path_mode,
+                tip: r,
+                tip_field: field_index(entry.field),
+                prov: None,
+                parent: ObjRef::NULL,
             };
+            let Some(action) = visit(heap, hooks, r, &ctx, |_| Ok(()))? else {
+                continue;
+            };
+            self.objects_marked += 1;
             if action == Visit::Skip {
                 continue;
             }
@@ -197,6 +162,30 @@ impl Tracer {
         }
         Ok(())
     }
+}
+
+/// The one visit step of every sequential trace, whatever its worklist:
+/// claim `MARK` on `obj`. The first claim is the object's first visit —
+/// `claimed` runs (an evacuating trace forwards the object there), then
+/// [`TraceHooks::visit_new`], whose verdict is returned. Any later arrival
+/// is an extra incoming edge: [`TraceHooks::visit_marked`] fires and `None`
+/// is returned. Objects a pre-root phase already marked are simply
+/// "already marked" here.
+#[inline]
+pub(crate) fn visit<H: TraceHooks>(
+    heap: &mut Heap,
+    hooks: &mut H,
+    obj: ObjRef,
+    ctx: &TraceCtx<'_>,
+    claimed: impl FnOnce(&mut Heap) -> Result<(), HeapError>,
+) -> Result<Option<Visit>, HeapError> {
+    if heap.has_flag(obj, Flags::MARK)? {
+        hooks.visit_marked(heap, obj, ctx);
+        return Ok(None);
+    }
+    heap.set_flag(obj, Flags::MARK)?;
+    claimed(heap)?;
+    Ok(Some(hooks.visit_new(heap, obj, ctx)))
 }
 
 #[inline]

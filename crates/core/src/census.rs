@@ -1,24 +1,24 @@
 //! VM-side census state: allocation-site tagging and post-cycle
 //! attribution.
 //!
-//! The collector's [`CensusSink`] tallies classes and slots at mark time
-//! but deliberately knows no names. This module holds the other half:
+//! The collector's cycle driver hands every survivor of a collection to
+//! one callback (its census pass) but deliberately knows no names. This
+//! module holds the other half:
 //!
 //! * **Allocation sites** — an interned string table of site labels plus a
 //!   slot-indexed side table recording which site allocated each heap
 //!   slot. Tagging is a single `Vec` store on [`crate::Vm::alloc`]'s path
 //!   (and nothing at all when the census is off).
-//! * **Attribution** — after a cycle completes, [`CensusState::build_data`]
-//!   resolves the sink's class ids against the type registry and its
-//!   marked slots against the site table. This is sound because every
-//!   marked object survives the sweep, so its slot still resolves.
+//! * **Attribution** — [`CensusState::observe`] tallies each survivor by
+//!   class and by allocation site in that one pass, and
+//!   [`CensusState::build_data`] resolves the ids against the type
+//!   registry and the site table once the cycle is over.
 //! * **The recorder** — a [`HeapCensus`] fed one [`CensusData`] per cycle,
 //!   which maintains the drift windows and serves `Vm::census()`.
 
 use std::collections::HashMap;
 
-use gca_collector::CensusSink;
-use gca_heap::{Heap, ObjRef};
+use gca_heap::{ClassId, Heap, ObjRef, Object};
 use gca_telemetry::{CensusData, CensusEntry, HeapCensus};
 
 /// Heap words are u64s.
@@ -37,6 +37,14 @@ impl AllocSite {
     /// The default site: allocations made while no site is set are
     /// attributed to `<unattributed>`.
     pub const UNATTRIBUTED: AllocSite = AllocSite(UNATTRIBUTED);
+}
+
+/// One cycle's survivor tally: `(objects, bytes)` per class and per
+/// allocation site.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    classes: HashMap<ClassId, (u64, u64)>,
+    sites: HashMap<u32, (u64, u64)>,
 }
 
 /// All census state owned by the VM (boxed, present only when
@@ -103,42 +111,43 @@ impl CensusState {
         &self.site_names[id as usize]
     }
 
-    /// Resolves a mark-time sink into named, normalized census data.
-    /// Must run after the cycle and before any further mutation frees
-    /// marked objects (the VM calls it straight after the sweep).
-    pub(crate) fn build_data(&self, heap: &Heap, sink: &CensusSink) -> CensusData {
-        let classes = sink
-            .classes()
-            .map(|(class, objects, words)| CensusEntry {
-                name: heap.registry().name(class).to_owned(),
-                objects,
-                bytes: words * WORD_BYTES,
-            })
-            .collect();
-
-        let mut per_site: HashMap<u32, (u64, u64)> = HashMap::new();
-        for &slot in sink.marked_slots() {
-            if let Some((_, o)) = heap.object_at(slot) {
-                let site = self
-                    .site_of
-                    .get(slot as usize)
-                    .copied()
-                    .unwrap_or(UNATTRIBUTED);
-                let tally = per_site.entry(site).or_insert((0, 0));
-                tally.0 += 1;
-                tally.1 += o.size_words() as u64 * WORD_BYTES;
-            }
+    /// Tallies one survivor by class and by the site that allocated its
+    /// slot.
+    pub(crate) fn observe(&self, tally: &mut Tally, obj: ObjRef, o: &Object) {
+        let bytes = o.size_words() as u64 * WORD_BYTES;
+        let site = self
+            .site_of
+            .get(obj.index() as usize)
+            .copied()
+            .unwrap_or(UNATTRIBUTED);
+        for entry in [
+            tally.classes.entry(o.class()).or_insert((0, 0)),
+            tally.sites.entry(site).or_insert((0, 0)),
+        ] {
+            entry.0 += 1;
+            entry.1 += bytes;
         }
-        let sites = per_site
-            .into_iter()
-            .map(|(site, (objects, bytes))| CensusEntry {
-                name: self.site_name(site).to_owned(),
-                objects,
-                bytes,
-            })
-            .collect();
+    }
 
-        let mut data = CensusData { classes, sites };
+    /// Resolves a finished tally into named, normalized census data.
+    pub(crate) fn build_data(&self, heap: &Heap, tally: Tally) -> CensusData {
+        let entry = |name: &str, (objects, bytes): (u64, u64)| CensusEntry {
+            name: name.to_owned(),
+            objects,
+            bytes,
+        };
+        let mut data = CensusData {
+            classes: tally
+                .classes
+                .into_iter()
+                .map(|(class, totals)| entry(heap.registry().name(class), totals))
+                .collect(),
+            sites: tally
+                .sites
+                .into_iter()
+                .map(|(site, totals)| entry(self.site_name(site), totals))
+                .collect(),
+        };
         data.normalize();
         data
     }
@@ -149,45 +158,13 @@ impl CensusState {
     /// objects are invisible to a minor trace) and is kept out of the
     /// drift windows for that reason.
     pub(crate) fn build_minor_data(&self, heap: &Heap, young: &[ObjRef]) -> CensusData {
-        let mut per_class: HashMap<String, (u64, u64)> = HashMap::new();
-        let mut per_site: HashMap<u32, (u64, u64)> = HashMap::new();
+        let mut tally = Tally::default();
         for &y in young {
-            let Ok(o) = heap.get(y) else { continue };
-            let bytes = o.size_words() as u64 * WORD_BYTES;
-            let class = per_class
-                .entry(heap.registry().name(o.class()).to_owned())
-                .or_insert((0, 0));
-            class.0 += 1;
-            class.1 += bytes;
-            let site_id = self
-                .site_of
-                .get(y.index() as usize)
-                .copied()
-                .unwrap_or(UNATTRIBUTED);
-            let site = per_site.entry(site_id).or_insert((0, 0));
-            site.0 += 1;
-            site.1 += bytes;
+            if let Ok(o) = heap.get(y) {
+                self.observe(&mut tally, y, o);
+            }
         }
-        let mut data = CensusData {
-            classes: per_class
-                .into_iter()
-                .map(|(name, (objects, bytes))| CensusEntry {
-                    name,
-                    objects,
-                    bytes,
-                })
-                .collect(),
-            sites: per_site
-                .into_iter()
-                .map(|(site, (objects, bytes))| CensusEntry {
-                    name: self.site_name(site).to_owned(),
-                    objects,
-                    bytes,
-                })
-                .collect(),
-        };
-        data.normalize();
-        data
+        self.build_data(heap, tally)
     }
 }
 
@@ -239,10 +216,11 @@ mod tests {
         let b = heap.alloc(node, 1, 0).unwrap();
         s.note_alloc(b.index());
 
-        let mut sink = CensusSink::new();
-        sink.observe(&heap, a);
-        sink.observe(&heap, b);
-        let data = s.build_data(&heap, &sink);
+        let mut tally = Tally::default();
+        for r in [a, b] {
+            s.observe(&mut tally, r, heap.get(r).unwrap());
+        }
+        let data = s.build_data(&heap, tally);
         assert_eq!(data.classes.len(), 1);
         assert_eq!(data.classes[0].name, "Node");
         assert_eq!(data.classes[0].objects, 2);
@@ -250,5 +228,19 @@ mod tests {
         let names: Vec<&str> = data.sites.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["<unattributed>", "test::mk"]); // normalized
         assert!(data.sites.iter().all(|e| e.objects == 1 && e.bytes == 24));
+    }
+
+    #[test]
+    fn invalid_refs_are_ignored() {
+        // A minor's young list may name objects the nursery sweep freed.
+        let mut heap = Heap::new();
+        let node = heap.register_class("Node", &[]);
+        let s = CensusState::new();
+        let kept = heap.alloc(node, 0, 0).unwrap();
+        let freed = heap.alloc(node, 0, 0).unwrap();
+        heap.free(freed).unwrap();
+        let data = s.build_minor_data(&heap, &[kept, freed, ObjRef::NULL]);
+        assert_eq!(data.classes.len(), 1);
+        assert_eq!(data.classes[0].objects, 1);
     }
 }

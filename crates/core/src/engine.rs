@@ -1,8 +1,8 @@
 //! The assertion engine: a [`TraceHooks`] implementation that checks every
 //! registered GC assertion by piggybacking on the collector's trace.
 
-use gca_collector::{TraceCtx, TraceHooks, Tracer, Visit};
-use gca_heap::{Flags, Heap, HeapError, ObjRef};
+use gca_collector::{HeapPath, ParMarkStats, TraceCtx, TraceHooks, Tracer, Visit};
+use gca_heap::{ClassId, Flags, Heap, HeapError, ObjRef};
 
 use crate::config::{AssertionClass, Reaction, VmConfig};
 use crate::error::VmError;
@@ -29,6 +29,50 @@ enum Phase {
     Root,
 }
 
+/// What the root scan can find out about an object from its header bits,
+/// in the order one object's findings are reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Finding {
+    /// An asserted-dead object is reachable (§2.3).
+    Dead,
+    /// An ownee the ownership phase did not credit is reachable: "it is
+    /// not properly owned, or it would have been marked in the first
+    /// phase" (§2.5.2).
+    NotOwned,
+    /// An asserted-unshared object has a second incoming pointer (§2.5.1).
+    Shared,
+}
+
+/// The flag predicates of the root scan, over one header snapshot: what
+/// an arrival at an object proves. A `first_visit` is the arrival that
+/// claimed the mark (the object is reachable); any other arrival is an
+/// extra incoming edge. The sequential hooks and the parallel shards both
+/// check through this, so they cannot disagree.
+pub(crate) fn root_scan_findings(flags: Flags, first_visit: bool) -> impl Iterator<Item = Finding> {
+    let dead = first_visit && flags.contains(Flags::DEAD);
+    let not_owned = first_visit && flags.contains(Flags::OWNEE) && !flags.contains(Flags::OWNED);
+    let shared = !first_visit && flags.contains(Flags::UNSHARED);
+    [
+        (dead, Finding::Dead),
+        (not_owned, Finding::NotOwned),
+        (shared, Finding::Shared),
+    ]
+    .into_iter()
+    .filter_map(|(found, finding)| found.then_some(finding))
+}
+
+/// The class of a newly traced `obj`, if `assert-instances` counts it
+/// ("we check the RVMClass of every object during tracing"). With no class
+/// tracked the object is not looked up at all.
+pub(crate) fn tracked_class(heap: &Heap, obj: ObjRef) -> Option<ClassId> {
+    let registry = heap.registry();
+    if registry.tracked().is_empty() {
+        return None;
+    }
+    let class = heap.get(obj).expect("traced object is live").class();
+    registry.is_tracked(class).then_some(class)
+}
+
 /// The assertion-checking [`TraceHooks`] implementation.
 ///
 /// One engine is owned by each instrumented [`crate::Vm`]; attaching it
@@ -44,29 +88,33 @@ enum Phase {
 /// | `assert-unshared` | `visit_marked`: `UNSHARED` bit on an already-marked object (second incoming pointer) |
 /// | `assert-instances` | `visit_new` counts tracked classes; `trace_done` compares against limits |
 /// | `assert-ownedby` | `pre_root_phase` scans from owners; `visit_new` during the root scan flags unowned ownees |
-/// Field visibility note: the parallel collection adapter
-/// ([`crate::par_engine`]) shares this struct's tables and accumulators
-/// between its barriered phases, so the state fields are `pub(crate)`.
+/// Field visibility note: the parallel root scan (`crate::par_engine`)
+/// merges its shards into this struct's accumulators, so those fields are
+/// `pub(crate)`.
 #[derive(Debug)]
 pub struct AssertionEngine {
     pub(crate) path_tracking: bool,
-    pub(crate) report_once: bool,
+    report_once: bool,
     /// Effective reaction for lifetime assertions — the only class whose
     /// reaction the engine acts on itself (`ForceTrue` edge severing).
     pub(crate) lifetime_reaction: Reaction,
-    pub(crate) strict_owner_lifetime: bool,
+    strict_owner_lifetime: bool,
     phase: Phase,
-    pub(crate) ownership: OwnershipTable,
+    ownership: OwnershipTable,
     /// Ownees discovered during the ownership phase, queued so scans
     /// truncate at ownees ("collections are essentially truncated when
     /// their leaves are reached") and are resumed after all owners.
     deferred: Vec<(ObjRef, usize)>,
-    pub(crate) violations: Vec<Violation>,
-    /// Ownees reached through another owner's region during deferred
-    /// processing; their ownership verdict is resolved once the whole
-    /// ownership phase has finished (their own owner's chains may still
-    /// credit them).
-    pending_unowned: Vec<(ObjRef, gca_collector::HeapPath)>,
+    violations: Vec<Violation>,
+    /// `violations.len()` at `gc_begin`: what an abandoned cycle rolls
+    /// back to.
+    violations_before_cycle: usize,
+    /// Ownees an ownership scan reached through another owner's region —
+    /// marked, and truncated at. `Some(path)` holds back the verdict on
+    /// one reached during deferred processing until the whole ownership
+    /// phase has finished (its own owner's chains may still credit it);
+    /// `None` was reported as improper use on the spot.
+    foreign_ownees: Vec<(ObjRef, Option<HeapPath>)>,
     /// Incoming edges to asserted-dead objects, recorded for the
     /// `ForceTrue` reaction.
     pub(crate) dead_edges: Vec<(ObjRef, usize)>,
@@ -89,7 +137,8 @@ impl AssertionEngine {
             ownership: OwnershipTable::new(),
             deferred: Vec::new(),
             violations: Vec::new(),
-            pending_unowned: Vec::new(),
+            violations_before_cycle: 0,
+            foreign_ownees: Vec::new(),
             dead_edges: Vec::new(),
             swept_ownees: Vec::new(),
             swept_owners: Vec::new(),
@@ -142,6 +191,13 @@ impl AssertionEngine {
     /// owner-lifetime extension still reports ownees that outlived an
     /// owner reclaimed by the nursery.
     pub fn after_minor(&mut self, heap: &mut Heap) {
+        self.retire_swept(heap);
+    }
+
+    /// Retires pairs whose participants the sweep just freed (recorded by
+    /// the `swept` hook), reporting the ownees that outlived their owner
+    /// under the strict-owner-lifetime extension.
+    fn retire_swept(&mut self, heap: &mut Heap) {
         let swept_ownees = std::mem::take(&mut self.swept_ownees);
         let swept_owners = std::mem::take(&mut self.swept_owners);
         let retired = self.ownership.retire(heap, &swept_ownees, &swept_owners);
@@ -155,7 +211,7 @@ impl AssertionEngine {
                             ownee_class,
                             owner_class: owner_class.clone(),
                         },
-                        path: gca_collector::HeapPath::empty(),
+                        path: HeapPath::empty(),
                     });
                 }
             }
@@ -171,7 +227,7 @@ impl AssertionEngine {
         )
     }
 
-    pub(crate) fn class_name(heap: &Heap, obj: ObjRef) -> String {
+    fn class_name(heap: &Heap, obj: ObjRef) -> String {
         match heap.get(obj) {
             Ok(o) => heap.registry().name(o.class()).to_owned(),
             Err(_) => "<dead>".to_owned(),
@@ -180,7 +236,7 @@ impl AssertionEngine {
 
     /// Whether a violation for `obj` should be recorded, honouring
     /// report-once semantics via the `REPORTED` bit.
-    pub(crate) fn should_report(&self, heap: &mut Heap, obj: ObjRef) -> bool {
+    fn should_report(&self, heap: &mut Heap, obj: ObjRef) -> bool {
         if !self.report_once {
             return true;
         }
@@ -189,6 +245,51 @@ impl AssertionEngine {
         }
         let _ = heap.set_flag(obj, Flags::REPORTED);
         true
+    }
+
+    /// Records the violation for `finding` on `obj` — the one place each
+    /// of these kinds is built — honouring report-once. `path` is only
+    /// evaluated for a violation that is recorded.
+    pub(crate) fn report(
+        &mut self,
+        heap: &mut Heap,
+        obj: ObjRef,
+        finding: Finding,
+        path: impl FnOnce(&Heap) -> HeapPath,
+    ) {
+        if !self.should_report(heap, obj) {
+            return;
+        }
+        let class_name = Self::class_name(heap, obj);
+        let kind = match finding {
+            Finding::Dead => ViolationKind::DeadReachable {
+                object: obj,
+                class_name,
+            },
+            Finding::Shared => ViolationKind::Shared {
+                object: obj,
+                class_name,
+            },
+            Finding::NotOwned => {
+                let (owner, owner_class) = match self.ownership.owner_of(obj) {
+                    Some(idx) => {
+                        let e = self.ownership.entry(idx);
+                        (e.owner, e.owner_class.clone())
+                    }
+                    None => (ObjRef::NULL, "<unknown>".to_owned()),
+                };
+                ViolationKind::NotOwned {
+                    ownee: obj,
+                    ownee_class: class_name,
+                    owner,
+                    owner_class,
+                }
+            }
+        };
+        self.violations.push(Violation {
+            kind,
+            path: path(heap),
+        });
     }
 }
 
@@ -201,8 +302,9 @@ impl TraceHooks for AssertionEngine {
         heap.registry_mut().reset_instance_counts();
         self.ownership.prepare_for_gc();
         self.counters = CheckCounters::default();
+        self.violations_before_cycle = self.violations.len();
         self.deferred.clear();
-        self.pending_unowned.clear();
+        self.foreign_ownees.clear();
         self.dead_edges.clear();
         self.swept_ownees.clear();
         self.swept_owners.clear();
@@ -235,134 +337,91 @@ impl TraceHooks for AssertionEngine {
         // Resolve the held-back verdicts: every owner scan and deferred
         // chain has run, so an ownee still lacking OWNED is genuinely not
         // reachable through its owner.
-        let pending = std::mem::take(&mut self.pending_unowned);
-        for (obj, path) in pending {
-            let flags = heap.flags_of(obj)?;
-            if flags.contains(Flags::OWNED) {
+        self.phase = Phase::Root;
+        for (obj, held_back) in std::mem::take(&mut self.foreign_ownees) {
+            if heap.has_flag(obj, Flags::OWNED)? {
                 continue;
             }
-            if self.should_report(heap, obj) {
-                let ownee_class = Self::class_name(heap, obj);
-                let (owner, owner_class) = match self.ownership.owner_of(obj) {
-                    Some(idx) => {
-                        let e = self.ownership.entry(idx);
-                        (e.owner, e.owner_class.clone())
-                    }
-                    None => (ObjRef::NULL, "<unknown>".to_owned()),
-                };
-                self.violations.push(Violation {
-                    kind: ViolationKind::NotOwned {
-                        ownee: obj,
-                        ownee_class,
-                        owner,
-                        owner_class,
-                    },
-                    path,
-                });
+            if let Some(path) = held_back {
+                self.report(heap, obj, Finding::NotOwned, |_| path);
             }
+            // No scan resumed below this ownee, yet its mark keeps it
+            // alive and hides it from the root scan: trace what it
+            // references the way the root scan would have.
+            tracer.push_children_of(heap, obj)?;
+            tracer.drain(heap, self)?;
         }
-        self.phase = Phase::Root;
         Ok(())
     }
 
     fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
         let flags = heap.flags_of(obj).expect("traced object is live");
-        let class = heap.get(obj).expect("traced object is live").class();
 
-        // assert-instances: count every traced object of a tracked class
-        // ("we check the RVMClass of every object during tracing").
-        if heap.registry().info(class).instance_limit.is_some() {
+        // assert-instances: count every traced object of a tracked class.
+        if let Some(class) = tracked_class(heap, obj) {
             heap.registry_mut().info_mut(class).instance_count += 1;
             self.counters.tracked_instances_counted += 1;
         }
 
-        // assert-dead: the object is reachable (we just marked it).
-        if flags.contains(Flags::DEAD) {
-            self.counters.dead_bits_seen += 1;
-            if self.should_report(heap, obj) {
+        let scanning = match self.phase {
+            Phase::Ownership(current) | Phase::DeferredOwnership(current) => Some(current),
+            Phase::Root | Phase::Idle => None,
+        };
+        for finding in root_scan_findings(flags, true) {
+            // An uncredited ownee is a verdict only once the ownership
+            // phase is over; while it runs, the branch below decides.
+            if finding == Finding::NotOwned && scanning.is_some() {
+                continue;
+            }
+            self.counters.count(finding);
+            self.report(heap, obj, finding, |heap| ctx.current_path(heap));
+        }
+        if flags.contains(Flags::DEAD) && self.lifetime_reaction == Reaction::ForceTrue {
+            self.dead_edges.extend(ctx.parent_edge());
+        }
+
+        let Some(current) = scanning else {
+            return Visit::Descend;
+        };
+        if flags.contains(Flags::OWNEE) {
+            self.counters.ownees_checked += 1;
+            if self.ownership.entry_contains(current, obj) {
+                heap.set_flag(obj, Flags::OWNED)
+                    .expect("traced object is live");
+                self.deferred.push((obj, current));
+            } else if matches!(self.phase, Phase::Ownership(_)) {
+                // A *direct* owner scan reached another owner's ownee: the
+                // disjointness restriction is violated (§2.5.2, "improper
+                // use of the assertion").
+                let scanned_owner = self.ownership.owner_at(current);
                 self.violations.push(Violation {
-                    kind: ViolationKind::DeadReachable {
-                        object: obj,
-                        class_name: heap.registry().name(class).to_owned(),
+                    kind: ViolationKind::ImproperOwnership {
+                        ownee: obj,
+                        ownee_class: Self::class_name(heap, obj),
+                        scanned_owner,
+                        scanned_owner_class: Self::class_name(heap, scanned_owner),
                     },
                     path: ctx.current_path(heap),
                 });
+                self.foreign_ownees.push((obj, None));
+            } else {
+                // Reached below an ownee (a back edge out of the owner
+                // region, e.g. Order -> Customer -> lastOrder). Its own
+                // owner's deferred chains may still credit it, so hold the
+                // verdict until the ownership phase completes.
+                self.foreign_ownees
+                    .push((obj, Some(ctx.current_path(heap))));
             }
-            if self.lifetime_reaction == Reaction::ForceTrue {
-                if let Some(edge) = ctx.parent_edge() {
-                    self.dead_edges.push(edge);
-                }
-            }
+            // Truncate: ownees stop the scan and are processed from the
+            // deferred queue.
+            return Visit::Skip;
         }
-
-        match self.phase {
-            Phase::Ownership(current) | Phase::DeferredOwnership(current) => {
-                if flags.contains(Flags::OWNEE) {
-                    self.counters.ownees_checked += 1;
-                    if self.ownership.entry_contains(current, obj) {
-                        heap.set_flag(obj, Flags::OWNED)
-                            .expect("traced object is live");
-                        self.deferred.push((obj, current));
-                    } else if matches!(self.phase, Phase::Ownership(_)) {
-                        // A *direct* owner scan reached another owner's
-                        // ownee: the disjointness restriction is violated
-                        // (§2.5.2, "improper use of the assertion").
-                        let scanned_owner = self.ownership.owner_at(current);
-                        self.violations.push(Violation {
-                            kind: ViolationKind::ImproperOwnership {
-                                ownee: obj,
-                                ownee_class: heap.registry().name(class).to_owned(),
-                                scanned_owner,
-                                scanned_owner_class: Self::class_name(heap, scanned_owner),
-                            },
-                            path: ctx.current_path(heap),
-                        });
-                    } else {
-                        // Reached below an ownee (a back edge out of the
-                        // owner region, e.g. Order -> Customer ->
-                        // lastOrder). Its own owner's deferred chains may
-                        // still credit it, so hold the verdict until the
-                        // ownership phase completes.
-                        self.pending_unowned.push((obj, ctx.current_path(heap)));
-                    }
-                    // Truncate: ownees stop the scan and are processed
-                    // from the deferred queue.
-                    return Visit::Skip;
-                }
-                if flags.contains(Flags::OWNER) {
-                    // "If we encounter another owner, mark it and stop the
-                    // scan — we will scan this owner independently."
-                    return Visit::Skip;
-                }
-                Visit::Descend
-            }
-            Phase::Root | Phase::Idle => {
-                if flags.contains(Flags::OWNEE) && !flags.contains(Flags::OWNED) {
-                    // Phase 2: "If we encounter an ownee it means that it
-                    // is not properly owned, or it would have been marked
-                    // in the first phase."
-                    if self.should_report(heap, obj) {
-                        let (owner, owner_class) = match self.ownership.owner_of(obj) {
-                            Some(idx) => {
-                                let e = self.ownership.entry(idx);
-                                (e.owner, e.owner_class.clone())
-                            }
-                            None => (ObjRef::NULL, "<unknown>".to_owned()),
-                        };
-                        self.violations.push(Violation {
-                            kind: ViolationKind::NotOwned {
-                                ownee: obj,
-                                ownee_class: heap.registry().name(class).to_owned(),
-                                owner,
-                                owner_class,
-                            },
-                            path: ctx.current_path(heap),
-                        });
-                    }
-                }
-                Visit::Descend
-            }
+        if flags.contains(Flags::OWNER) {
+            // "If we encounter another owner, mark it and stop the scan —
+            // we will scan this owner independently."
+            return Visit::Skip;
         }
+        Visit::Descend
     }
 
     fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) {
@@ -383,26 +442,24 @@ impl TraceHooks for AssertionEngine {
         }
         // assert-unshared: an already-marked object reached through another
         // edge has (at least) two incoming pointers.
-        if flags.contains(Flags::UNSHARED) {
-            self.counters.unshared_bits_seen += 1;
-        }
-        if flags.contains(Flags::UNSHARED) && self.should_report(heap, obj) {
-            let class_name = Self::class_name(heap, obj);
-            self.violations.push(Violation {
-                kind: ViolationKind::Shared {
-                    object: obj,
-                    class_name,
-                },
-                path: ctx.current_path(heap),
-            });
+        for finding in root_scan_findings(flags, false) {
+            self.counters.count(finding);
+            self.report(heap, obj, finding, |heap| ctx.current_path(heap));
         }
         // Additional incoming edges to an asserted-dead object must also
         // be severed for ForceTrue to actually free it next cycle.
         if flags.contains(Flags::DEAD) && self.lifetime_reaction == Reaction::ForceTrue {
-            if let Some(edge) = ctx.parent_edge() {
-                self.dead_edges.push(edge);
-            }
+            self.dead_edges.extend(ctx.parent_edge());
         }
+    }
+
+    fn mark_roots_parallel(
+        &mut self,
+        heap: &mut Heap,
+        roots: &[ObjRef],
+        workers: usize,
+    ) -> Result<ParMarkStats, HeapError> {
+        crate::par_engine::mark_roots(self, heap, roots, workers)
     }
 
     fn swept(&mut self, heap: &Heap, obj: ObjRef) {
@@ -433,7 +490,7 @@ impl TraceHooks for AssertionEngine {
                             limit,
                             count: info.instance_count,
                         },
-                        path: gca_collector::HeapPath::empty(),
+                        path: HeapPath::empty(),
                     });
                 }
             }
@@ -450,26 +507,24 @@ impl TraceHooks for AssertionEngine {
                 }
             }
         }
-        // Retire pairs whose participants died this cycle (recorded by
-        // the sweep hook).
-        let swept_ownees = std::mem::take(&mut self.swept_ownees);
-        let swept_owners = std::mem::take(&mut self.swept_owners);
-        let retired = self.ownership.retire(heap, &swept_ownees, &swept_owners);
-        if self.strict_owner_lifetime {
-            for (owner_class, survivors) in retired {
-                for ownee in survivors {
-                    let ownee_class = Self::class_name(heap, ownee);
-                    self.violations.push(Violation {
-                        kind: ViolationKind::OwneeOutlivedOwner {
-                            ownee,
-                            ownee_class,
-                            owner_class: owner_class.clone(),
-                        },
-                        path: gca_collector::HeapPath::empty(),
-                    });
-                }
+        self.retire_swept(heap);
+        self.phase = Phase::Idle;
+    }
+
+    fn gc_abort(&mut self, heap: &mut Heap) {
+        // Whatever part of the sweep ran did free those objects.
+        self.retire_swept(heap);
+        // The cycle's reports die with it; un-report their objects so the
+        // next cycle finds what an undisturbed one would.
+        for v in self.violations.drain(self.violations_before_cycle..) {
+            if let ViolationKind::DeadReachable { object: obj, .. }
+            | ViolationKind::Shared { object: obj, .. }
+            | ViolationKind::NotOwned { ownee: obj, .. } = v.kind
+            {
+                let _ = heap.clear_flag(obj, Flags::REPORTED);
             }
         }
+        self.counters = CheckCounters::default();
         self.phase = Phase::Idle;
     }
 }

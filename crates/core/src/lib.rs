@@ -61,9 +61,11 @@
 //!
 //! The crate layers the paper's contribution over two substrate crates:
 //! [`gca_heap`] (object model, classes, free-list heap with
-//! generation-checked handles) and [`gca_collector`] (mark-sweep with
-//! pluggable [`gca_collector::TraceHooks`]). The [`AssertionEngine`] here
-//! is a `TraceHooks` implementation; [`Mode::Base`] detaches it entirely,
+//! generation-checked handles) and [`gca_collector`] (one collection-cycle
+//! driver — mark-sweep, copying or parallel mark — with pluggable
+//! [`gca_collector::TraceHooks`]). The [`AssertionEngine`] here is a
+//! `TraceHooks` implementation, the one place the assertion checks are
+//! written; [`Mode::Base`] detaches it entirely,
 //! reproducing the paper's three measured configurations (Base /
 //! Infrastructure / WithAssertions).
 

@@ -30,6 +30,27 @@ pub struct CheckCounters {
     pub unshared_bits_seen: u64,
 }
 
+impl CheckCounters {
+    /// Counts the header-bit sighting behind a root-scan finding.
+    pub(crate) fn count(&mut self, finding: crate::engine::Finding) {
+        match finding {
+            crate::engine::Finding::Dead => self.dead_bits_seen += 1,
+            crate::engine::Finding::Shared => self.unshared_bits_seen += 1,
+            crate::engine::Finding::NotOwned => {}
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: &CheckCounters) {
+        self.owners_scanned += other.owners_scanned;
+        self.ownees_checked += other.ownees_checked;
+        self.deferred_ownees_processed += other.deferred_ownees_processed;
+        self.dead_bits_seen += other.dead_bits_seen;
+        self.tracked_instances_counted += other.tracked_instances_counted;
+        self.unshared_bits_seen += other.unshared_bits_seen;
+    }
+}
+
 /// The result of one [`crate::Vm::collect`] call: collector timing plus
 /// the assertion violations detected during the cycle.
 #[derive(Debug, Clone, Default)]

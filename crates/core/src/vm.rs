@@ -1,11 +1,12 @@
 //! The VM façade: heap + collector + assertion engine + mutators.
 
-use gca_collector::{CensusSink, Collector, CopyingCollector, GcStats, NoHooks};
+use gca_collector::{Collector, GcStats, NoHooks, SurvivorVisitor};
 use gca_heap::{
-    ClassId, Flags, Heap, HeapError, HeapStats, ObjRef, SpaceKind, TypeRegistry, HEADER_WORDS,
+    ClassId, Flags, Heap, HeapError, HeapStats, ObjRef, Object, SpaceKind, TypeRegistry,
+    HEADER_WORDS,
 };
 
-use crate::census::{AllocSite, CensusState};
+use crate::census::{AllocSite, CensusState, Tally};
 use crate::config::{CollectorKind, MinorStrategy, Mode, Reaction, VmConfig};
 use crate::engine::AssertionEngine;
 use crate::error::VmError;
@@ -36,7 +37,7 @@ pub struct AssertionCallCounts {
 /// A managed-heap virtual machine with GC assertions.
 ///
 /// `Vm` is the programmer-facing interface of the reproduction: it owns
-/// the [`Heap`], the mark-sweep [`Collector`], the [`AssertionEngine`],
+/// the [`Heap`], the [`Collector`], the [`AssertionEngine`],
 /// and the simulated mutator threads, and implements the paper's
 /// allocation-triggered collection policy (fixed heap budget; collect when
 /// an allocation would exceed it).
@@ -77,11 +78,6 @@ pub struct AssertionCallCounts {
 pub struct Vm {
     pub(crate) heap: Heap,
     collector: Collector,
-    /// The semispace copying backend, present only when
-    /// [`VmConfig::collector`] is [`CollectorKind::Copying`]. The
-    /// mark-sweep `collector` above still accumulates the cumulative
-    /// [`GcStats`] either way, so reporting is backend-agnostic.
-    copying: Option<Box<CopyingCollector>>,
     pub(crate) engine: AssertionEngine,
     config: VmConfig,
     budget: usize,
@@ -148,7 +144,7 @@ impl Vm {
             .telemetry
             .then(|| Box::new(gca_telemetry::GcTelemetry::new()));
         let census = config.census.then(|| Box::new(CensusState::new()));
-        let copying = (config.collector == CollectorKind::Copying).then(|| {
+        if config.collector == CollectorKind::Copying {
             assert!(
                 config.generational.is_none(),
                 "Vm: the copying collector is full-heap; it cannot be generational"
@@ -157,11 +153,11 @@ impl Vm {
                 config.gc_threads <= 1,
                 "Vm: the copying collector's Cheney scan is sequential"
             );
-            Box::new(CopyingCollector::new())
-        });
-        // The collector kind alone determines the space layout: the
-        // copying backend needs semispace address bookkeeping, everything
-        // else runs on the non-moving paged space.
+        }
+        // The collector kind alone determines the space layout, and the
+        // space layout how the collector marks from the roots: a
+        // semispace heap is evacuated, the non-moving paged space is
+        // marked in place.
         let heap = Heap::with_space(match config.collector {
             CollectorKind::Copying => SpaceKind::Semispace,
             _ => SpaceKind::Paged,
@@ -169,7 +165,6 @@ impl Vm {
         Vm {
             heap,
             collector: Collector::new(),
-            copying,
             engine: AssertionEngine::new(&config),
             config,
             budget,
@@ -447,115 +442,35 @@ impl Vm {
         self.collections_requested += 1;
         let roots = self.gather_roots();
         let workers = self.config.effective_gc_threads();
-        let want_census = self.census.is_some();
-        // Sequential arms report the whole mark span as worker 0's busy
-        // time; parallel arms return the per-worker profile. The copying
-        // backend dispatches on collector kind before the (mode, workers)
-        // match — its Cheney scan is always sequential.
-        let (cycle, worker_mark, census_sink) = if self.config.collector == CollectorKind::Copying {
-            let copying = self
-                .copying
-                .as_mut()
-                .expect("copying backend initialized in Vm::new");
-            let out = match self.config.mode {
-                Mode::Base if want_census => {
-                    let (cycle, sink) = copying.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut NoHooks,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                Mode::Base => {
-                    let cycle = copying.collect(&mut self.heap, &roots, &mut NoHooks)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                Mode::Instrumented if want_census => {
-                    let (cycle, sink) = copying.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut self.engine,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                Mode::Instrumented => {
-                    let cycle = copying.collect(&mut self.heap, &roots, &mut self.engine)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-            };
-            // Keep the backend-agnostic cumulative stats in one place.
-            self.collector.record_cycle(&out.0);
-            out
-        } else {
-            match (self.config.mode, workers) {
-                (Mode::Base, 0 | 1) if want_census => {
-                    let (cycle, sink) = self.collector.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut NoHooks,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                (Mode::Base, 0 | 1) => {
-                    let cycle = self
-                        .collector
-                        .collect(&mut self.heap, &roots, &mut NoHooks)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                (Mode::Instrumented, 0 | 1) if want_census => {
-                    let (cycle, sink) = self.collector.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut self.engine,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                (Mode::Instrumented, 0 | 1) => {
-                    let cycle = self
-                        .collector
-                        .collect(&mut self.heap, &roots, &mut self.engine)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                // Parallel mark phase: the Collector only contributed the
-                // mark/sweep driver, so run the parallel driver directly and
-                // fold the cycle into the collector's cumulative stats.
-                (Mode::Base, n) => {
-                    let par = crate::par_engine::collect_parallel_base(
-                        &mut self.heap,
-                        &roots,
-                        n,
-                        want_census,
-                    )?;
-                    self.collector.record_cycle(&par.cycle);
-                    (par.cycle, par.worker_mark, par.census)
-                }
-                (Mode::Instrumented, n) => {
-                    let par = crate::par_engine::collect_parallel(
-                        &mut self.engine,
-                        &mut self.heap,
-                        &roots,
-                        n,
-                        want_census,
-                    )?;
-                    self.collector.record_cycle(&par.cycle);
-                    (par.cycle, par.worker_mark, par.census)
-                }
-            }
-        };
-        // Resolve the census right after the sweep, while every marked
-        // slot still holds its (surviving) object.
-        let census_data = match (self.census.as_deref_mut(), census_sink) {
-            (Some(state), Some(sink)) => {
-                let data = state.build_data(&self.heap, &sink);
-                state.recorder.record_major(data.clone());
-                Some(data)
-            }
-            _ => None,
-        };
+        // The census observes the survivors of this sweep in one pass of
+        // the collector's cycle driver.
+        let mut tally = Tally::default();
+        let mut observe = self
+            .census
+            .as_deref()
+            .map(|state| |r: ObjRef, o: &Object| state.observe(&mut tally, r, o));
+        let survivors = observe.as_mut().map(|f| f as &mut SurvivorVisitor<'_>);
+        let (cycle, worker_mark) = match self.config.mode {
+            Mode::Base => self.collector.collect_with(
+                &mut self.heap,
+                &roots,
+                &mut NoHooks,
+                workers,
+                survivors,
+            ),
+            Mode::Instrumented => self.collector.collect_with(
+                &mut self.heap,
+                &roots,
+                &mut self.engine,
+                workers,
+                survivors,
+            ),
+        }?;
+        let census_data = self.census.as_deref_mut().map(|state| {
+            let data = state.build_data(&self.heap, tally);
+            state.recorder.record_major(data.clone());
+            data
+        });
         // Generational bookkeeping: a major collection promotes every
         // survivor and resets the nursery and the remembered set.
         if self.config.generational.is_some() {
@@ -639,12 +554,7 @@ impl Vm {
         // Keep a cumulative log so violations from collections triggered
         // implicitly inside `alloc` are not lost.
         self.violation_log.extend(violations.iter().cloned());
-        self.totals.owners_scanned += counters.owners_scanned;
-        self.totals.ownees_checked += counters.ownees_checked;
-        self.totals.deferred_ownees_processed += counters.deferred_ownees_processed;
-        self.totals.dead_bits_seen += counters.dead_bits_seen;
-        self.totals.tracked_instances_counted += counters.tracked_instances_counted;
-        self.totals.unshared_bits_seen += counters.unshared_bits_seen;
+        self.totals.add(&counters);
         if self.telemetry.is_some() {
             // The JSONL record carries the full class histogram but only
             // the top allocation sites by bytes, keeping lines bounded.
@@ -730,10 +640,13 @@ impl Vm {
         });
     }
 
-    /// Runs a minor (nursery-only) collection now. Only available in
-    /// generational mode; **no assertions are checked** — the paper's
-    /// §2.2 trade-off. Ownership metadata for reclaimed objects is still
-    /// retired, and the strict-owner-lifetime extension may report.
+    /// Runs a minor (nursery-only) collection now. **No assertions are
+    /// checked** — the paper's §2.2 trade-off. Ownership metadata for
+    /// reclaimed objects is still retired, and the strict-owner-lifetime
+    /// extension may report.
+    ///
+    /// There is a nursery only in generational mode; on any other VM this
+    /// is a no-op that returns zeroed statistics and records no cycle.
     ///
     /// # Errors
     ///
@@ -741,6 +654,9 @@ impl Vm {
     /// both modes); heap errors propagate; [`VmError::Halted`] if halted.
     pub fn collect_minor(&mut self) -> Result<gca_collector::MinorStats, VmError> {
         self.check_running()?;
+        if self.config.generational.is_none() {
+            return Ok(gca_collector::MinorStats::default());
+        }
         let roots = self.gather_roots();
         let young = std::mem::take(&mut self.young);
         // Sources of hidden old->young edges, by strategy. The card
@@ -752,10 +668,8 @@ impl Vm {
             MinorStrategy::Cards => self.heap.remembered_from_cards(),
             MinorStrategy::RememberedSet => std::mem::take(&mut self.remembered),
         };
-        let mut tracer = gca_collector::Tracer::new();
         let stats = match self.config.mode {
-            Mode::Base => gca_collector::collect_minor(
-                &mut tracer,
+            Mode::Base => self.collector.collect_minor(
                 &mut self.heap,
                 &roots,
                 &remembered,
@@ -763,8 +677,7 @@ impl Vm {
                 &mut NoHooks,
             )?,
             Mode::Instrumented => {
-                let stats = gca_collector::collect_minor(
-                    &mut tracer,
+                let stats = self.collector.collect_minor(
                     &mut self.heap,
                     &roots,
                     &remembered,

@@ -4,7 +4,7 @@
 
 mod common;
 
-use gc_assertions::{ObjRef, ViolationKind, Vm};
+use gc_assertions::{CollectorKind, ObjRef, ViolationKind, Vm};
 
 fn vm() -> Vm {
     Vm::new(common::cfg().build())
@@ -144,22 +144,25 @@ fn two_disjoint_owners_pass() {
 fn overlapping_owner_regions_warn_improper_use() {
     // o1's region contains an ownee of o2: disjointness violated.
     // o1 -> mid -> e2 where e2 is owned by o2.
-    let mut vm = vm();
-    let cls = vm.register_class("C", &["x", "y"]);
-    let m = vm.main();
-    let o1 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
-    let o2 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
-    let mid = vm.alloc(m, cls, 2, 0).unwrap();
-    vm.set_field(o1, 0, mid).unwrap();
-    let e2 = vm.alloc(m, cls, 2, 0).unwrap();
-    vm.set_field(mid, 0, e2).unwrap();
-    vm.set_field(o2, 0, e2).unwrap();
-    let e1 = vm.alloc(m, cls, 2, 0).unwrap();
-    vm.set_field(o1, 1, e1).unwrap();
-    vm.assert_owned_by(o1, e1).unwrap();
-    vm.assert_owned_by(o2, e2).unwrap();
+    let run = |gc_threads: usize| {
+        let mut vm = Vm::new(common::cfg().gc_threads(gc_threads).build());
+        let cls = vm.register_class("C", &["x", "y"]);
+        let m = vm.main();
+        let o1 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
+        let o2 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
+        let mid = vm.alloc(m, cls, 2, 0).unwrap();
+        vm.set_field(o1, 0, mid).unwrap();
+        let e2 = vm.alloc(m, cls, 2, 0).unwrap();
+        vm.set_field(mid, 0, e2).unwrap();
+        vm.set_field(o2, 0, e2).unwrap();
+        let e1 = vm.alloc(m, cls, 2, 0).unwrap();
+        vm.set_field(o1, 1, e1).unwrap();
+        vm.assert_owned_by(o1, e1).unwrap();
+        vm.assert_owned_by(o2, e2).unwrap();
+        (vm.collect().unwrap(), o1, e2)
+    };
 
-    let report = vm.collect().unwrap();
+    let (report, o1, e2) = run(1);
     let improper: Vec<_> = report
         .violations
         .iter()
@@ -182,6 +185,53 @@ fn overlapping_owner_regions_warn_improper_use() {
         }
         _ => unreachable!(),
     }
+
+    // The ownership phase runs once, sequentially, whatever marks from
+    // the roots afterwards: with two tracing workers the scan-order
+    // verdicts — paths included — and all six check counters are
+    // identical, not merely equivalent. (The Cheney scan has one worker.)
+    if common::corpus_collector() == CollectorKind::MarkSweep {
+        let (par, ..) = run(2);
+        assert_eq!(par.violations, report.violations);
+        assert_eq!(par.counters, report.counters);
+    }
+}
+
+#[test]
+fn foreign_ownee_truncation_keeps_its_subgraph_alive() {
+    // o1 -> e2 -> child, where e2 is o2's ownee but o2 does not reference
+    // it. o1's scan marks e2 and truncates there; nothing ever credits e2,
+    // so nothing resumes below it — and its mark hides it from the root
+    // scan. `child` is reachable all the same and must survive.
+    let mut vm = vm();
+    let cls = vm.register_class("C", &["x", "y"]);
+    let m = vm.main();
+    let o1 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
+    let o2 = vm.alloc_rooted(m, cls, 2, 0).unwrap();
+    let e1 = vm.alloc(m, cls, 2, 0).unwrap();
+    vm.set_field(o1, 1, e1).unwrap();
+    vm.assert_owned_by(o1, e1).unwrap();
+    let e2 = vm.alloc(m, cls, 2, 0).unwrap();
+    let child = vm.alloc(m, cls, 2, 0).unwrap();
+    vm.set_field(e2, 0, child).unwrap();
+    vm.set_field(o1, 0, e2).unwrap();
+    vm.assert_owned_by(o2, e2).unwrap();
+    vm.assert_dead(child).unwrap();
+
+    let report = vm.collect().unwrap();
+    assert!(vm.is_live(child), "reachable through o1.x -> e2.x");
+    assert_eq!(vm.heap().verify(), Vec::<String>::new());
+    let kinds: Vec<_> = report.violations.iter().map(|v| &v.kind).collect();
+    assert!(
+        matches!(
+            kinds[..],
+            [
+                ViolationKind::ImproperOwnership { .. },
+                ViolationKind::DeadReachable { .. }
+            ]
+        ),
+        "the resumed scan checks what it reaches: {report}"
+    );
 }
 
 #[test]

@@ -246,3 +246,33 @@ fn regions_work_under_generational_collection() {
     assert_eq!(report.violations.len(), 1);
     assert!(vm.is_live(leaked));
 }
+
+#[test]
+fn minor_without_a_nursery_is_a_no_op() {
+    // A VM that is not generational has no nursery to collect. A minor
+    // there must do nothing at all — in particular leave no mark behind:
+    // a stale mark on `a` would hide the asserted-dead `a` and the later
+    // `b` from the next major, which would then free the reachable `b`.
+    let mut vm = Vm::new(
+        VmConfig::builder()
+            .heap_budget(2_000)
+            .telemetry(true)
+            .build(),
+    );
+    let c = vm.register_class("T", &["f"]);
+    let m = vm.main();
+    let a = vm.alloc_rooted(m, c, 1, 0).unwrap();
+    vm.assert_dead(a).unwrap();
+
+    let stats = vm.collect_minor().unwrap();
+    assert_eq!(stats, gca_collector::MinorStats::default());
+    assert_eq!(vm.minor_collections(), 0);
+    assert_eq!(vm.telemetry().minor_cycles(), 0);
+
+    let b = vm.alloc(m, c, 1, 0).unwrap();
+    vm.set_field(a, 0, b).unwrap();
+    let report = vm.collect().unwrap();
+    assert_eq!(report.violations.len(), 1, "assert-dead on `a` is checked");
+    assert!(vm.is_live(b));
+    assert_eq!(vm.heap().verify(), Vec::<String>::new());
+}

@@ -6,14 +6,16 @@
 //! * the final live set (allocation-ordered liveness bitmap),
 //! * the multiset of violations (kind + objects, paths excluded — the
 //!   parallel reconstruction may legally pick a different valid path),
-//! * the cumulative check counters (owners scanned, ownees checked,
-//!   deferred ownees, dead bits, tracked instances).
+//! * all six cumulative check counters (owners scanned, ownees checked,
+//!   deferred ownees, dead bits, tracked instances, unshared bits).
 //!
-//! Ownership assertions are registered in the paper's supported shape —
-//! the owner references its ownee directly (disjoint regions) — because
-//! for *improper* overlapping regions the sequential verdicts are
-//! scan-order-dependent and a parallel trace is free to order scans
-//! differently.
+//! Ownership is exercised beyond the paper's supported shape: besides
+//! owners that reference their own ownees (disjoint regions), the op
+//! stream makes owners reference *other* owners' ownees — improper,
+//! overlapping regions, whose `ImproperOwnership` / `NotOwned` verdicts
+//! depend on owner scan order. They must still be identical, because the
+//! ownership phase runs once, sequentially, at every worker count; the
+//! workers only ever run the root scan.
 
 use gc_assertions::{ObjRef, Vm, VmConfig};
 use proptest::prelude::*;
@@ -42,6 +44,15 @@ enum Op {
     DropOwnEdge { idx: usize },
     /// Foreign edge: point a rooted object's field at an ownee.
     LinkOwnee { from: usize, ownee: usize },
+    /// Overlapping regions: make the `owner`-th pair reach an ownee — its
+    /// own or, usually, another owner's — either straight from the owner
+    /// (a direct owner scan meets it) or from below the pair's own ownee
+    /// (a deferred scan meets it).
+    OwnerLinksOwnee {
+        owner: usize,
+        ownee: usize,
+        below_own_ownee: bool,
+    },
     /// Region assertion: allocate `n` scratch objects in a region;
     /// optionally leak one into the rooted graph before `assert-alldead`.
     Region { n: usize, leak: bool },
@@ -62,6 +73,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => Just(Op::Own),
         1 => (0usize..16).prop_map(|idx| Op::DropOwnEdge { idx }),
         1 => (0usize..64, 0usize..16).prop_map(|(from, ownee)| Op::LinkOwnee { from, ownee }),
+        2 => (0usize..16, 0usize..16, any::<bool>()).prop_map(|(owner, ownee, below_own_ownee)| {
+            Op::OwnerLinksOwnee { owner, ownee, below_own_ownee }
+        }),
         1 => (1usize..4, any::<bool>()).prop_map(|(n, leak)| Op::Region { n, leak }),
         1 => (0usize..16).prop_map(|keep| Op::UnrootTo { keep }),
         2 => Just(Op::Collect),
@@ -72,7 +86,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct Outcome {
     liveness: Vec<bool>,
     violations: Vec<String>,
-    totals: (u64, u64, u64, u64, u64),
+    totals: gc_assertions::CheckCounters,
 }
 
 /// Runs the op stream on a VM with `workers` tracing threads. Operations
@@ -162,6 +176,23 @@ fn run(workers: usize, ops: &[Op]) -> Outcome {
                     vm.set_field(f, 2, o).unwrap();
                 }
             }
+            Op::OwnerLinksOwnee {
+                owner,
+                ownee,
+                below_own_ownee,
+            } if !owners.is_empty() => {
+                // `owners[i]` and `ownees[i]` are the i-th registered pair.
+                let pair = owner % owners.len();
+                let from = if *below_own_ownee {
+                    ownees[pair]
+                } else {
+                    owners[pair]
+                };
+                let o = ownees[ownee % ownees.len()];
+                if vm.is_live(from) && vm.is_live(o) {
+                    vm.set_field(from, 0, o).unwrap();
+                }
+            }
             Op::Region { n: num, leak } => {
                 let mut region = vm.assertions().region(m).unwrap();
                 let mut last = ObjRef::NULL;
@@ -187,17 +218,10 @@ fn run(workers: usize, ops: &[Op]) -> Outcome {
     do_collect(&mut vm, &mut violations);
     violations.sort();
 
-    let t = vm.check_totals();
     Outcome {
         liveness: allocated.iter().map(|&o| vm.is_live(o)).collect(),
         violations,
-        totals: (
-            t.owners_scanned,
-            t.ownees_checked,
-            t.deferred_ownees_processed,
-            t.dead_bits_seen,
-            t.tracked_instances_counted,
-        ),
+        totals: *vm.check_totals(),
     }
 }
 

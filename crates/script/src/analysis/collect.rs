@@ -5,9 +5,8 @@
 //! on-path sentinel entries that carry root-to-object paths), the
 //! assertion engine's ownership phases with their deferred/pending
 //! queues, report-once suppression, force-true edge severing, the sweep
-//! in allocation order, and the generational minor cycle — including the
-//! runtime's stale-mark behavior when `minor-gc` runs without
-//! generational mode.  Divergence here is a soundness bug, so every
+//! in allocation order, and the generational minor cycle (a no-op
+//! without generational mode).  Divergence here is a soundness bug, so every
 //! branch corresponds to a branch in `gca_core::engine` /
 //! `gca_collector`; the differential test in `tests/check.rs` holds the
 //! two implementations together.
@@ -99,7 +98,7 @@ struct Cycle {
     phase: Phase,
     stack: Vec<Entry>,
     deferred: Vec<(ObjId, usize)>,
-    pending: Vec<(ObjId, Vec<PathStep>)>,
+    pending: Vec<(ObjId, Option<Vec<PathStep>>)>,
     dead_edges: Vec<(ObjId, usize)>,
     violations: Vec<PredViolation>,
 }
@@ -191,11 +190,12 @@ impl Cycle {
                             obj: Some(obj),
                             path,
                         });
+                        self.pending.push((obj, None));
                     } else {
                         // Below a deferred ownee: hold the verdict until
                         // every ownership chain has run.
                         let path = self.current_path(obj, tip_field);
-                        self.pending.push((obj, path));
+                        self.pending.push((obj, Some(path)));
                     }
                     return false;
                 }
@@ -356,12 +356,13 @@ pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
             cy.push_children_of(st, ownee);
             cy.drain(st);
         }
+        cy.phase = Phase::Root;
         let pending = std::mem::take(&mut cy.pending);
-        for (obj, path) in pending {
+        for (obj, held_back) in pending {
             if st.objects[obj].owned {
                 continue;
             }
-            if cy.should_report(st, obj) {
+            if let Some(path) = held_back.filter(|_| cy.should_report(st, obj)) {
                 let summary = format!("not-owned {}", cy.class_name(st, obj));
                 cy.violations.push(PredViolation {
                     kind: PredKind::NotOwned,
@@ -370,8 +371,11 @@ pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
                     path,
                 });
             }
+            // Still uncredited: resume below the truncated ownee with
+            // root-scan semantics, like the engine.
+            cy.push_children_of(st, obj);
+            cy.drain(st);
         }
-        cy.phase = Phase::Root;
     }
     // Phase 2: the root scan — all roots pushed, then one drain (LIFO,
     // so the last root is scanned first, exactly like the runtime).
@@ -467,10 +471,12 @@ pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
 
 /// One abstract minor collection.  No assertions are checked during the
 /// nursery trace; only the sweep hook feeds ownership retirement, so the
-/// sole possible reports are strict-owner-lifetime ones.  Faithfully
-/// reproduces the runtime's stale-mark quirk: reached non-old, non-young
-/// objects keep their mark bit until the next major sweep clears it.
+/// sole possible reports are strict-owner-lifetime ones.  Without
+/// generational mode there is no nursery and the runtime does nothing.
 pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
+    if st.config.generational.is_none() {
+        return Vec::new();
+    }
     let engine = !st.config.base_mode;
     let young = std::mem::take(&mut st.young);
     let remembered = std::mem::take(&mut st.remembered);

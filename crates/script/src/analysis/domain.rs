@@ -75,8 +75,7 @@ pub(crate) struct AbsObj {
     pub old: bool,
     /// In the remembered set (write barrier hit).
     pub remembered: bool,
-    /// Mark bit; per-collection, but see the stale-mark quirk in
-    /// [`super::collect`].
+    /// Mark bit; per-collection.
     pub mark: bool,
     /// OWNED bit; per-collection.
     pub owned: bool,

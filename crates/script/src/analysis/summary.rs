@@ -9,7 +9,7 @@
 //!
 //! * **may-reachability** is a BFS over *all* edges — strong fields plus
 //!   the weak [`summary_edges`](super::domain::AbsObj::summary_edges) —
-//!   seeded from every root, global, and stale-marked object.  It
+//!   seeded from every root and global.  It
 //!   over-approximates runtime reachability at every iteration of the
 //!   summarized loop, so:
 //! * objects that are **not** may-reachable are provably unreachable and
@@ -42,14 +42,6 @@ fn may_reach(st: &AbsState) -> (Vec<bool>, Vec<Option<(ObjId, usize)>>) {
         return (may, parent);
     }
     let mut queue: Vec<ObjId> = st.gather_roots();
-    // Stale mark bits (a `minor-gc` without generational mode) keep an
-    // object alive through the next major at runtime: treat them as
-    // roots so the sweep below stays an under-approximation of nothing.
-    for (i, o) in st.objects.iter().enumerate() {
-        if o.alive && o.mark {
-            queue.push(i);
-        }
-    }
     while let Some(o) = queue.pop() {
         if may[o] || !st.objects[o].alive {
             continue;
@@ -216,6 +208,7 @@ pub(crate) fn collect_summary(st: &mut AbsState) -> CycleOutcome {
 /// sound over-approximation that makes no claims (minors report nothing
 /// in summary mode).
 pub(crate) fn collect_minor_summary(st: &mut AbsState) -> Vec<PredViolation> {
+    // Without generational mode the runtime's minor is a no-op.
     if st.config.generational.is_some() {
         let young = std::mem::take(&mut st.young);
         for y in young {
@@ -227,17 +220,7 @@ pub(crate) fn collect_minor_summary(st: &mut AbsState) -> Vec<PredViolation> {
             o.remembered = false;
         }
         st.remembered.clear();
-    } else {
-        // Stale-mark quirk, over-approximated: a non-generational minor
-        // leaves mark bits on everything it reaches, pinning those
-        // objects through the next major.  Mark every live object so
-        // the following summary major claims nothing Safe about them.
-        for o in &mut st.objects {
-            if o.alive {
-                o.mark = true;
-            }
-        }
+        st.minors_since_major += 1;
     }
-    st.minors_since_major += 1;
     Vec::new()
 }
