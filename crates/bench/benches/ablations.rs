@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gc_assertions::{CollectorKind, Vm, VmConfig};
 use gca_bench::baseline_eager;
-use gca_workloads::runner::{run_once_config, ExpConfig, Workload};
+use gca_workloads::runner::{run_once_vm, ExpConfig, Workload};
 use gca_workloads::structures::HArrayList;
 use gca_workloads::suite;
 use std::time::Duration;
@@ -34,8 +34,9 @@ fn bench_path_tracking(c: &mut Criterion) {
                 b.iter_custom(|iters| {
                     let mut gc = Duration::ZERO;
                     for _ in 0..iters {
-                        gc += run_once_config(&w, ExpConfig::Infrastructure, cfg.clone())
+                        gc += run_once_vm(&w, ExpConfig::Infrastructure, cfg.clone())
                             .unwrap()
+                            .0
                             .gc;
                     }
                     gc
@@ -115,8 +116,9 @@ fn bench_copying_backend(c: &mut Criterion) {
                 b.iter_custom(|iters| {
                     let mut gc = Duration::ZERO;
                     for _ in 0..iters {
-                        gc += run_once_config(&w, ExpConfig::WithAssertions, cfg.clone())
+                        gc += run_once_vm(&w, ExpConfig::WithAssertions, cfg.clone())
                             .unwrap()
+                            .0
                             .gc;
                     }
                     gc

@@ -26,9 +26,9 @@
 
 use gc_assertions::CollectorKind;
 use gca_bench::{
-    ablation_bibop, ablation_census, ablation_copying, ablation_path_tracking, baseline_detectors,
-    baseline_eager, baseline_generational, baseline_probes, census_jsonl_collector, figure1,
-    figures_2_3, figures_4_5, summarize_infra, telemetry_jsonl_collector,
+    ablation_census, ablation_copying, ablation_path_tracking, baseline_detectors, baseline_eager,
+    baseline_generational, baseline_probes, figure1, figures_2_3, figures_4_5, suite_jsonl,
+    summarize_infra,
 };
 
 struct Args {
@@ -146,7 +146,7 @@ fn main() {
     let args = parse_args();
 
     if let Some(path) = &args.telemetry {
-        let jsonl = telemetry_jsonl_collector(args.scale, args.collector);
+        let jsonl = suite_jsonl(args.scale, |c| c.collector(args.collector));
         let records = jsonl.lines().count();
         std::fs::write(path, &jsonl).expect("writing the telemetry JSONL file");
         println!(
@@ -157,7 +157,7 @@ fn main() {
     }
 
     if let Some(path) = &args.census {
-        let jsonl = census_jsonl_collector(args.scale, args.collector);
+        let jsonl = suite_jsonl(args.scale, |c| c.census(true).collector(args.collector));
         let records = jsonl.lines().count();
         std::fs::write(path, &jsonl).expect("writing the census JSONL file");
         println!(
@@ -352,31 +352,6 @@ fn main() {
                 r.assert_delta()
             );
         }
-        println!();
-
-        println!("=======================================================================");
-        println!("Ablation H: free-list substrate vs BiBOP page substrate");
-        println!("(steady-state alloc churn and mark-loop scan; negative = BiBOP faster)");
-        println!("=======================================================================");
-        let row = ablation_bibop(args.reps.max(3), (50_000.0 * args.scale) as usize, 8);
-        println!(
-            "{:<22} {:>12} {:>12} {:>9}",
-            "loop", "freelist", "bibop", "delta"
-        );
-        println!(
-            "{:<22} {:>10.2}ms {:>10.2}ms {:>8.2}%",
-            format!("alloc churn ({}x{})", row.objects, row.rounds),
-            row.freelist_alloc.as_secs_f64() * 1e3,
-            row.bibop_alloc.as_secs_f64() * 1e3,
-            row.alloc_delta()
-        );
-        println!(
-            "{:<22} {:>10.2}us {:>10.2}us {:>8.2}%",
-            "mark loop",
-            row.freelist_mark.as_secs_f64() * 1e6,
-            row.bibop_mark.as_secs_f64() * 1e6,
-            row.mark_delta()
-        );
         println!();
 
         println!("=======================================================================");

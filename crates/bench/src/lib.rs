@@ -14,8 +14,8 @@
 //!   alone (ours);
 //! * [`ablation_census`] — mark-time cost of the heap census
 //!   accumulators, on vs off (ours);
-//! * [`census_jsonl`] — the telemetry export with per-class/per-site
-//!   census fields on every cycle record (ours);
+//! * [`suite_jsonl`] — the per-benchmark telemetry export, optionally
+//!   with per-class/per-site census fields on every cycle record (ours);
 //! * [`baseline_eager`] — eager (JML-style) invariant checking vs GC
 //!   assertions on the same ownership property (ours, quantifying §4.1's
 //!   10×–100× claim);
@@ -25,8 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod freelist;
-
 use std::time::{Duration, Instant};
 
 use gc_assertions::{CollectorKind, ViolationKind, Vm, VmConfig};
@@ -34,7 +32,7 @@ use gca_detectors::{CorkDetector, EagerOwnershipChecker, StalenessDetector};
 use gca_workloads::db::Db209;
 use gca_workloads::pseudojbb::PseudoJbb;
 use gca_workloads::runner::{
-    geomean_overhead_percent, overhead_percent, run_once, run_once_config, ExpConfig, Measurement,
+    geomean_overhead_percent, overhead_percent, run_once, run_once_vm, ExpConfig, Measurement,
     Workload,
 };
 use gca_workloads::suite;
@@ -153,6 +151,11 @@ fn scaled_db(scale: f64) -> Db209 {
     db
 }
 
+/// GC time of one run of `w` under `exp`, with `cfg` used as given.
+fn run_gc_time(w: &dyn Workload, exp: ExpConfig, cfg: VmConfig) -> Duration {
+    run_once_vm(w, exp, cfg).expect("runs").0.gc
+}
+
 /// Regenerates Figure 1: runs the buggy pseudojbb with `assert_dead`
 /// instrumentation and returns the first dead-reachable report, whose
 /// path runs `Company -> … -> longBTree -> longBTreeNode -> … -> Order`.
@@ -268,67 +271,24 @@ pub fn figures_4_5(reps: usize, scale: f64) -> Vec<AssertRow> {
 /// under the Infrastructure configuration, plus `_209_db` and pseudojbb
 /// under WithAssertions (so the artifact carries non-zero per-assertion
 /// overhead attribution). One record per GC cycle, tagged with the
-/// benchmark name. `scale` shrinks iteration counts as for the figures.
-pub fn telemetry_jsonl(scale: f64) -> String {
-    telemetry_jsonl_collector(scale, CollectorKind::MarkSweep)
-}
-
-/// As [`telemetry_jsonl`], but on the chosen collector backend — the CI
-/// copying artifact leg calls this via `figures --telemetry --collector
-/// copying`.
-pub fn telemetry_jsonl_collector(scale: f64, collector: CollectorKind) -> String {
+/// benchmark name. `scale` shrinks iteration counts as for the figures;
+/// `tweak` adjusts each run's VM configuration — `figures --census` turns
+/// the heap census on, `--collector copying` picks the backend (the
+/// copying engine observes the census at evacuation time, so its
+/// per-class tallies are bit-identical to mark-sweep's).
+pub fn suite_jsonl(scale: f64, tweak: impl Fn(VmConfig) -> VmConfig) -> String {
     let workloads: Vec<suite::SyntheticWorkload> = suite::full_suite()
         .into_iter()
         .map(|w| scaled(w, scale))
         .collect();
-    let mut out =
-        suite::suite_telemetry_jsonl_collector(&workloads, ExpConfig::Infrastructure, collector)
-            .expect("suite workloads are infallible");
-    let db = scaled_db(scale);
-    let jbb = scaled_jbb(scale);
-    for w in [&db as &dyn Workload, &jbb as &dyn Workload] {
-        let (_, telemetry) = gca_workloads::runner::run_once_telemetry_collector(
-            w,
-            ExpConfig::WithAssertions,
-            collector,
-        )
-        .expect("case-study workloads are infallible");
-        out.push_str(&telemetry.to_jsonl(Some(w.name())));
-    }
-    out
-}
-
-/// Runs the whole suite once with telemetry *and* the heap census enabled
-/// and returns the per-benchmark JSON-lines export: as [`telemetry_jsonl`],
-/// but every cycle record additionally carries per-class live tallies and
-/// top allocation sites. This is the artifact behind `figures --census`
-/// and the CI census step.
-pub fn census_jsonl(scale: f64) -> String {
-    census_jsonl_collector(scale, CollectorKind::MarkSweep)
-}
-
-/// As [`census_jsonl`], but on the chosen collector backend — the copying
-/// engine observes the census at evacuation time, so its per-class
-/// tallies are bit-identical to mark-sweep's.
-pub fn census_jsonl_collector(scale: f64, collector: CollectorKind) -> String {
-    let workloads: Vec<suite::SyntheticWorkload> = suite::full_suite()
-        .into_iter()
-        .map(|w| scaled(w, scale))
-        .collect();
-    let mut out =
-        suite::suite_census_jsonl_collector(&workloads, ExpConfig::Infrastructure, collector)
-            .expect("suite workloads are infallible");
-    let db = scaled_db(scale);
-    let jbb = scaled_jbb(scale);
-    for w in [&db as &dyn Workload, &jbb as &dyn Workload] {
-        let (_, telemetry, _) = gca_workloads::runner::run_once_census_collector(
-            w,
-            ExpConfig::WithAssertions,
-            collector,
-        )
-        .expect("case-study workloads are infallible");
-        out.push_str(&telemetry.to_jsonl(Some(w.name())));
-    }
+    let workloads: Vec<&dyn Workload> = workloads.iter().map(|w| w as &dyn Workload).collect();
+    let (db, jbb) = (scaled_db(scale), scaled_jbb(scale));
+    let mut out = suite::suite_jsonl(&workloads, ExpConfig::Infrastructure, &tweak)
+        .expect("suite workloads are infallible");
+    out.push_str(
+        &suite::suite_jsonl(&[&db, &jbb], ExpConfig::WithAssertions, &tweak)
+            .expect("case-study workloads are infallible"),
+    );
     out
 }
 
@@ -373,24 +333,16 @@ pub fn ablation_path_tracking(reps: usize, scale: f64, take: usize) -> Vec<PathA
         let mut plain = Vec::new();
         let mut paths = Vec::new();
         for _ in 0..reps.max(1) {
-            plain.push(
-                run_once_config(
-                    &w,
-                    ExpConfig::Infrastructure,
-                    base_cfg.clone().path_tracking(false),
-                )
-                .expect("runs")
-                .gc,
-            );
-            paths.push(
-                run_once_config(
-                    &w,
-                    ExpConfig::Infrastructure,
-                    base_cfg.clone().path_tracking(true),
-                )
-                .expect("runs")
-                .gc,
-            );
+            plain.push(run_gc_time(
+                &w,
+                ExpConfig::Infrastructure,
+                base_cfg.clone().path_tracking(false),
+            ));
+            paths.push(run_gc_time(
+                &w,
+                ExpConfig::Infrastructure,
+                base_cfg.clone().path_tracking(true),
+            ));
         }
         plain.sort();
         paths.sort();
@@ -437,20 +389,16 @@ pub fn ablation_census(reps: usize, scale: f64, take: usize) -> Vec<CensusAblati
         let mut off = Vec::new();
         let mut on = Vec::new();
         for _ in 0..reps.max(1) {
-            off.push(
-                run_once_config(
-                    &w,
-                    ExpConfig::Infrastructure,
-                    base_cfg.clone().census(false),
-                )
-                .expect("runs")
-                .gc,
-            );
-            on.push(
-                run_once_config(&w, ExpConfig::Infrastructure, base_cfg.clone().census(true))
-                    .expect("runs")
-                    .gc,
-            );
+            off.push(run_gc_time(
+                &w,
+                ExpConfig::Infrastructure,
+                base_cfg.clone().census(false),
+            ));
+            on.push(run_gc_time(
+                &w,
+                ExpConfig::Infrastructure,
+                base_cfg.clone().census(true),
+            ));
         }
         off.sort();
         on.sort();
@@ -519,11 +467,7 @@ pub fn ablation_copying(reps: usize, scale: f64, take: usize) -> Vec<CopyingAbla
             .into_iter()
             .enumerate()
             {
-                samples[i].push(
-                    run_once_config(&w, exp, base_cfg.clone().collector(collector))
-                        .expect("runs")
-                        .gc,
-                );
+                samples[i].push(run_gc_time(&w, exp, base_cfg.clone().collector(collector)));
             }
         }
         for s in &mut samples {
@@ -539,210 +483,6 @@ pub fn ablation_copying(reps: usize, scale: f64, take: usize) -> Vec<CopyingAbla
         });
     }
     rows
-}
-
-/// Result of the heap-substrate ablation (Ablation H): the retired
-/// free-list layout vs the BiBOP page substrate on identical
-/// allocation-churn and mark-loop workloads.
-#[derive(Debug, Clone)]
-pub struct BibopAblationRow {
-    /// Objects live at steady state.
-    pub objects: usize,
-    /// Churn rounds (free half, re-allocate half) per measurement.
-    pub rounds: usize,
-    /// Alloc/free churn time on the free-list replica.
-    pub freelist_alloc: Duration,
-    /// Alloc/free churn time on the BiBOP heap.
-    pub bibop_alloc: Duration,
-    /// Mark-loop (scan + per-GC clear) time on the free-list replica.
-    pub freelist_mark: Duration,
-    /// Mark-loop (scan + per-GC clear) time on the BiBOP heap.
-    pub bibop_mark: Duration,
-}
-
-impl BibopAblationRow {
-    /// BiBOP allocation-time delta vs the free list, in percent
-    /// (negative = BiBOP is faster).
-    pub fn alloc_delta(&self) -> f64 {
-        overhead_percent(self.freelist_alloc, self.bibop_alloc)
-    }
-
-    /// BiBOP mark-loop delta vs the free list, in percent.
-    pub fn mark_delta(&self) -> f64 {
-        overhead_percent(self.freelist_mark, self.bibop_mark)
-    }
-}
-
-/// Deterministic LCG step for the churn's scattered free pattern — the
-/// same schedule drives both substrates, so they see identical
-/// fragmentation.
-fn churn_step(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x >> 33
-}
-
-/// Ablation H: the free-list substrate this repository used before the
-/// BiBOP rewrite vs the current page-based heap, on the two loops the
-/// redesign targets.
-///
-/// * **Allocation churn** — build `objects` live objects, run two
-///   untimed warm-up rounds, then time `rounds` steady-state rounds that
-///   free every other object (LCG-scattered) and re-allocate the same
-///   count. The free-list replica pays a dependent load per reuse (the
-///   next-free index lives in the freed slot's memory) plus a validated
-///   free; BiBOP pops a dense per-size-class stack and bumps within a
-///   page.
-/// * **Mark loop** — mark a third of the live objects, then scan the
-///   whole heap for marked objects and clear the per-GC bits, the way a
-///   sweep epilogue or stale-mark check does. The free-list replica
-///   visits every slot and reads a per-object atomic; BiBOP reads one
-///   bitmap word per 64 slots.
-///
-/// Objects are header-only (no reference or data payload), so neither
-/// leg touches the system allocator inside the timed region: payload
-/// boxes cost the same on both substrates by construction (the `Object`
-/// representation is shared), and with real payloads that identical libc
-/// traffic is ~70% of the runtime and its arena-state noise swamps the
-/// substrate signal. The deltas here isolate exactly the bookkeeping the
-/// BiBOP rewrite replaced. Medians of `reps` runs, leg order alternated
-/// per rep so process-allocator drift cancels.
-pub fn ablation_bibop(reps: usize, objects: usize, rounds: usize) -> BibopAblationRow {
-    use freelist::FreeListHeap;
-    use gca_heap::{Flags, Heap};
-
-    // Both legs share one schedule: build `objects`, run two untimed
-    // warm-up churn rounds (the build and first-touch transients are
-    // start-up costs, not allocation throughput), then time `rounds`
-    // steady-state rounds of scattered frees and re-allocation.
-    const WARM_ROUNDS: usize = 2;
-
-    fn freelist_leg(objects: usize, rounds: usize) -> (Duration, Duration) {
-        let mut h = FreeListHeap::new();
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut live: Vec<(u32, u32)> = (0..objects).map(|_| h.alloc(0, 0)).collect();
-        let mut alloc = Duration::ZERO;
-        for round in 0..WARM_ROUNDS + rounds {
-            let t = Instant::now();
-            let mut kept = Vec::with_capacity(live.len());
-            for idx in live {
-                if churn_step(&mut rng) & 1 == 0 {
-                    kept.push(idx);
-                } else {
-                    h.free(idx);
-                }
-            }
-            let freed = objects - kept.len();
-            for _ in 0..freed {
-                kept.push(h.alloc(0, 0));
-            }
-            if round >= WARM_ROUNDS {
-                alloc += t.elapsed();
-            }
-            live = kept;
-        }
-        for (i, &idx) in live.iter().enumerate() {
-            if i % 3 == 0 {
-                h.set_flag(idx, Flags::MARK);
-            }
-        }
-        let t = Instant::now();
-        let marked = h.mark_scan();
-        h.clear_marks();
-        let mark = t.elapsed();
-        std::hint::black_box(marked);
-        (alloc, mark)
-    }
-
-    fn bibop_leg(objects: usize, rounds: usize) -> (Duration, Duration) {
-        let mut heap = Heap::new();
-        let c = heap.register_class("Churn", &[]);
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut live: Vec<_> = (0..objects)
-            .map(|_| heap.alloc(c, 0, 0).expect("alloc"))
-            .collect();
-        let mut alloc = Duration::ZERO;
-        for round in 0..WARM_ROUNDS + rounds {
-            let t = Instant::now();
-            let mut kept = Vec::with_capacity(live.len());
-            for r in live {
-                if churn_step(&mut rng) & 1 == 0 {
-                    kept.push(r);
-                } else {
-                    heap.free(r).expect("free");
-                }
-            }
-            let freed = objects - kept.len();
-            for _ in 0..freed {
-                kept.push(heap.alloc(c, 0, 0).expect("alloc"));
-            }
-            if round >= WARM_ROUNDS {
-                alloc += t.elapsed();
-            }
-            live = kept;
-        }
-        let alloc_total = alloc;
-        for (i, &r) in live.iter().enumerate() {
-            if i % 3 == 0 {
-                heap.set_flag(r, Flags::MARK).expect("live");
-            }
-        }
-        let t = Instant::now();
-        let mut marked = 0u32;
-        for pid in 0..heap.page_count() {
-            let meta = heap.page_meta(pid);
-            marked += (meta.live_mask() & meta.flag_word(Flags::MARK)).count_ones();
-        }
-        for pid in 0..heap.page_count() {
-            heap.clear_flag_word(pid, Flags::PER_GC, u64::MAX);
-        }
-        let mark = t.elapsed();
-        std::hint::black_box(marked);
-        (alloc_total, mark)
-    }
-
-    let mut fl_alloc = Vec::new();
-    let mut bp_alloc = Vec::new();
-    let mut fl_mark = Vec::new();
-    let mut bp_mark = Vec::new();
-
-    // One unmeasured warm-up leg each, then alternate the leg order per
-    // rep: the process allocator's free lists drift as the run ages, and
-    // whichever leg runs second inherits the first leg's bin state — the
-    // alternation cancels that bias in the medians.
-    let _ = freelist_leg(objects, rounds);
-    let _ = bibop_leg(objects, rounds);
-    for rep in 0..reps.max(1) {
-        if rep % 2 == 0 {
-            let (a, m) = freelist_leg(objects, rounds);
-            fl_alloc.push(a);
-            fl_mark.push(m);
-            let (a, m) = bibop_leg(objects, rounds);
-            bp_alloc.push(a);
-            bp_mark.push(m);
-        } else {
-            let (a, m) = bibop_leg(objects, rounds);
-            bp_alloc.push(a);
-            bp_mark.push(m);
-            let (a, m) = freelist_leg(objects, rounds);
-            fl_alloc.push(a);
-            fl_mark.push(m);
-        }
-    }
-
-    let median = |s: &mut Vec<Duration>| {
-        s.sort();
-        s[s.len() / 2]
-    };
-    BibopAblationRow {
-        objects,
-        rounds,
-        freelist_alloc: median(&mut fl_alloc),
-        bibop_alloc: median(&mut bp_alloc),
-        freelist_mark: median(&mut fl_mark),
-        bibop_mark: median(&mut bp_mark),
-    }
 }
 
 /// Result of the eager-vs-GC-assertions comparison (Ablation B).

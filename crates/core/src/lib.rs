@@ -104,7 +104,7 @@ pub use vm::{AssertionCallCounts, Vm};
 // Re-export the substrate types users need to drive the VM.
 pub use gca_collector::{CycleStats, GcStats, HeapPath, PathStep};
 pub use gca_heap::{ClassId, Flags, HeapError, HeapStats, ObjRef, TypeRegistry};
-pub use gca_telemetry::export::parse_jsonl;
+pub use gca_telemetry::export::{escape_json, parse_jsonl};
 pub use gca_telemetry::{
     AssertionKind, AssertionOverhead, CensusData, CensusDrift, CensusEntry, CycleCensus, CycleKind,
     CycleRecord, DriftScope, GcPhase, GcTelemetry, HeapCensus, HeapDiff, HeapDiffRow, JsonlRecord,

@@ -11,7 +11,9 @@
 //! `gca_collector`; the differential test in `tests/check.rs` holds the
 //! two implementations together.
 
-use super::domain::{AbsState, ObjId, Reaction};
+use gc_assertions::{Mode, Reaction};
+
+use super::domain::{AbsState, ObjId};
 
 /// One step on a root-to-object abstract path: the object plus the field
 /// index *through which it was reached* (None for roots).
@@ -321,11 +323,25 @@ pub(crate) fn retire(
     }
 }
 
+/// The nursery epilogue of a major cycle (and of every summary cycle):
+/// each surviving young object becomes old, the remembered set empties.
+pub(super) fn promote_young(st: &mut AbsState) {
+    for y in std::mem::take(&mut st.young) {
+        if st.objects[y].alive {
+            st.objects[y].old = true;
+        }
+    }
+    for o in &mut st.objects {
+        o.remembered = false;
+    }
+    st.remembered.clear();
+}
+
 /// One abstract major collection: ownership phases, root scan, instance
 /// limits, sweep, force-true severing, retirement, and the VM epilogue
 /// (promotion, region purge, halt latch).
 pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
-    let engine = !st.config.base_mode;
+    let engine = st.config.mode != Mode::Base;
     let ownership_active = engine && !st.ownership.is_empty();
     let mut cy = Cycle {
         engine,
@@ -447,16 +463,7 @@ pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
     // VM epilogue: promote nursery survivors after a major, purge dead
     // region-queue entries, latch the halt reaction.
     if st.config.generational.is_some() {
-        let young = std::mem::take(&mut st.young);
-        for y in young {
-            if st.objects[y].alive {
-                st.objects[y].old = true;
-            }
-        }
-        for o in &mut st.objects {
-            o.remembered = false;
-        }
-        st.remembered.clear();
+        promote_young(st);
         st.minors_since_major = 0;
     }
     st.region_queue.retain(|&o| st.objects[o].alive);
@@ -477,7 +484,7 @@ pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
     if st.config.generational.is_none() {
         return Vec::new();
     }
-    let engine = !st.config.base_mode;
+    let engine = st.config.mode != Mode::Base;
     let young = std::mem::take(&mut st.young);
     let remembered = std::mem::take(&mut st.remembered);
     let mut stack: Vec<ObjId> = st.gather_roots();

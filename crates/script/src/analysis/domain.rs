@@ -1,11 +1,18 @@
-//! The abstract heap domain: an allocation-site points-to graph.
+//! The abstract heap domain — the analyzer's only one: an allocation-site
+//! points-to graph that widens into a bounded access graph.
 //!
-//! Because `.gca` scripts are straight-line (no branches, no loops, no
-//! input), the abstract domain never needs to join two states — the
-//! forward interpretation tracks a single abstract heap whose objects are
-//! allocation sites, whose edges are the ref fields written so far, and
-//! whose root set mirrors the mutator stack and global list.  Flow
-//! sensitivity is exactness here: every command transforms the one state.
+//! `.gca` scripts are branch-free and take no input, so the abstract
+//! domain never needs to join two states — the forward interpretation
+//! tracks a single abstract heap whose objects are allocation sites,
+//! whose edges are the ref fields written so far, and whose root set
+//! mirrors the mutator stack and global list.  Straight-line code, small
+//! loops and depth-bounded recursion are replayed exactly, so flow
+//! sensitivity is exactness: every command transforms the one state.
+//! Past the replay bounds an object becomes a per-site summary node with
+//! weak field edges (see [`AbsObj::summary`] and `super::summary`).  The
+//! configuration is not abstracted at all: [`AbsState::config`] is the
+//! runtime's own `VmConfig`, filled in by the same `config` table the
+//! interpreter uses.
 //! The *abstraction* shows up at presentation time instead, as the
 //! Safe < May < Must verdict lattice (see `super`): whenever the
 //! ownership subsystem is active during a collection the analyzer
@@ -13,6 +20,8 @@
 //! must-set sound by construction.
 
 use std::collections::HashMap;
+
+use gc_assertions::VmConfig;
 
 /// Index of an abstract object (an allocation site occurrence).
 pub(crate) type ObjId = usize;
@@ -97,6 +106,33 @@ pub(crate) struct AbsObj {
 }
 
 impl AbsObj {
+    /// A freshly allocated object: live, every flag clear, fields null.
+    pub fn new(class: usize, var: &str, line: usize, nrefs: usize, data_words: usize) -> AbsObj {
+        AbsObj {
+            class,
+            site_var: var.to_owned(),
+            site_line: line,
+            fields: vec![None; nrefs],
+            size_words: data_words,
+            alive: true,
+            dead: false,
+            dead_line: None,
+            unshared: false,
+            unshared_line: None,
+            ownee: false,
+            owner: false,
+            reported: false,
+            old: false,
+            remembered: false,
+            mark: false,
+            owned: false,
+            region: false,
+            region_site: None,
+            summary: false,
+            summary_edges: Vec::new(),
+        }
+    }
+
     /// Total heap words the object occupies.
     pub fn total_words(&self) -> usize {
         HEADER_WORDS + self.fields.len() + self.size_words
@@ -112,73 +148,15 @@ pub(crate) struct OwnerEntry {
     pub ownees: Vec<ObjId>,
 }
 
-/// Mirror of the runtime violation reactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Reaction {
-    /// Record and continue.
-    Log,
-    /// Record and refuse further mutation.
-    Halt,
-    /// For lifetime violations, sever the pinning edge.
-    ForceTrue,
-}
-
-/// Mirror of the runtime VM configuration knobs the analyzer models.
-#[derive(Debug, Clone)]
-pub(crate) struct AbsConfig {
-    /// Heap budget in words.
-    pub heap_budget: usize,
-    /// Whether the heap grows instead of reporting out-of-memory.
-    pub grow: bool,
-    /// Report each violating object at most once, ever.
-    pub report_once: bool,
-    /// Record root-to-object paths (affects force-true edge severing).
-    pub path_tracking: bool,
-    /// Report ownees that survive their owner's death.
-    pub strict_owner_lifetime: bool,
-    /// `Some(n)` = generational mode, full GC every `n` minors.
-    pub generational: Option<usize>,
-    /// Semispace copying backend. Deliberately *unused* by the abstract
-    /// interpretation: copying changes when (at which address) objects
-    /// live, not whether — verdict prediction is collector-agnostic. The
-    /// field exists so the analyzer validates the key (and its conflict
-    /// with `generational`) exactly like the interpreter.
-    pub copying: bool,
-    /// Card-marking minors (vs the remembered-set side list). Deliberately
-    /// *unused* like [`AbsConfig::copying`]: the two strategies reclaim and
-    /// promote identical object sets, so verdict prediction is
-    /// strategy-agnostic. The field exists so the analyzer validates the
-    /// key exactly like the interpreter.
-    pub minor_strategy_cards: bool,
-    /// Global violation reaction.
-    pub reaction: Reaction,
-    /// Base mode: assertion hooks disabled.
-    pub base_mode: bool,
-}
-
-impl Default for AbsConfig {
-    fn default() -> AbsConfig {
-        AbsConfig {
-            heap_budget: 1 << 20,
-            grow: true,
-            report_once: true,
-            path_tracking: true,
-            strict_owner_lifetime: false,
-            generational: None,
-            copying: false,
-            minor_strategy_cards: true,
-            reaction: Reaction::Log,
-            base_mode: false,
-        }
-    }
-}
-
 /// The whole abstract machine state threaded through the forward
 /// interpretation.
 #[derive(Debug, Default)]
 pub(crate) struct AbsState {
-    /// Modeled configuration.
-    pub config: AbsConfig,
+    /// The script's `config` lines applied to the runtime's own type.
+    /// `heap_budget` doubles when the modeled heap grows; the collector
+    /// backend, minor strategy and worker count never change a verdict,
+    /// so the abstract collections do not read them.
+    pub config: VmConfig,
     /// Declared classes.
     pub classes: Vec<AbsClass>,
     /// Class name → index.
@@ -225,12 +203,10 @@ pub(crate) struct AbsState {
     /// the over-approximating access-graph collector (flag state such as
     /// report-once suppression can no longer be tracked exactly).
     pub summarized_ever: bool,
-    /// The per-site strawman domain is active (or a fixpoint failed to
-    /// converge): collections lose field-edge reasoning and treat every
-    /// live object as may-reachable.
-    pub graph_blind: bool,
-    /// A work cap tripped mid-replay, so the abstract heap may be
-    /// missing edges: collections must not claim Safe for anything.
+    /// A summarization fixpoint failed to converge or a work cap tripped
+    /// mid-replay, so the abstract heap may be missing edges: collections
+    /// treat every live object as may-reachable and claim Safe for
+    /// nothing.
     pub havoc: bool,
     /// Occupancy can no longer be tracked exactly (a summarized loop's
     /// total allocation is unknown): implicit-collection and

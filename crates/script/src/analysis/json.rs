@@ -2,58 +2,32 @@
 //! [`SuggestOutcome`](super::SuggestOutcome) for `gca check --json` and
 //! `gca suggest --json`.
 //!
-//! Hand-rolled (the workspace takes no serialization dependency): a
-//! small escaper plus literal structure.  The shape is pinned by a
-//! golden test in `tests/check.rs` — treat it as a public contract.
+//! Hand-rolled (the workspace takes no serialization dependency):
+//! literal structure around the workspace's one JSON string escaper.
+//! The shape is pinned by a golden test in `tests/check.rs` — treat it
+//! as a public contract.
 //! Unlike the classic transcript, the JSON report carries *all*
 //! diagnostics, including the Note-severity advisory lints that
 //! [`Analysis::render`](super::Analysis::render) omits.
 
-use super::{Analysis, DomainKind, Severity, SuggestOutcome};
+use gc_assertions::escape_json;
 
-/// JSON string escaping per RFC 8259 (quote, backslash, control chars).
-fn esc(s: &str) -> String {
+use super::{Analysis, Severity, SuggestOutcome};
+
+/// `s` as a quoted, escaped JSON string.
+fn quoted(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_json(s, &mut out);
     out
 }
 
 fn string_array(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
+    let inner: Vec<String> = items.iter().map(|s| quoted(s)).collect();
     format!("[{}]", inner.join(","))
 }
 
 /// Renders a full `gca check` report as a single JSON object.
-pub fn analysis_to_json(a: &Analysis, domain: DomainKind) -> String {
-    let domain = match domain {
-        DomainKind::AccessGraph => "access-graph",
-        DomainKind::PerSite => "per-site",
-    };
-    let errors = a
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = a
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
-    let notes = a
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Note)
-        .count();
+pub fn analysis_to_json(a: &Analysis) -> String {
     let diags: Vec<String> = a
         .diagnostics
         .iter()
@@ -67,12 +41,12 @@ pub fn analysis_to_json(a: &Analysis, domain: DomainKind) -> String {
                 .column
                 .map_or_else(|| "null".to_owned(), |c| c.to_string());
             format!(
-                "{{\"line\":{},\"column\":{},\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"notes\":{}}}",
+                "{{\"line\":{},\"column\":{},\"severity\":\"{}\",\"code\":{},\"message\":{},\"notes\":{}}}",
                 d.line,
                 column,
                 severity,
-                esc(d.code),
-                esc(&d.message),
+                quoted(d.code),
+                quoted(&d.message),
                 string_array(&d.notes),
             )
         })
@@ -93,11 +67,10 @@ pub fn analysis_to_json(a: &Analysis, domain: DomainKind) -> String {
         })
         .collect();
     format!(
-        "{{\"tool\":\"gca-check\",\"domain\":\"{}\",\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[{}],\"collections\":[{}]}}",
-        domain,
-        errors,
-        warnings,
-        notes,
+        "{{\"tool\":\"gca-check\",\"domain\":\"access-graph\",\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[{}],\"collections\":[{}]}}",
+        a.count(Severity::Error),
+        a.count(Severity::Warning),
+        a.count(Severity::Note),
         diags.join(","),
         collections.join(","),
     )
@@ -108,16 +81,16 @@ pub fn suggest_to_json(o: &SuggestOutcome) -> String {
     let refused = o
         .refused
         .as_ref()
-        .map_or_else(|| "null".to_owned(), |r| format!("\"{}\"", esc(r)));
+        .map_or_else(|| "null".to_owned(), |r| quoted(r));
     let suggestions: Vec<String> = o
         .suggestions
         .iter()
         .map(|s| {
             format!(
-                "{{\"beforeLine\":{},\"text\":\"{}\",\"reason\":\"{}\"}}",
+                "{{\"beforeLine\":{},\"text\":{},\"reason\":{}}}",
                 s.before_line,
-                esc(&s.text),
-                esc(&s.reason),
+                quoted(&s.text),
+                quoted(&s.reason),
             )
         })
         .collect();
@@ -135,14 +108,14 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string_array(&["\u{1}".to_owned()]), "[\"\\u0001\"]");
     }
 
     #[test]
     fn check_json_is_well_formed_for_a_clean_script() {
         let a = super::super::analyze("class T\nnew a T\nroot a\ngc\n").unwrap();
-        let j = analysis_to_json(&a, DomainKind::AccessGraph);
+        let j = analysis_to_json(&a);
         assert!(j.starts_with("{\"tool\":\"gca-check\""), "{j}");
         assert!(j.contains("\"errors\":0"), "{j}");
         assert!(j.contains("\"summarized\":false"), "{j}");

@@ -20,6 +20,15 @@
 //!   are disabled from then on.
 //! * **safe**: nothing reported.
 //!
+//! Two things are deliberately *not* re-modelled here, because a second
+//! copy is how the analyzer and the interpreter drift apart: block
+//! structure (`repeat`/`proc`/`call`, their errors and the `call-depth`
+//! cut) comes from the one recorder in `crate::ast` that the interpreter
+//! also drives, and `config` lines go through the one table in
+//! `crate::config` onto a real `VmConfig`.  What stays separate is what
+//! genuinely differs: exact unrolling vs summarization of a closed
+//! `repeat`, and the replay work cap.
+//!
 //! Diagnostics carry 1-based line/column spans and a root-to-object
 //! abstract path mirroring the paper's Figure-1 reports, e.g.
 //! `occupant: SObject (line 8) -.rep-> fresh_rep: Rep (line 16)`.
@@ -37,27 +46,14 @@ mod summary;
 pub use diag::{Diagnostic, Severity};
 pub use suggest::{apply_suggestions, suggest, SuggestOutcome, Suggestion};
 
-use crate::ast::{parse_script, token_column, Command, Target};
+use gc_assertions::Mode;
+
+use crate::ast::{parse_script, token_column, BlockError, Blocks, Command, Step, Target};
+use crate::config::apply_config;
 use crate::error::ScriptError;
 
 use collect::{Collection, CycleOutcome, PathStep, PredKind, PredViolation};
-use domain::{AbsClass, AbsObj, AbsState, InstanceLimit, ObjId, OwnerEntry, Reaction};
-
-/// Which abstract heap domain drives the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DomainKind {
-    /// Bounded access graphs (the default): `repeat`/`proc` bodies are
-    /// exactly unrolled when small, otherwise summarized to a fixpoint
-    /// with per-site summary nodes and weak field edges — looping
-    /// scripts can still earn Safe (and, via unrolling, Must) verdicts.
-    #[default]
-    AccessGraph,
-    /// The PR 4 per-site strawman: no field-edge reasoning across
-    /// loop or procedure bodies, so every assertion a loop touches
-    /// degrades to May.  Kept as a comparison baseline; `gca check
-    /// --domain per-site` selects it.
-    PerSite,
-}
+use domain::{AbsClass, AbsObj, AbsState, InstanceLimit, ObjId, OwnerEntry};
 
 /// What the analyzer predicts one collection will report.
 #[derive(Debug, Clone)]
@@ -96,9 +92,15 @@ impl Analysis {
     /// verdict or a predicted runtime failure) — the `gca check` exit-2
     /// condition.
     pub fn has_errors(&self) -> bool {
+        self.count(Severity::Error) > 0
+    }
+
+    /// Number of diagnostics at `severity`.
+    pub fn count(&self, severity: Severity) -> usize {
         self.diagnostics
             .iter()
-            .any(|d| d.severity == Severity::Error)
+            .filter(|d| d.severity == severity)
+            .count()
     }
 
     /// Renders every diagnostic plus a one-line verdict summary.
@@ -115,19 +117,11 @@ impl Analysis {
             out.push_str(&d.to_string());
             out.push('\n');
         }
-        let errors = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        let warnings = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
         out.push_str(&format!(
-            "check: {} collection(s) analyzed, {errors} error(s), {warnings} warning(s)\n",
-            self.collections.len()
+            "check: {} collection(s) analyzed, {} error(s), {} warning(s)\n",
+            self.collections.len(),
+            self.count(Severity::Error),
+            self.count(Severity::Warning),
         ));
         out
     }
@@ -143,18 +137,8 @@ impl Analysis {
 /// reported as error-severity [`Diagnostic`]s in the returned
 /// [`Analysis`] instead, with analysis stopping at the first one.
 pub fn analyze(src: &str) -> Result<Analysis, ScriptError> {
-    analyze_with(src, DomainKind::AccessGraph)
-}
-
-/// [`analyze`] with an explicit abstract domain — [`DomainKind::PerSite`]
-/// reproduces the PR 4 baseline's loop-blindness for comparison pins.
-///
-/// # Errors
-///
-/// Parse errors only, exactly like [`analyze`].
-pub fn analyze_with(src: &str, domain: DomainKind) -> Result<Analysis, ScriptError> {
     let commands = parse_script(src)?;
-    let mut an = Analyzer::new(src, domain);
+    let mut an = Analyzer::new(src);
     for (line, cmd) in &commands {
         an.execute(*line, cmd);
         if an.stopped {
@@ -178,26 +162,6 @@ const MAX_ROUNDS: usize = 8;
 /// analyzer stops replaying and goes blind (guards against exponential
 /// multi-call recursion; the runtime bound is depth, not work).
 const REPLAY_WORK_LIMIT: usize = 20_000;
-/// Default `call` depth bound, mirroring the interpreter.
-const DEFAULT_CALL_LIMIT: usize = 16;
-
-/// Which structured block an open recording belongs to.
-#[derive(Debug, Clone)]
-enum BlockKind {
-    Repeat { count: usize },
-    Proc { name: String },
-}
-
-/// A block body being buffered, mirroring the interpreter's recorder.
-#[derive(Debug)]
-struct Recording {
-    kind: BlockKind,
-    line: usize,
-    /// Nested openers: `true` = repeat, `false` = proc.
-    open: Vec<bool>,
-    body: Vec<(usize, Command)>,
-}
-
 /// Per-`assert-dead`-site outcome tracking for the
 /// `redundant-assert-dead` lint.
 #[derive(Debug, Default, Clone, Copy)]
@@ -210,7 +174,6 @@ struct DeadAssertOutcome {
 
 struct Analyzer<'a> {
     st: AbsState,
-    domain: DomainKind,
     lines: Vec<&'a str>,
     diagnostics: Vec<Diagnostic>,
     collections: Vec<GcPrediction>,
@@ -218,14 +181,8 @@ struct Analyzer<'a> {
     halt_line: Option<usize>,
     /// A predicted runtime failure was emitted; analysis stops.
     stopped: bool,
-    /// Open `repeat`/`proc` block being recorded.
-    recording: Option<Recording>,
-    /// Recorded procedure bodies by name.
-    procs: std::collections::HashMap<String, Vec<(usize, Command)>>,
-    /// Dynamic `call` nesting depth (mirrors the interpreter).
-    call_depth: usize,
-    /// `config call-depth` bound.
-    call_limit: usize,
+    /// `repeat`/`proc`/`call` structure, shared with the interpreter.
+    blocks: Blocks,
     /// Depth of summarized-block execution (allocations become summary
     /// nodes, collections run the summary collector).
     summarizing: usize,
@@ -244,19 +201,15 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(src: &'a str, domain: DomainKind) -> Analyzer<'a> {
+    fn new(src: &'a str) -> Analyzer<'a> {
         Analyzer {
             st: AbsState::new(),
-            domain,
             lines: src.lines().collect(),
             diagnostics: Vec::new(),
             collections: Vec::new(),
             halt_line: None,
             stopped: false,
-            recording: None,
-            procs: std::collections::HashMap::new(),
-            call_depth: 0,
-            call_limit: DEFAULT_CALL_LIMIT,
+            blocks: Blocks::new(),
             summarizing: 0,
             quiet: 0,
             replay_work: 0,
@@ -271,6 +224,17 @@ impl<'a> Analyzer<'a> {
     }
 
     fn diag(&mut self, line: usize, severity: Severity, code: &'static str, message: String) {
+        self.diag_with_notes(line, severity, code, message, Vec::new());
+    }
+
+    fn diag_with_notes(
+        &mut self,
+        line: usize,
+        severity: Severity,
+        code: &'static str,
+        message: String,
+        notes: Vec<String>,
+    ) {
         if severity != Severity::Error {
             // Quiet fixpoint rounds converge silently; advisory
             // diagnostics dedupe so replayed bodies emit each once.
@@ -285,7 +249,7 @@ impl<'a> Analyzer<'a> {
             severity,
             code,
             message,
-            notes: Vec::new(),
+            notes,
         });
     }
 
@@ -367,7 +331,7 @@ impl<'a> Analyzer<'a> {
     /// Mirror of `Vm::check_instrumented`: assertions are rejected in
     /// base mode.
     fn check_instrumented(&mut self, line: usize) -> bool {
-        if self.st.config.base_mode {
+        if self.st.config.mode == Mode::Base {
             self.fail(
                 line,
                 "base-mode",
@@ -432,10 +396,11 @@ impl<'a> Analyzer<'a> {
         for (i, step) in path.iter().enumerate() {
             if i > 0 {
                 let field = match (prev_class, step.field) {
-                    (Some(c), Some(f)) => self.st.classes[c].fields[f].clone(),
-                    _ => "?".to_owned(),
+                    // A redeclared class may no longer name an old field.
+                    (Some(c), Some(f)) => self.st.classes[c].fields.get(f).cloned(),
+                    _ => None,
                 };
-                out.push_str(&format!(" -.{field}-> "));
+                out.push_str(&format!(" -.{}-> ", field.as_deref().unwrap_or("?")));
             }
             out.push_str(&self.st.describe(step.obj));
             prev_class = Some(self.st.objects[step.obj].class);
@@ -521,30 +486,25 @@ impl<'a> Analyzer<'a> {
             PredKind::ImproperOwnership => "improper-ownership",
             PredKind::OwneeOutlivedOwner => "ownee-outlived-owner",
         };
-        if severity != Severity::Error
-            && (self.quiet > 0 || !self.seen_advisory.insert((line, code, message.clone())))
-        {
-            return;
-        }
-        let column = self.col(line);
-        self.diagnostics.push(Diagnostic {
-            line,
-            column,
-            severity,
-            code,
-            message,
-            notes,
-        });
+        self.diag_with_notes(line, severity, code, message, notes);
     }
 
     /// Records one major cycle: diagnostics for its violations plus the
-    /// must/may split for the differential harness.
-    fn record_major(&mut self, line: usize, explicit: bool, outcome: CycleOutcome) {
+    /// must/may split for the differential harness.  A `summarized` cycle
+    /// (a collection inside or after a summarized block) stands for all
+    /// dynamic executions of its line and never promises a must-set.
+    fn record_major(
+        &mut self,
+        line: usize,
+        explicit: bool,
+        outcome: CycleOutcome,
+        summarized: bool,
+    ) {
         // The humility rule: a cycle that began with live ownership
         // entries gets every verdict downgraded to may, and exactness —
         // which gates expectation predictions — is gone for the rest of
         // the script.
-        let may = outcome.ownership_active;
+        let may = summarized || outcome.ownership_active;
         if may {
             self.st.exact = false;
         }
@@ -552,16 +512,15 @@ impl<'a> Analyzer<'a> {
             self.halt_line = Some(line);
         }
         self.mark_dead_outcomes(&outcome.violations);
-        let mut must_summaries = Vec::new();
-        let mut may_summaries = Vec::new();
         for v in &outcome.violations {
             self.violation_diag(line, v, may);
-            if may {
-                may_summaries.push(v.summary.clone());
-            } else {
-                must_summaries.push(v.summary.clone());
-            }
         }
+        let summaries = outcome.violations.iter().map(|v| v.summary.clone());
+        let (must, may) = if may {
+            (Vec::new(), summaries.collect())
+        } else {
+            (summaries.collect(), Vec::new())
+        };
         if explicit {
             self.st.last_report = outcome.violations.clone();
         }
@@ -570,35 +529,9 @@ impl<'a> Analyzer<'a> {
             line,
             explicit,
             minor: false,
-            must: must_summaries,
-            may: may_summaries,
-            summarized: false,
-        });
-    }
-
-    /// Records one *summary* cycle (a collection inside or after a
-    /// summarized block): every verdict is may, the must-set is empty by
-    /// construction, and the prediction stands for all dynamic
-    /// executions of this line.
-    fn record_summary(&mut self, line: usize, explicit: bool, outcome: CycleOutcome) {
-        self.st.exact = false;
-        self.mark_dead_outcomes(&outcome.violations);
-        let mut may_summaries = Vec::new();
-        for v in &outcome.violations {
-            self.violation_diag(line, v, true);
-            may_summaries.push(v.summary.clone());
-        }
-        if explicit {
-            self.st.last_report = outcome.violations.clone();
-        }
-        self.st.violation_log.extend(outcome.violations);
-        self.collections.push(GcPrediction {
-            line,
-            explicit,
-            minor: false,
-            must: Vec::new(),
-            may: may_summaries,
-            summarized: true,
+            must,
+            may,
+            summarized,
         });
     }
 
@@ -629,7 +562,7 @@ impl<'a> Analyzer<'a> {
     fn record_auto(&mut self, line: usize, events: Vec<Collection>) {
         for ev in events {
             match ev {
-                Collection::Major(outcome) => self.record_major(line, false, outcome),
+                Collection::Major(outcome) => self.record_major(line, false, outcome, false),
                 Collection::Minor(violations) => self.record_minor(line, violations, false),
             }
         }
@@ -704,158 +637,54 @@ impl<'a> Analyzer<'a> {
         self.summarizing > 0 || self.st.summarized_ever
     }
 
-    /// Top-level dispatch, mirroring the interpreter's streaming
-    /// recorder: while a block is open, commands buffer; structured
-    /// commands open/close blocks; everything else interprets directly.
+    fn block_fail(&mut self, code: &'static str, e: BlockError) {
+        self.fail(e.line, code, e.to_string());
+    }
+
+    /// Top-level dispatch over the shared block recorder: buffered
+    /// commands do nothing, a closed `repeat` unrolls or summarizes,
+    /// everything else interprets directly.
     fn execute(&mut self, line: usize, cmd: &Command) {
-        if self.recording.is_some() {
-            self.record(line, cmd);
-            return;
-        }
-        match cmd {
-            Command::Repeat(count) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Repeat { count: *count },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-            }
-            Command::Proc(name) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Proc { name: name.clone() },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-            }
-            Command::EndRepeat => self.fail(
-                line,
-                "block-structure",
-                "`end-repeat` without an open `repeat`".to_owned(),
-            ),
-            Command::EndProc => self.fail(
-                line,
-                "block-structure",
-                "`end-proc` without an open `proc`".to_owned(),
-            ),
-            Command::Call(name) => {
-                let name = name.clone();
-                self.run_call(line, &name);
-            }
-            _ => self.execute_one(line, cmd),
+        match self.blocks.feed(line, cmd) {
+            Err(e) => self.block_fail("block-structure", e),
+            Ok(Step::Recorded) => {}
+            Ok(Step::Repeat { count, body }) => self.run_repeat(count, &body),
+            Ok(Step::Run) => match cmd {
+                Command::Call(name) => self.run_call(line, name),
+                _ => self.execute_one(line, cmd),
+            },
         }
     }
 
-    /// Buffers one command into the open recording, tracking nested
-    /// block structure; the matching closer replays or stores the body.
-    fn record(&mut self, line: usize, cmd: &Command) {
-        let closes_repeat = match cmd {
-            Command::EndRepeat => true,
-            Command::EndProc => false,
-            _ => {
-                let rec = self.recording.as_mut().expect("recording is open");
-                match cmd {
-                    Command::Repeat(_) => rec.open.push(true),
-                    Command::Proc(_) => rec.open.push(false),
-                    _ => {}
-                }
-                rec.body.push((line, cmd.clone()));
-                return;
-            }
-        };
-        let rec = self.recording.as_mut().expect("recording is open");
-        if let Some(opener_is_repeat) = rec.open.pop() {
-            if opener_is_repeat == closes_repeat {
-                rec.body.push((line, cmd.clone()));
-            } else {
-                self.block_mismatch(line, closes_repeat);
-            }
-            return;
-        }
-        let kind_is_repeat = matches!(rec.kind, BlockKind::Repeat { .. });
-        if kind_is_repeat != closes_repeat {
-            self.block_mismatch(line, closes_repeat);
-            return;
-        }
-        let rec = self.recording.take().expect("checked above");
-        match rec.kind {
-            BlockKind::Repeat { count } => self.run_repeat(count, &rec.body),
-            BlockKind::Proc { name } => {
-                self.procs.insert(name, rec.body);
-            }
-        }
-    }
-
-    fn block_mismatch(&mut self, line: usize, closes_repeat: bool) {
-        let msg = if closes_repeat {
-            "`end-repeat` cannot close a `proc` (use `end-proc`)"
-        } else {
-            "`end-proc` cannot close a `repeat` (use `end-repeat`)"
-        };
-        self.fail(line, "block-structure", msg.to_owned());
-    }
-
-    /// One `call`: exact depth-bounded replay under the access-graph
-    /// domain (mirroring the runtime), a blind summarized pass under
-    /// per-site.
+    /// One `call`: exact depth-bounded replay, mirroring the runtime.
     fn run_call(&mut self, line: usize, name: &str) {
-        let Some(body) = self.procs.get(name).cloned() else {
-            self.fail(
-                line,
-                "unknown-proc",
-                format!("call of undefined proc `{name}` (define it with `proc {name}` first)"),
-            );
-            return;
-        };
-        if self.call_depth >= self.call_limit {
+        let body = match self.blocks.enter_call(line, name) {
+            Err(e) => return self.block_fail("unknown-proc", e),
             // The runtime treats a call at the depth bound as a no-op.
-            return;
-        }
-        if self.call_depth == 0 && self.summarizing == 0 {
+            Ok(None) => return,
+            Ok(Some(body)) => body,
+        };
+        if self.blocks.call_depth() == 1 && self.summarizing == 0 {
             self.replay_work = 0;
         }
-        match self.domain {
-            DomainKind::AccessGraph => {
-                self.call_depth += 1;
-                for (l, c) in &body {
-                    self.replay_work += 1;
-                    if self.replay_work > REPLAY_WORK_LIMIT {
-                        // Multi-call recursion can be exponential in the
-                        // depth bound; past the work cap the heap may be
-                        // missing edges, so go blind instead.
-                        self.st.exact = false;
-                        self.st.summarized_ever = true;
-                        self.st.occupancy_unknown = true;
-                        self.st.havoc = true;
-                        break;
-                    }
-                    self.execute(*l, c);
-                    if self.stopped {
-                        break;
-                    }
-                }
-                self.call_depth -= 1;
-            }
-            DomainKind::PerSite => {
-                // The strawman never replays: one blind summarized pass
-                // per call level.
+        for (l, c) in body.iter() {
+            self.replay_work += 1;
+            if self.replay_work > REPLAY_WORK_LIMIT {
+                // Multi-call recursion can be exponential in the depth
+                // bound; past the work cap the heap may be missing
+                // edges, so go blind instead.
                 self.st.exact = false;
                 self.st.summarized_ever = true;
                 self.st.occupancy_unknown = true;
-                self.st.graph_blind = true;
-                self.summarizing += 1;
-                self.call_depth += 1;
-                for (l, c) in &body {
-                    self.execute(*l, c);
-                    if self.stopped {
-                        break;
-                    }
-                }
-                self.call_depth -= 1;
-                self.summarizing -= 1;
+                self.st.havoc = true;
+                break;
+            }
+            self.execute(*l, c);
+            if self.stopped {
+                break;
             }
         }
+        self.blocks.exit_call();
     }
 
     /// One `repeat`: small bodies unroll exactly (keeping Must/Safe
@@ -866,7 +695,7 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let cost = count.saturating_mul(body.len());
-        if self.domain == DomainKind::AccessGraph && cost <= UNROLL_LIMIT {
+        if cost <= UNROLL_LIMIT {
             for _ in 0..count {
                 for (l, c) in body {
                     self.execute(*l, c);
@@ -892,9 +721,6 @@ impl<'a> Analyzer<'a> {
         self.st.exact = false;
         self.st.summarized_ever = true;
         self.st.occupancy_unknown = true;
-        if self.domain == DomainKind::PerSite {
-            self.st.graph_blind = true;
-        }
         self.summarizing += 1;
         self.quiet += 1;
         let mut converged = false;
@@ -1022,17 +848,8 @@ impl<'a> Analyzer<'a> {
         if self.stopped {
             return;
         }
-        if let Some(rec) = self.recording.take() {
-            let msg = match &rec.kind {
-                BlockKind::Repeat { .. } => {
-                    "`repeat` opened here is never closed by `end-repeat`".to_owned()
-                }
-                BlockKind::Proc { name } => {
-                    format!("`proc {name}` opened here is never closed by `end-proc`")
-                }
-            };
-            self.fail(rec.line, "block-structure", msg);
-            return;
+        if let Err(e) = self.blocks.finish() {
+            return self.block_fail("block-structure", e);
         }
         let safe_sites: Vec<usize> = self
             .dead_asserts
@@ -1060,21 +877,31 @@ impl<'a> Analyzer<'a> {
             Command::Config { key, value } => self.exec_config(line, key, value),
             Command::Class { name, fields } => {
                 self.st.started = true;
-                if self.st.class_by_name.contains_key(name.as_str()) {
-                    self.warn(
-                        line,
-                        "class-redeclared",
-                        format!("class `{name}` is declared again; earlier objects keep the old declaration"),
-                    );
+                match self.st.class_by_name.get(name.as_str()) {
+                    // `TypeRegistry::register` returns the existing id for
+                    // a repeated name, so this is still one class: limits
+                    // and instance counts are shared, and the interpreter
+                    // resolves `new`/`set` against the latest field list.
+                    Some(&idx) => {
+                        self.st.classes[idx].fields = fields.clone();
+                        self.warn(
+                            line,
+                            "class-redeclared",
+                            format!("class `{name}` is declared again; it stays one class, and `new`/`set` now use this field list"),
+                        );
+                    }
+                    None => {
+                        self.st
+                            .class_by_name
+                            .insert(name.clone(), self.st.classes.len());
+                        self.st.classes.push(AbsClass {
+                            name: name.clone(),
+                            fields: fields.clone(),
+                            limit: None,
+                            gc_count: 0,
+                        });
+                    }
                 }
-                let idx = self.st.classes.len();
-                self.st.classes.push(AbsClass {
-                    name: name.clone(),
-                    fields: fields.clone(),
-                    limit: None,
-                    gc_count: 0,
-                });
-                self.st.class_by_name.insert(name.clone(), idx);
             }
             Command::New {
                 var,
@@ -1098,27 +925,8 @@ impl<'a> Analyzer<'a> {
                         _ => {
                             let id = self.st.objects.len();
                             self.st.objects.push(AbsObj {
-                                class: cls,
-                                site_var: var.clone(),
-                                site_line: line,
-                                fields: vec![None; nrefs],
-                                size_words: *data_words,
-                                alive: true,
-                                dead: false,
-                                dead_line: None,
-                                unshared: false,
-                                unshared_line: None,
-                                ownee: false,
-                                owner: false,
-                                reported: false,
-                                old: false,
-                                remembered: false,
-                                mark: false,
-                                owned: false,
-                                region: false,
-                                region_site: None,
                                 summary: true,
-                                summary_edges: Vec::new(),
+                                ..AbsObj::new(cls, var, line, nrefs, *data_words)
                             });
                             self.st.summary_by_line.insert(line, id);
                             id
@@ -1174,27 +982,9 @@ impl<'a> Analyzer<'a> {
                 }
                 let id = self.st.objects.len();
                 self.st.objects.push(AbsObj {
-                    class: cls,
-                    site_var: var.clone(),
-                    site_line: line,
-                    fields: vec![None; nrefs],
-                    size_words: *data_words,
-                    alive: true,
-                    dead: false,
-                    dead_line: None,
-                    unshared: false,
-                    unshared_line: None,
-                    ownee: false,
-                    owner: false,
-                    reported: false,
-                    old: false,
-                    remembered: false,
-                    mark: false,
-                    owned: false,
                     region: self.st.region_open,
                     region_site: self.st.region_open.then_some(self.st.region_line),
-                    summary: false,
-                    summary_edges: Vec::new(),
+                    ..AbsObj::new(cls, var, line, nrefs, *data_words)
                 });
                 self.st.occupied += size;
                 if self.st.config.generational.is_some() {
@@ -1214,20 +1004,6 @@ impl<'a> Analyzer<'a> {
                     return;
                 }
                 let cls = self.st.objects[recv].class;
-                // The interpreter resolves the field against the *current*
-                // declaration of the class name; a redeclaration orphans
-                // older objects.
-                if self.st.class_by_name.get(&self.st.classes[cls].name) != Some(&cls) {
-                    self.fail(
-                        line,
-                        "unknown-class",
-                        format!(
-                            "`{var}`'s class `{}` was redeclared; its old declaration is no longer known to the interpreter",
-                            self.st.classes[cls].name
-                        ),
-                    );
-                    return;
-                }
                 let Some(idx) = self.st.classes[cls].fields.iter().position(|f| f == field) else {
                     self.fail(
                         line,
@@ -1246,6 +1022,20 @@ impl<'a> Analyzer<'a> {
                         None => return,
                     },
                 };
+                // An object allocated before its class was redeclared
+                // keeps its old layout; the VM bounds-checks the store.
+                let nrefs = self.st.objects[recv].fields.len();
+                if idx >= nrefs {
+                    self.fail(
+                        line,
+                        "field-bounds",
+                        format!(
+                            "field `{field}` is index {idx}, but {} was allocated with {nrefs} reference field(s)",
+                            self.st.describe(recv)
+                        ),
+                    );
+                    return;
+                }
                 // Generational write barrier mirror.
                 if let Some(v) = val {
                     if self.st.config.generational.is_some()
@@ -1493,11 +1283,11 @@ impl<'a> Analyzer<'a> {
                         // verdict history still feeds the lints.
                         self.mark_dead_outcomes(&outcome.violations);
                     } else {
-                        self.record_summary(line, true, outcome);
+                        self.record_major(line, true, outcome, true);
                     }
                 } else {
                     let outcome = collect::collect_major(&mut self.st);
-                    self.record_major(line, true, outcome);
+                    self.record_major(line, true, outcome, false);
                 }
             }
             Command::MinorGc => {
@@ -1697,119 +1487,13 @@ impl<'a> Analyzer<'a> {
             );
             return;
         }
-        let cfg = &mut self.st.config;
-        let ok = match key {
-            "heap" => match value.parse() {
-                Ok(v) => {
-                    cfg.heap_budget = v;
-                    true
-                }
-                Err(_) => false,
-            },
-            "grow" => parse_bool(value).map(|v| cfg.grow = v).is_some(),
-            "report-once" => parse_bool(value).map(|v| cfg.report_once = v).is_some(),
-            "path-tracking" => parse_bool(value).map(|v| cfg.path_tracking = v).is_some(),
-            "strict-owner-lifetime" => parse_bool(value)
-                .map(|v| cfg.strict_owner_lifetime = v)
-                .is_some(),
-            "generational" => match value.parse() {
-                Ok(_) if cfg.copying => {
-                    self.fail(
-                        line,
-                        "bad-config",
-                        "the copying collector is full-heap; it cannot be generational".to_owned(),
-                    );
-                    return;
-                }
-                Ok(v) => {
-                    cfg.generational = Some(v);
-                    true
-                }
-                Err(_) => false,
-            },
-            "collector" => match value {
-                "mark-sweep" | "marksweep" => {
-                    cfg.copying = false;
-                    true
-                }
-                "copying" if cfg.generational.is_some() => {
-                    self.fail(
-                        line,
-                        "bad-config",
-                        "the copying collector is full-heap; it cannot be generational".to_owned(),
-                    );
-                    return;
-                }
-                "copying" => {
-                    cfg.copying = true;
-                    true
-                }
-                _ => false,
-            },
-            "minor-strategy" => match value {
-                "cards" => {
-                    cfg.minor_strategy_cards = true;
-                    true
-                }
-                "remembered-set" => {
-                    cfg.minor_strategy_cards = false;
-                    true
-                }
-                _ => false,
-            },
-            "reaction" => match value {
-                "log" => {
-                    cfg.reaction = Reaction::Log;
-                    true
-                }
-                "halt" => {
-                    cfg.reaction = Reaction::Halt;
-                    true
-                }
-                "force-true" => {
-                    cfg.reaction = Reaction::ForceTrue;
-                    true
-                }
-                _ => false,
-            },
-            "mode" => match value {
-                "base" => {
-                    cfg.base_mode = true;
-                    true
-                }
-                "instrumented" => {
-                    cfg.base_mode = false;
-                    true
-                }
-                _ => false,
-            },
-            // Worker count changes scheduling, never verdicts — the
-            // analyzer only validates the value.
-            "gc-threads" => value.parse::<usize>().is_ok(),
-            "call-depth" => match value.parse::<usize>() {
-                Ok(v) => {
-                    self.call_limit = v;
-                    true
-                }
-                Err(_) => false,
-            },
-            _ => false,
-        };
-        if !ok {
+        if let Err(e) = apply_config(&mut self.st.config, &mut self.blocks.call_limit, key, value) {
             self.fail(
                 line,
                 "bad-config",
-                format!("bad config: `{key} {value}` is not a recognized setting"),
+                format!("bad config `{key} {value}`: {e}"),
             );
         }
-    }
-}
-
-fn parse_bool(s: &str) -> Option<bool> {
-    match s {
-        "on" | "true" | "yes" => Some(true),
-        "off" | "false" | "no" => Some(false),
-        _ => None,
     }
 }
 
@@ -2027,8 +1711,9 @@ mod tests {
         assert!(r.contains("1 error(s)"), "{r}");
     }
 
-    /// A list built by a large loop, then severed: per-site can only say
-    /// May, the access graph proves Safe.
+    /// A list built by a large loop, then severed: the access graph
+    /// proves Safe (the retired per-site strawman could only say May —
+    /// EXPERIMENTS.md records that comparison).
     const LIST_LOOP: &str = "class Head next\nclass Cell next\nnew head Head\nroot head\ncopy prev head\nrepeat 200\nnew cell Cell\nset prev.next cell\ncopy prev cell\nend-repeat\nset head.next null\nassert-dead prev\ngc\nexpect-violations 0\n";
 
     #[test]
@@ -2040,11 +1725,6 @@ mod tests {
         assert!(gc.summarized);
         assert!(gc.must.is_empty());
         assert!(gc.may.is_empty());
-
-        let b = analyze_with(LIST_LOOP, DomainKind::PerSite).unwrap();
-        assert!(errors(&b).is_empty(), "{:?}", b.diagnostics);
-        assert_eq!(warnings(&b), ["dead-reachable"], "{:?}", b.diagnostics);
-        assert_eq!(b.collections[0].may, ["dead-reachable Cell"]);
     }
 
     #[test]
@@ -2070,19 +1750,6 @@ mod tests {
         .unwrap();
         assert!(errors(&a).is_empty(), "{:?}", a.diagnostics);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-    }
-
-    #[test]
-    fn per_site_is_blind_through_procs() {
-        let b = analyze_with(
-            "class T\nproc make\nnew t T\nend-proc\ncall make\nassert-dead t\ngc\n",
-            DomainKind::PerSite,
-        )
-        .unwrap();
-        // t is genuinely unreachable (never rooted), but the blind
-        // domain cannot prove it: May, not Safe, and never Must.
-        assert!(errors(&b).is_empty(), "{:?}", b.diagnostics);
-        assert_eq!(warnings(&b), ["dead-reachable"], "{:?}", b.diagnostics);
     }
 
     #[test]

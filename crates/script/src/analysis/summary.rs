@@ -13,19 +13,19 @@
 //!   over-approximates runtime reachability at every iteration of the
 //!   summarized loop, so:
 //! * objects that are **not** may-reachable are provably unreachable and
-//!   are swept (this is where looping scripts earn Safe verdicts the
-//!   per-site domain cannot give), and
+//!   are swept (this is where looping scripts earn Safe verdicts), and
 //! * every assertion that *could* fire on a may-reachable object becomes
 //!   a **may** verdict — the must-set of a summary collection is always
 //!   empty, keeping the differential soundness contract trivially.
 //!
-//! Under [`graph_blind`](super::domain::AbsState::graph_blind) (the
-//! per-site strawman domain, or a fixpoint that failed to converge) the
-//! BFS is replaced by "every live object is may-reachable": no Safe
-//! verdicts, nothing swept — the behavior the PR 4 domain would have had
-//! if it met a loop.
+//! Under [`havoc`](super::domain::AbsState::havoc) (a fixpoint that
+//! failed to converge, or a replay work cap that tripped) the BFS is
+//! replaced by "every live object is may-reachable": no Safe verdicts,
+//! nothing swept.
 
-use super::collect::{retire, CycleOutcome, PathStep, PredKind, PredViolation};
+use gc_assertions::Mode;
+
+use super::collect::{promote_young, retire, CycleOutcome, PathStep, PredKind, PredViolation};
 use super::domain::{AbsState, ObjId};
 
 /// May-reachability over the access graph: `(reached, parent-edge)` per
@@ -35,7 +35,7 @@ fn may_reach(st: &AbsState) -> (Vec<bool>, Vec<Option<(ObjId, usize)>>) {
     let n = st.objects.len();
     let mut may = vec![false; n];
     let mut parent: Vec<Option<(ObjId, usize)>> = vec![None; n];
-    if st.graph_blind || st.havoc {
+    if st.havoc {
         for (i, o) in st.objects.iter().enumerate() {
             may[i] = o.alive;
         }
@@ -68,7 +68,7 @@ fn may_reach(st: &AbsState) -> (Vec<bool>, Vec<Option<(ObjId, usize)>>) {
 /// Witness path root→`obj` from the BFS parent chain (empty when path
 /// tracking is off or the domain is blind).
 fn witness_path(st: &AbsState, parent: &[Option<(ObjId, usize)>], obj: ObjId) -> Vec<PathStep> {
-    if !st.config.path_tracking || st.graph_blind || st.havoc {
+    if !st.config.path_tracking || st.havoc {
         return Vec::new();
     }
     let mut rev = vec![PathStep { obj, field: None }];
@@ -95,7 +95,7 @@ fn witness_path(st: &AbsState, parent: &[Option<(ObjId, usize)>], obj: ObjId) ->
 /// modeled by the verdicts being *may*).
 pub(crate) fn collect_summary(st: &mut AbsState) -> CycleOutcome {
     st.occupancy_unknown = true;
-    let engine = !st.config.base_mode;
+    let engine = st.config.mode != Mode::Base;
     let ownership_active = engine && !st.ownership.is_empty();
     let (may, parent) = may_reach(st);
     let mut violations = Vec::new();
@@ -185,16 +185,7 @@ pub(crate) fn collect_summary(st: &mut AbsState) -> CycleOutcome {
         retire(st, &swept_ownees, &swept_owners, &mut violations);
     }
     if st.config.generational.is_some() {
-        let young = std::mem::take(&mut st.young);
-        for y in young {
-            if st.objects[y].alive {
-                st.objects[y].old = true;
-            }
-        }
-        for o in &mut st.objects {
-            o.remembered = false;
-        }
-        st.remembered.clear();
+        promote_young(st);
         st.minors_since_major = 0;
     }
     st.region_queue.retain(|&o| st.objects[o].alive);
@@ -210,16 +201,7 @@ pub(crate) fn collect_summary(st: &mut AbsState) -> CycleOutcome {
 pub(crate) fn collect_minor_summary(st: &mut AbsState) -> Vec<PredViolation> {
     // Without generational mode the runtime's minor is a no-op.
     if st.config.generational.is_some() {
-        let young = std::mem::take(&mut st.young);
-        for y in young {
-            if st.objects[y].alive {
-                st.objects[y].old = true;
-            }
-        }
-        for o in &mut st.objects {
-            o.remembered = false;
-        }
-        st.remembered.clear();
+        promote_young(st);
         st.minors_since_major += 1;
     }
     Vec::new()

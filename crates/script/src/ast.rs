@@ -1,4 +1,9 @@
-//! Commands and the line parser.
+//! Commands, the line parser, and the `repeat`/`proc`/`call` block
+//! recorder that the interpreter and the analyzer both drive.
+
+use std::collections::HashMap;
+use std::fmt;
+use std::rc::Rc;
 
 use crate::error::{ScriptError, ScriptErrorKind};
 
@@ -398,6 +403,219 @@ pub fn parse_script(src: &str) -> Result<Vec<(usize, Command)>, ScriptError> {
         }
     }
     Ok(out)
+}
+
+/// A recorded block body, shared by the proc table and every replay.
+pub(crate) type Body = Rc<[(usize, Command)]>;
+
+/// Which structured block an open [`Recording`] belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum BlockKind {
+    /// `repeat <n>` … `end-repeat`: replay the body `n` times on close.
+    Repeat(usize),
+    /// `proc <name>` … `end-proc`: store the body for later `call`s.
+    Proc(String),
+}
+
+/// A block body being recorded.  While a recording is open, commands are
+/// buffered instead of executed; the matching `end-repeat`/`end-proc`
+/// closes it.  Nested blocks stay flat in the buffer — replay re-records
+/// them naturally.
+#[derive(Debug)]
+struct Recording {
+    kind: BlockKind,
+    /// Line of the opening `repeat`/`proc`, for unclosed-block errors.
+    line: usize,
+    /// Openers nested inside the body: `true` for `repeat`, `false` for
+    /// `proc`.  Used to match each `end-*` against the right opener.
+    open: Vec<bool>,
+    body: Vec<(usize, Command)>,
+}
+
+/// A block-structure error and the line it belongs to (the offending
+/// command's, or the opener's for an unclosed block).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BlockError {
+    pub line: usize,
+    fault: BlockFault,
+}
+
+/// `bool` fields: `true` for `end-repeat`, `false` for `end-proc`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum BlockFault {
+    /// A closer with no block open.
+    Stray(bool),
+    /// A closer of the wrong kind for the innermost open block.
+    Crossed(bool),
+    /// End of script with this block still open.
+    Unclosed(BlockKind),
+    /// `call` of a name no `proc` defined.
+    UnknownProc(String),
+}
+
+impl fmt::Display for BlockError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let word = |repeat: bool| if repeat { "repeat" } else { "proc" };
+        match &self.fault {
+            BlockFault::Stray(r) => {
+                write!(f, "`end-{0}` without an open `{0}`", word(*r))
+            }
+            BlockFault::Crossed(r) => write!(
+                f,
+                "`end-{0}` cannot close a `{1}` (use `end-{1}`)",
+                word(*r),
+                word(!*r)
+            ),
+            BlockFault::Unclosed(kind) => {
+                let (opener, closer) = match kind {
+                    BlockKind::Repeat(_) => ("repeat".to_owned(), "end-repeat"),
+                    BlockKind::Proc(name) => (format!("proc {name}"), "end-proc"),
+                };
+                write!(f, "`{opener}` opened here is never closed by `{closer}`")
+            }
+            BlockFault::UnknownProc(name) => write!(
+                f,
+                "call of undefined proc `{name}` (define it with `proc {name}` first)"
+            ),
+        }
+    }
+}
+
+/// What [`Blocks::feed`] decided about one command.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Buffered into the open recording, or it completed a `proc`
+    /// definition: nothing runs now.
+    Recorded,
+    /// Not block structure: the caller runs the command (`call` included,
+    /// through [`Blocks::enter_call`]).
+    Run,
+    /// The outermost `repeat` just closed: run `body` `count` times.
+    Repeat { count: usize, body: Body },
+}
+
+/// Default `call` depth bound; override with `config call-depth <n>`.
+const DEFAULT_CALL_LIMIT: usize = 16;
+
+/// The streaming block recorder: the open recording, the proc table and
+/// the `call` depth.  Fed one command at a time from a flat
+/// [`parse_script`] stream, it is the single definition of the block
+/// structure the interpreter executes and the analyzer predicts.
+#[derive(Debug)]
+pub(crate) struct Blocks {
+    recording: Option<Recording>,
+    procs: HashMap<String, Body>,
+    /// Current dynamic `call` nesting depth.
+    depth: usize,
+    /// Depth bound: a `call` at this depth is a silent no-op, which is
+    /// what makes unconditionally recursive procedures terminate.
+    pub call_limit: usize,
+}
+
+impl Blocks {
+    pub fn new() -> Blocks {
+        Blocks {
+            recording: None,
+            procs: HashMap::new(),
+            depth: 0,
+            call_limit: DEFAULT_CALL_LIMIT,
+        }
+    }
+
+    /// Whether a `repeat`/`proc` recording is open — commands fed now
+    /// are buffered, not run.
+    pub fn is_recording(&self) -> bool {
+        self.recording.is_some()
+    }
+
+    /// Current dynamic `call` nesting depth.
+    pub fn call_depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Classifies one command against the block structure so far.
+    pub fn feed(&mut self, line: usize, cmd: &Command) -> Result<Step, BlockError> {
+        let fault = |fault| Err(BlockError { line, fault });
+        let Some(rec) = &mut self.recording else {
+            let kind = match cmd {
+                Command::Repeat(count) => BlockKind::Repeat(*count),
+                Command::Proc(name) => BlockKind::Proc(name.clone()),
+                Command::EndRepeat => return fault(BlockFault::Stray(true)),
+                Command::EndProc => return fault(BlockFault::Stray(false)),
+                _ => return Ok(Step::Run),
+            };
+            self.recording = Some(Recording {
+                kind,
+                line,
+                open: Vec::new(),
+                body: Vec::new(),
+            });
+            return Ok(Step::Recorded);
+        };
+        // A block is open: everything buffers, except the closer of the
+        // outermost block.
+        let closes_repeat = match cmd {
+            Command::EndRepeat => Some(true),
+            Command::EndProc => Some(false),
+            _ => None,
+        };
+        if let Some(closes_repeat) = closes_repeat {
+            let nested = rec.open.pop();
+            let opener_is_repeat = nested.unwrap_or(matches!(rec.kind, BlockKind::Repeat(_)));
+            if opener_is_repeat != closes_repeat {
+                return fault(BlockFault::Crossed(closes_repeat));
+            }
+            if nested.is_none() {
+                // Closes the outermost open block.
+                let rec = self.recording.take().expect("recording is open");
+                let body = Body::from(rec.body);
+                return Ok(match rec.kind {
+                    BlockKind::Repeat(count) => Step::Repeat { count, body },
+                    BlockKind::Proc(name) => {
+                        self.procs.insert(name, body);
+                        Step::Recorded
+                    }
+                });
+            }
+        }
+        match cmd {
+            Command::Repeat(_) => rec.open.push(true),
+            Command::Proc(_) => rec.open.push(false),
+            _ => {}
+        }
+        rec.body.push((line, cmd.clone()));
+        Ok(Step::Recorded)
+    }
+
+    /// Enters `call <name>`: `Some(body)` to run (then [`Blocks::exit_call`]),
+    /// or `None` at the depth bound, where the call is a no-op.
+    pub fn enter_call(&mut self, line: usize, name: &str) -> Result<Option<Body>, BlockError> {
+        let Some(body) = self.procs.get(name) else {
+            let fault = BlockFault::UnknownProc(name.to_owned());
+            return Err(BlockError { line, fault });
+        };
+        if self.depth >= self.call_limit {
+            return Ok(None);
+        }
+        self.depth += 1;
+        Ok(Some(Rc::clone(body)))
+    }
+
+    /// Leaves the body entered by the matching [`Blocks::enter_call`].
+    pub fn exit_call(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// End of script: an open block is an error at its opener's line.
+    pub fn finish(&self) -> Result<(), BlockError> {
+        match &self.recording {
+            Some(rec) => Err(BlockError {
+                line: rec.line,
+                fault: BlockFault::Unclosed(rec.kind.clone()),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

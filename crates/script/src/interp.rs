@@ -2,11 +2,10 @@
 
 use std::collections::HashMap;
 
-use gc_assertions::{
-    ClassId, CollectorKind, GcReport, MinorStrategy, Mode, ObjRef, Reaction, Vm, VmConfig,
-};
+use gc_assertions::{ClassId, GcReport, ObjRef, Vm, VmConfig};
 
-use crate::ast::{parse_script, Command, Target};
+use crate::ast::{parse_script, BlockError, Blocks, Command, Step, Target};
+use crate::config::apply_config;
 use crate::error::{ScriptError, ScriptErrorKind};
 
 /// Everything a script run produced: the printed lines and final state
@@ -28,30 +27,6 @@ pub struct Output {
     /// three times under the same line — this is what the differential
     /// soundness harness aligns the analyzer's predictions against.
     pub explicit_gcs: Vec<(usize, Vec<String>)>,
-}
-
-/// Which structured block an open [`Recording`] belongs to.
-#[derive(Debug, Clone)]
-enum BlockKind {
-    /// `repeat <n>` … `end-repeat`: replay the body `n` times on close.
-    Repeat { count: usize },
-    /// `proc <name>` … `end-proc`: store the body for later `call`s.
-    Proc { name: String },
-}
-
-/// A block body being recorded.  While a recording is open, commands are
-/// buffered instead of executed; the matching `end-repeat`/`end-proc`
-/// closes it and the body is replayed (repeat) or stored (proc).  Nested
-/// blocks stay flat in the buffer — replay re-records them naturally.
-#[derive(Debug)]
-struct Recording {
-    kind: BlockKind,
-    /// Line of the opening `repeat`/`proc`, for unclosed-block errors.
-    line: usize,
-    /// Openers nested inside the body: `true` for `repeat`, `false` for
-    /// `proc`.  Used to match each `end-*` against the right opener.
-    open: Vec<bool>,
-    body: Vec<(usize, Command)>,
 }
 
 #[derive(Debug, Clone)]
@@ -82,19 +57,9 @@ pub struct Interpreter {
     classes: HashMap<String, ClassDecl>,
     last_report: Option<GcReport>,
     output: Output,
-    /// The block currently being recorded, if a `repeat`/`proc` is open.
-    recording: Option<Recording>,
-    /// Procedure bodies by name, recorded by `proc` … `end-proc`.
-    procs: HashMap<String, Vec<(usize, Command)>>,
-    /// Current dynamic `call` nesting depth.
-    call_depth: usize,
-    /// Depth bound: a `call` at this depth is a silent no-op, which is
-    /// what makes unconditionally recursive procedures terminate.
-    call_limit: usize,
+    /// `repeat`/`proc`/`call` structure: open recording, procs, depth.
+    blocks: Blocks,
 }
-
-/// Default `call` depth bound; override with `config call-depth <n>`.
-const DEFAULT_CALL_LIMIT: usize = 16;
 
 impl Interpreter {
     /// Creates an interpreter with the default VM configuration (tweak it
@@ -107,10 +72,7 @@ impl Interpreter {
             classes: HashMap::new(),
             last_report: None,
             output: Output::default(),
-            recording: None,
-            procs: HashMap::new(),
-            call_depth: 0,
-            call_limit: DEFAULT_CALL_LIMIT,
+            blocks: Blocks::new(),
         }
     }
 
@@ -125,20 +87,7 @@ impl Interpreter {
         for (line, cmd) in parse_script(src)? {
             interp.execute(line, &cmd)?;
         }
-        if let Some(rec) = &interp.recording {
-            let msg = match &rec.kind {
-                BlockKind::Repeat { .. } => {
-                    "`repeat` opened here is never closed by `end-repeat`".to_owned()
-                }
-                BlockKind::Proc { name } => {
-                    format!("`proc {name}` opened here is never closed by `end-proc`")
-                }
-            };
-            return Err(ScriptError::new(
-                rec.line,
-                ScriptErrorKind::BadArguments(msg),
-            ));
-        }
+        interp.blocks.finish().map_err(Self::block_err)?;
         Ok(interp.finish())
     }
 
@@ -173,7 +122,7 @@ impl Interpreter {
     /// are buffered, not executed.  (`gca suggest` uses this to tell
     /// top-level anchor steps from loop-body commands.)
     pub(crate) fn is_recording(&self) -> bool {
-        self.recording.is_some()
+        self.blocks.is_recording()
     }
 
     /// The object currently bound to `name`, if any.
@@ -211,69 +160,16 @@ impl Interpreter {
         ScriptError::new(line, ScriptErrorKind::ExpectationFailed(msg))
     }
 
+    fn block_err(e: BlockError) -> ScriptError {
+        ScriptError::new(e.line, ScriptErrorKind::BadArguments(e.to_string()))
+    }
+
     fn apply_config(&mut self, line: usize, key: &str, value: &str) -> Result<(), ScriptError> {
         if self.vm.is_some() {
             return Err(ScriptError::new(line, ScriptErrorKind::ConfigAfterStart));
         }
-        let bad = |msg: &str| ScriptError::new(line, ScriptErrorKind::BadArguments(msg.to_owned()));
-        let cfg = self.config.clone();
-        self.config = match key {
-            "heap" => cfg.heap_budget_words(value.parse().map_err(|_| bad("heap <words>"))?),
-            "grow" => cfg.grow_on_oom(parse_bool(value).ok_or_else(|| bad("grow on|off"))?),
-            "report-once" => {
-                cfg.report_once(parse_bool(value).ok_or_else(|| bad("report-once on|off"))?)
-            }
-            "path-tracking" => {
-                cfg.path_tracking(parse_bool(value).ok_or_else(|| bad("path-tracking on|off"))?)
-            }
-            "strict-owner-lifetime" => cfg.strict_owner_lifetime(
-                parse_bool(value).ok_or_else(|| bad("strict-owner-lifetime on|off"))?,
-            ),
-            "generational" => {
-                if cfg.collector == CollectorKind::Copying {
-                    return Err(bad(
-                        "the copying collector is full-heap; it cannot be generational",
-                    ));
-                }
-                cfg.generational(value.parse().map_err(|_| bad("generational <n>"))?)
-            }
-            "collector" => {
-                let kind = match value {
-                    "mark-sweep" | "marksweep" => CollectorKind::MarkSweep,
-                    "copying" if cfg.generational.is_some() => {
-                        return Err(bad(
-                            "the copying collector is full-heap; it cannot be generational",
-                        ))
-                    }
-                    "copying" => CollectorKind::Copying,
-                    _ => return Err(bad("collector mark-sweep|copying")),
-                };
-                cfg.collector(kind)
-            }
-            "minor-strategy" => cfg.minor_strategy(match value {
-                "cards" => MinorStrategy::Cards,
-                "remembered-set" => MinorStrategy::RememberedSet,
-                _ => return Err(bad("minor-strategy cards|remembered-set")),
-            }),
-            "reaction" => cfg.reaction(match value {
-                "log" => Reaction::Log,
-                "halt" => Reaction::Halt,
-                "force-true" => Reaction::ForceTrue,
-                _ => return Err(bad("reaction log|halt|force-true")),
-            }),
-            "mode" => cfg.mode(match value {
-                "base" => Mode::Base,
-                "instrumented" => Mode::Instrumented,
-                _ => return Err(bad("mode base|instrumented")),
-            }),
-            "gc-threads" => cfg.gc_threads(value.parse().map_err(|_| bad("gc-threads <workers>"))?),
-            "call-depth" => {
-                self.call_limit = value.parse().map_err(|_| bad("call-depth <n>"))?;
-                cfg
-            }
-            _ => return Err(bad("unknown config key")),
-        };
-        Ok(())
+        apply_config(&mut self.config, &mut self.blocks.call_limit, key, value)
+            .map_err(|e| ScriptError::new(line, ScriptErrorKind::BadArguments(e.to_string())))
     }
 
     /// Executes one command.
@@ -290,122 +186,32 @@ impl Interpreter {
     /// (mismatched or stray `end-repeat`/`end-proc`, `call` of an
     /// undefined proc), tagged with `line`.
     pub fn execute(&mut self, line: usize, cmd: &Command) -> Result<(), ScriptError> {
-        if self.recording.is_some() {
-            return self.record(line, cmd);
-        }
-        match cmd {
-            Command::Repeat(count) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Repeat { count: *count },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-                Ok(())
-            }
-            Command::Proc(name) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Proc { name: name.clone() },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-                Ok(())
-            }
-            Command::EndRepeat => Err(ScriptError::new(
-                line,
-                ScriptErrorKind::BadArguments("end-repeat without an open `repeat`".to_owned()),
-            )),
-            Command::EndProc => Err(ScriptError::new(
-                line,
-                ScriptErrorKind::BadArguments("end-proc without an open `proc`".to_owned()),
-            )),
-            Command::Call(name) => self.run_call(line, name),
-            _ => self.execute_one(line, cmd),
+        match self.blocks.feed(line, cmd).map_err(Self::block_err)? {
+            Step::Recorded => Ok(()),
+            Step::Repeat { count, body } => (0..count).try_for_each(|_| self.run_body(&body)),
+            Step::Run => match cmd {
+                Command::Call(name) => self.run_call(line, name),
+                _ => self.execute_one(line, cmd),
+            },
         }
     }
 
-    /// Buffers `cmd` into the open recording, closing the block when the
-    /// matching `end-repeat`/`end-proc` arrives.
-    fn record(&mut self, line: usize, cmd: &Command) -> Result<(), ScriptError> {
-        let rec = self.recording.as_mut().expect("recording is open");
-        let closes_repeat = match cmd {
-            Command::Repeat(_) => {
-                rec.open.push(true);
-                rec.body.push((line, cmd.clone()));
-                return Ok(());
-            }
-            Command::Proc(_) => {
-                rec.open.push(false);
-                rec.body.push((line, cmd.clone()));
-                return Ok(());
-            }
-            Command::EndRepeat => true,
-            Command::EndProc => false,
-            _ => {
-                rec.body.push((line, cmd.clone()));
-                return Ok(());
-            }
-        };
-        let mismatch = |line: usize, closes_repeat: bool| {
-            let msg = if closes_repeat {
-                "end-repeat cannot close a `proc` (use end-proc)"
-            } else {
-                "end-proc cannot close a `repeat` (use end-repeat)"
-            };
-            ScriptError::new(line, ScriptErrorKind::BadArguments(msg.to_owned()))
-        };
-        if let Some(opener_is_repeat) = rec.open.pop() {
-            // Closes a block nested inside the body: keep recording.
-            if opener_is_repeat != closes_repeat {
-                return Err(mismatch(line, closes_repeat));
-            }
-            rec.body.push((line, cmd.clone()));
-            return Ok(());
-        }
-        // Closes the outermost open block.
-        if matches!(rec.kind, BlockKind::Repeat { .. }) != closes_repeat {
-            return Err(mismatch(line, closes_repeat));
-        }
-        let rec = self.recording.take().expect("recording is open");
-        match rec.kind {
-            BlockKind::Repeat { count } => {
-                for _ in 0..count {
-                    for (l, c) in &rec.body {
-                        self.execute(*l, c)?;
-                    }
-                }
-            }
-            BlockKind::Proc { name } => {
-                self.procs.insert(name, rec.body);
-            }
-        }
-        Ok(())
+    fn run_body(&mut self, body: &[(usize, Command)]) -> Result<(), ScriptError> {
+        body.iter().try_for_each(|(l, c)| self.execute(*l, c))
     }
 
     /// Runs a recorded procedure body; a call at the depth bound is a
     /// silent no-op, so unconditionally recursive procs terminate.
     fn run_call(&mut self, line: usize, name: &str) -> Result<(), ScriptError> {
-        let body = self.procs.get(name).cloned().ok_or_else(|| {
-            ScriptError::new(
-                line,
-                ScriptErrorKind::BadArguments(format!(
-                    "call of undefined proc `{name}` (define it with `proc {name}` first)"
-                )),
-            )
-        })?;
-        if self.call_depth >= self.call_limit {
+        let Some(body) = self
+            .blocks
+            .enter_call(line, name)
+            .map_err(Self::block_err)?
+        else {
             return Ok(());
-        }
-        self.call_depth += 1;
-        let mut result = Ok(());
-        for (l, c) in &body {
-            if let Err(e) = self.execute(*l, c) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.call_depth -= 1;
+        };
+        let result = self.run_body(&body);
+        self.blocks.exit_call();
         result
     }
 
@@ -672,14 +478,6 @@ impl Interpreter {
 impl Default for Interpreter {
     fn default() -> Self {
         Interpreter::new()
-    }
-}
-
-fn parse_bool(s: &str) -> Option<bool> {
-    match s {
-        "on" | "true" | "yes" => Some(true),
-        "off" | "false" | "no" => Some(false),
-        _ => None,
     }
 }
 

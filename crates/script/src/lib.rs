@@ -66,12 +66,13 @@
 
 pub mod analysis;
 mod ast;
+mod config;
 mod error;
 mod interp;
 
 pub use analysis::{
-    analyze, analyze_with, apply_suggestions, suggest, Analysis, Diagnostic, DomainKind,
-    GcPrediction, Severity, SuggestOutcome, Suggestion,
+    analyze, apply_suggestions, suggest, Analysis, Diagnostic, GcPrediction, Severity,
+    SuggestOutcome, Suggestion,
 };
 pub use ast::{parse_line, parse_script, Command, Target};
 pub use error::{ScriptError, ScriptErrorKind, SourceLocation};

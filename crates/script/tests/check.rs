@@ -8,8 +8,8 @@ use std::collections::{HashMap, VecDeque};
 
 use gca_script::analysis::json;
 use gca_script::{
-    analyze, analyze_with, apply_suggestions, parse_script, suggest, Analysis, DomainKind,
-    GcPrediction, Interpreter, Severity,
+    analyze, apply_suggestions, parse_script, suggest, Analysis, GcPrediction, Interpreter,
+    ScriptErrorKind, Severity,
 };
 
 fn script_path(name: &str) -> String {
@@ -291,15 +291,135 @@ fn differential_must_set_is_sound() {
     }
 }
 
-/// The access graph earns Safe on `list_builder.gca`'s severed chain —
-/// the before/after comparison against the per-site strawman, pinned:
-/// the per-site domain is loop-blind and can only answer May.
+/// A class declared twice is one class at run time (`TypeRegistry::register`
+/// returns the existing id), so both objects count against the limit.  The
+/// analyzer used to mint a second abstract class and predict a clean
+/// collection with its exactness flag still set — which is exactly what
+/// the differential rejects.
+#[test]
+fn redeclared_class_is_one_class_for_run_and_check() {
+    let name = "fixtures/redeclared_class.gca";
+    let path = format!("{}/tests/{name}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let analysis = analyze(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    differential_check(name, &src, &analysis);
+    assert_eq!(analysis.collections[0].must, ["instance-limit Node 2>1"]);
+    assert!(analysis.collections[0].may.is_empty());
+}
+
+/// Block structure is recognised by one recorder that the interpreter
+/// and the analyzer both drive, so a malformed script is the same error
+/// — same line, same message — whether it is run or checked.
+#[test]
+fn block_structure_errors_agree_between_run_and_check() {
+    let cases: &[(&str, &str, usize, &str)] = &[
+        (
+            "stray end-repeat",
+            "class T\nend-repeat\n",
+            2,
+            "`end-repeat` without an open `repeat`",
+        ),
+        (
+            "stray end-proc",
+            "end-proc\n",
+            1,
+            "`end-proc` without an open `proc`",
+        ),
+        (
+            "end-proc closing a repeat",
+            "repeat 2\nclass T\nend-proc\n",
+            3,
+            "`end-proc` cannot close a `repeat` (use `end-repeat`)",
+        ),
+        (
+            "end-repeat closing a proc",
+            "proc p\nend-repeat\n",
+            2,
+            "`end-repeat` cannot close a `proc` (use `end-proc`)",
+        ),
+        (
+            "crossed closers, proc nested in repeat",
+            "repeat 2\nproc p\nend-repeat\nend-proc\n",
+            3,
+            "`end-repeat` cannot close a `proc` (use `end-proc`)",
+        ),
+        (
+            "crossed closers, repeat nested in proc",
+            "proc p\nrepeat 2\nend-proc\nend-repeat\n",
+            3,
+            "`end-proc` cannot close a `repeat` (use `end-repeat`)",
+        ),
+        (
+            "unclosed repeat",
+            "class T\nrepeat 2\nnew a T\n",
+            2,
+            "`repeat` opened here is never closed by `end-repeat`",
+        ),
+        (
+            "unclosed proc",
+            "proc grow\nclass T\n",
+            1,
+            "`proc grow` opened here is never closed by `end-proc`",
+        ),
+        (
+            "unclosed proc nested in a closed-looking repeat",
+            "repeat 2\nproc p\nend-proc\n",
+            1,
+            "`repeat` opened here is never closed by `end-repeat`",
+        ),
+        (
+            "call of an undefined proc",
+            "class T\ncall nowhere\n",
+            2,
+            "call of undefined proc `nowhere` (define it with `proc nowhere` first)",
+        ),
+        (
+            "call of a proc defined only inside an unexecuted body",
+            "repeat 0\nproc p\nend-proc\nend-repeat\ncall p\n",
+            5,
+            "call of undefined proc `p` (define it with `proc p` first)",
+        ),
+    ];
+    for (what, src, line, message) in cases {
+        let run = Interpreter::run_script(src).expect_err(what);
+        assert_eq!(run.line, *line, "{what}: interpreter line");
+        assert_eq!(
+            run.kind,
+            ScriptErrorKind::BadArguments((*message).to_owned()),
+            "{what}: interpreter message"
+        );
+        let analysis = analyze(src).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let errors: Vec<_> = analysis
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert_eq!(errors.len(), 1, "{what}: {errors:?}");
+        assert_eq!(errors[0].line, *line, "{what}: analyzer line");
+        assert_eq!(errors[0].message, *message, "{what}: analyzer message");
+    }
+
+    // Recursion is cut at `call-depth` by the same counter on both sides:
+    // exactly three nodes exist, and the analyzer's exact replay agrees
+    // (a different count would be an `expect-will-fail` error).
+    let bounded = "config call-depth 3\nclass T\nproc grow\nnew n T\nroot n\ncall grow\n\
+                   end-proc\ncall grow\nexpect-instances T 3\n";
+    Interpreter::run_script(bounded).expect("depth-bounded recursion runs");
+    let analysis = analyze(bounded).expect("parses");
+    assert!(
+        analysis.diagnostics.is_empty(),
+        "{:?}",
+        analysis.diagnostics
+    );
+}
+
+/// The access graph earns Safe on `list_builder.gca`'s severed chain.
+/// The loop-blind per-site strawman it was compared against could only
+/// answer May (`dead-reachable Cell`); that half of the comparison is
+/// recorded in EXPERIMENTS.md and the strawman is retired.
 #[test]
 fn list_builder_loop_summary_beats_per_site() {
-    let src = read_script("list_builder.gca");
-
-    let graph = analyze_with(&src, DomainKind::AccessGraph)
-        .unwrap_or_else(|e| panic!("list_builder.gca: {e}"));
+    let graph = check("list_builder.gca");
     assert!(!graph.has_errors(), "{:?}", graph.diagnostics);
     assert!(
         graph
@@ -312,21 +432,6 @@ fn list_builder_loop_summary_beats_per_site() {
     let gc = &graph.collections[0];
     assert!(gc.summarized, "the 200-iteration loop must be summarized");
     assert!(gc.must.is_empty() && gc.may.is_empty(), "Safe verdict");
-
-    let per_site =
-        analyze_with(&src, DomainKind::PerSite).unwrap_or_else(|e| panic!("list_builder.gca: {e}"));
-    let warnings: Vec<&str> = per_site
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .map(|d| d.code)
-        .collect();
-    assert_eq!(
-        warnings,
-        ["dead-reachable"],
-        "per-site must downgrade the severed chain to May"
-    );
-    assert_eq!(per_site.collections[0].may, ["dead-reachable Cell"]);
 }
 
 /// One `--json` report pinned verbatim as the machine-readable contract
@@ -335,7 +440,7 @@ fn list_builder_loop_summary_beats_per_site() {
 fn json_report_is_pinned_for_list_builder() {
     let a = check("list_builder.gca");
     assert_eq!(
-        json::analysis_to_json(&a, DomainKind::AccessGraph),
+        json::analysis_to_json(&a),
         "{\"tool\":\"gca-check\",\"domain\":\"access-graph\",\"errors\":0,\"warnings\":0,\
          \"notes\":1,\"diagnostics\":[{\"line\":24,\"column\":1,\"severity\":\"note\",\
          \"code\":\"redundant-assert-dead\",\"message\":\"this `assert-dead` is proven Safe \

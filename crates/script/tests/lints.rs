@@ -4,7 +4,7 @@
 //! and the `--json` surface where notes are reported.
 
 use gca_script::analysis::json;
-use gca_script::{analyze, Diagnostic, DomainKind, Interpreter, Severity};
+use gca_script::{analyze, Diagnostic, Interpreter, Severity};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -65,6 +65,6 @@ fn notes_reach_the_json_surface_but_not_render() {
         !a.render().contains("loop-invariant-assertion"),
         "render() must stay note-free for golden stability"
     );
-    let j = json::analysis_to_json(&a, DomainKind::AccessGraph);
+    let j = json::analysis_to_json(&a);
     assert!(j.contains("\"code\":\"loop-invariant-assertion\""), "{j}");
 }

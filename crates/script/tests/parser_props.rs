@@ -1,9 +1,35 @@
 //! Fuzz-style property tests for the script language: arbitrary input
 //! never panics the parser, and generated well-formed scripts always
-//! either run or fail with a line-tagged error (never a panic).
+//! either run or fail with a line-tagged error, and always analyze
+//! (never a panic from either).
 
-use gca_script::{parse_line, parse_script, Interpreter};
+use gca_script::{analyze, parse_line, parse_script, Interpreter};
 use proptest::prelude::*;
+
+/// `config` operands for the generator: every key, good and bad values,
+/// and both halves of each cross-key conflict.
+const CONFIGS: &[&str] = &[
+    "heap 64",
+    "heap lots",
+    "grow off",
+    "grow maybe",
+    "report-once off",
+    "path-tracking off",
+    "strict-owner-lifetime on",
+    "generational 2",
+    "generational 0",
+    "collector copying",
+    "collector mark-sweep",
+    "collector moving",
+    "minor-strategy remembered-set",
+    "reaction halt",
+    "reaction force-true",
+    "mode base",
+    "gc-threads 2",
+    "gc-threads 0",
+    "call-depth 2",
+    "warp 9",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -25,14 +51,23 @@ proptest! {
 
     #[test]
     fn generated_scripts_never_panic_the_interpreter(
-        ops in proptest::collection::vec(0u8..10, 1..60),
+        configs in proptest::collection::vec(0usize..CONFIGS.len(), 0..4),
+        ops in proptest::collection::vec(0u8..16, 1..60),
         vars in proptest::collection::vec(0usize..6, 60),
     ) {
         // Build a syntactically valid script whose *semantics* may be
-        // nonsense (unknown vars, double regions, ...). The interpreter
-        // must produce a ScriptError, never panic.
+        // nonsense (unknown vars, double regions, crossed or unclosed
+        // blocks, conflicting configs, ...). Parse, interpreter and
+        // analyzer must each produce a value or a typed error, never panic.
         let names = ["a", "b", "c", "d", "e", "f"];
-        let mut script = String::from("class T f g\n");
+        // A small depth bound keeps generated recursion cheap.
+        let mut script = String::from("config call-depth 3\n");
+        for c in &configs {
+            script.push_str(&format!("config {}\n", CONFIGS[*c]));
+        }
+        script.push_str("class T f g\n");
+        // Open `repeat`s, so nesting (and with it run time) stays bounded.
+        let mut repeats = 0usize;
         for (i, op) in ops.iter().enumerate() {
             let v = names[vars[i % vars.len()]];
             let w = names[vars[(i + 1) % vars.len()]];
@@ -46,12 +81,27 @@ proptest! {
                 6 => format!("assert-owned-by {v} {w}"),
                 7 => "gc".to_owned(),
                 8 => "start-region".to_owned(),
-                _ => "all-dead".to_owned(),
+                9 => "all-dead".to_owned(),
+                10 if repeats < 3 => {
+                    repeats += 1;
+                    format!("repeat {}", i % 4)
+                }
+                10 | 11 => {
+                    repeats = repeats.saturating_sub(1);
+                    "end-repeat".to_owned()
+                }
+                12 => format!("proc {v}"),
+                13 => "end-proc".to_owned(),
+                14 => format!("call {v}"),
+                // Late `config` lines must be rejected, not applied.
+                _ => format!("config {}", CONFIGS[i % CONFIGS.len()]),
             };
             script.push_str(&line);
             script.push('\n');
         }
+        parse_script(&script).expect("generated lines are well-formed");
         let _ = Interpreter::run_script(&script); // Ok or Err — both fine
+        analyze(&script).expect("semantic problems are diagnostics, not errors");
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gca_telemetry::export::{fleet_to_prometheus, prom_label, push_histogram_family, ShardExport};
+use gca_telemetry::export::{
+    escape_json, fleet_to_prometheus, prom_label, push_histogram_family, ShardExport,
+};
 
 use crate::config::{Arrivals, SoakConfig};
 use crate::fault::FaultInjector;
@@ -406,29 +408,16 @@ pub(crate) fn render_status(snaps: &[ShardSnapshot], slo_ns: u64, elapsed: Durat
             out.push_str(&format!(",\"{name}\":{value}"));
         }
         out.push_str(&format!(
-            ",\"clean\":{},\"done\":{},\"error\":{}}}",
+            ",\"clean\":{},\"done\":{},\"error\":",
             s.is_clean(),
-            s.done,
-            match s.error.as_ref() {
-                Some(e) => format!("\"{}\"", escape_json(e)),
-                None => "null".to_string(),
-            }
+            s.done
         ));
+        match &s.error {
+            Some(e) => escape_json(e, &mut out),
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
     out.push_str("]}");
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }

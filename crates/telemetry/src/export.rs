@@ -72,7 +72,9 @@ impl std::error::Error for TelemetryParseError {}
 // JSONL writer
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string (RFC 8259 escapes) — the
+/// workspace's one JSON string escaper.
+pub fn escape_json(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use gc_assertions::{CollectorKind, Mode, Vm, VmConfig, VmError};
+use gc_assertions::{Mode, Vm, VmConfig, VmError};
 
 /// A workload that can be run against a fresh VM.
 ///
@@ -50,6 +50,23 @@ impl ExpConfig {
             ExpConfig::WithAssertions => "WithAssertions",
         }
     }
+
+    /// The VM configuration the figures measure this experiment under: a
+    /// growable heap of `heap_budget` words, base mode for
+    /// [`ExpConfig::Base`], instrumented otherwise.  Callers that want
+    /// telemetry, the census, another collector or an ablated knob chain
+    /// the [`VmConfig`] setters onto it and pass it to [`run_once_vm`].
+    pub fn vm_config(self, heap_budget: usize) -> VmConfig {
+        let mode = match self {
+            ExpConfig::Base => Mode::Base,
+            _ => Mode::Instrumented,
+        };
+        VmConfig::builder()
+            .heap_budget(heap_budget)
+            .grow_on_oom(true)
+            .mode(mode)
+            .build()
+    }
 }
 
 impl fmt::Display for ExpConfig {
@@ -88,37 +105,16 @@ pub struct Measurement {
 ///
 /// Propagates workload VM errors.
 pub fn run_once(workload: &dyn Workload, config: ExpConfig) -> Result<Measurement, VmError> {
-    let mode = match config {
-        ExpConfig::Base => Mode::Base,
-        _ => Mode::Instrumented,
-    };
-    let vm_config = VmConfig::builder()
-        .heap_budget(workload.heap_budget())
-        .grow_on_oom(true)
-        .mode(mode)
-        .build();
-    run_once_config(workload, config, vm_config)
-}
-
-/// As [`run_once`], but with full control of the [`VmConfig`] (used by the
-/// ablation benchmarks, e.g. to disable path tracking). The `config`
-/// argument is recorded in the measurement and selects whether the
-/// workload registers its assertions; `vm_config` is used as given.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_config(
-    workload: &dyn Workload,
-    config: ExpConfig,
-    vm_config: VmConfig,
-) -> Result<Measurement, VmError> {
+    let vm_config = config.vm_config(workload.heap_budget());
     run_once_vm(workload, config, vm_config).map(|(m, _)| m)
 }
 
-/// As [`run_once_config`], but additionally returns the finished [`Vm`] so
-/// callers can inspect post-run state (telemetry snapshots, violation
-/// logs, heap statistics).
+/// As [`run_once`], but with full control of the [`VmConfig`] (telemetry,
+/// census, collector backend, ablated knobs), and additionally returning
+/// the finished [`Vm`] so callers can inspect post-run state (telemetry
+/// snapshots, violation logs, heap statistics). The `config` argument is
+/// recorded in the measurement and selects whether the workload registers
+/// its assertions; `vm_config` is used as given.
 ///
 /// # Errors
 ///
@@ -156,103 +152,6 @@ pub fn run_once_vm(
         },
     };
     Ok((measurement, vm))
-}
-
-/// Runs `workload` once under `config` with telemetry recording enabled
-/// and returns the measurement plus the telemetry snapshot.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_telemetry(
-    workload: &dyn Workload,
-    config: ExpConfig,
-) -> Result<(Measurement, gc_assertions::GcTelemetry), VmError> {
-    run_once_telemetry_collector(workload, config, CollectorKind::MarkSweep)
-}
-
-/// As [`run_once_telemetry`], but on the chosen collector backend —
-/// telemetry attributes phases to whichever engine ran the cycle.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_telemetry_collector(
-    workload: &dyn Workload,
-    config: ExpConfig,
-    collector: CollectorKind,
-) -> Result<(Measurement, gc_assertions::GcTelemetry), VmError> {
-    let mode = match config {
-        ExpConfig::Base => Mode::Base,
-        _ => Mode::Instrumented,
-    };
-    let vm_config = VmConfig::builder()
-        .heap_budget(workload.heap_budget())
-        .grow_on_oom(true)
-        .mode(mode)
-        .telemetry(true)
-        .collector(collector)
-        .build();
-    let (measurement, vm) = run_once_vm(workload, config, vm_config)?;
-    Ok((measurement, vm.telemetry()))
-}
-
-/// Runs `workload` once under `config` with both telemetry and the heap
-/// census enabled and returns the measurement, the telemetry snapshot
-/// (whose cycle records carry census fields), and the census snapshot
-/// (per-class/per-site live tallies, drift detection, heap diffing).
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_census(
-    workload: &dyn Workload,
-    config: ExpConfig,
-) -> Result<
-    (
-        Measurement,
-        gc_assertions::GcTelemetry,
-        gc_assertions::HeapCensus,
-    ),
-    VmError,
-> {
-    run_once_census_collector(workload, config, CollectorKind::MarkSweep)
-}
-
-/// As [`run_once_census`], but on the chosen collector backend — the
-/// copying engine observes the census at evacuation time, so the tallies
-/// must come out identical.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_census_collector(
-    workload: &dyn Workload,
-    config: ExpConfig,
-    collector: CollectorKind,
-) -> Result<
-    (
-        Measurement,
-        gc_assertions::GcTelemetry,
-        gc_assertions::HeapCensus,
-    ),
-    VmError,
-> {
-    let mode = match config {
-        ExpConfig::Base => Mode::Base,
-        _ => Mode::Instrumented,
-    };
-    let vm_config = VmConfig::builder()
-        .heap_budget(workload.heap_budget())
-        .grow_on_oom(true)
-        .mode(mode)
-        .telemetry(true)
-        .census(true)
-        .collector(collector)
-        .build();
-    let (measurement, vm) = run_once_vm(workload, config, vm_config)?;
-    let telemetry = vm.telemetry();
-    Ok((measurement, telemetry, vm.census()))
 }
 
 /// Runs `workload` `n` times under `config` and returns the run with the

@@ -12,11 +12,11 @@
 //! workload*, so relative overheads are meaningful even though the
 //! kernels are synthetic. See DESIGN.md §2 for the substitution argument.
 
-use gc_assertions::{ObjRef, Vm, VmError};
+use gc_assertions::{ObjRef, Vm, VmConfig, VmError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::runner::Workload;
+use crate::runner::{run_once_vm, ExpConfig, Workload};
 use crate::structures::{HArrayList, HBTree, HHashMap};
 
 /// A parameterized allocation/mutation kernel; see the module docs.
@@ -486,68 +486,25 @@ pub fn full_suite() -> Vec<SyntheticWorkload> {
 
 /// Runs every workload once under `config` with telemetry enabled and
 /// returns the concatenated JSON-lines export: one record per GC cycle,
-/// each tagged with its benchmark name (`"bench"` field). This is the
-/// per-benchmark emission used by `figures --telemetry` and the CI
-/// artifact step.
+/// each tagged with its benchmark name (`"bench"` field). `tweak` adjusts
+/// each run's VM configuration — `figures --census` turns the heap census
+/// on (cycle records then carry per-class live tallies and top allocation
+/// sites), `--collector copying` picks the backend. This is the emission
+/// behind `figures --telemetry`/`--census` and the CI artifact steps.
 ///
 /// # Errors
 ///
 /// Propagates workload VM errors.
-pub fn suite_telemetry_jsonl(
-    workloads: &[SyntheticWorkload],
-    config: crate::runner::ExpConfig,
-) -> Result<String, VmError> {
-    suite_telemetry_jsonl_collector(workloads, config, gc_assertions::CollectorKind::MarkSweep)
-}
-
-/// As [`suite_telemetry_jsonl`], but on the chosen collector backend —
-/// the copying leg of the CI artifact step runs through here.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn suite_telemetry_jsonl_collector(
-    workloads: &[SyntheticWorkload],
-    config: crate::runner::ExpConfig,
-    collector: gc_assertions::CollectorKind,
+pub fn suite_jsonl(
+    workloads: &[&dyn Workload],
+    config: ExpConfig,
+    tweak: impl Fn(VmConfig) -> VmConfig,
 ) -> Result<String, VmError> {
     let mut out = String::new();
     for w in workloads {
-        let (_, telemetry) = crate::runner::run_once_telemetry_collector(w, config, collector)?;
-        out.push_str(&telemetry.to_jsonl(Some(w.name)));
-    }
-    Ok(out)
-}
-
-/// As [`suite_telemetry_jsonl`], but with the heap census enabled so each
-/// cycle record additionally carries per-class live tallies and top
-/// allocation sites. This feeds `figures --census` and the CI census
-/// artifact.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn suite_census_jsonl(
-    workloads: &[SyntheticWorkload],
-    config: crate::runner::ExpConfig,
-) -> Result<String, VmError> {
-    suite_census_jsonl_collector(workloads, config, gc_assertions::CollectorKind::MarkSweep)
-}
-
-/// As [`suite_census_jsonl`], but on the chosen collector backend.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn suite_census_jsonl_collector(
-    workloads: &[SyntheticWorkload],
-    config: crate::runner::ExpConfig,
-    collector: gc_assertions::CollectorKind,
-) -> Result<String, VmError> {
-    let mut out = String::new();
-    for w in workloads {
-        let (_, telemetry, _) = crate::runner::run_once_census_collector(w, config, collector)?;
-        out.push_str(&telemetry.to_jsonl(Some(w.name)));
+        let vm_config = tweak(config.vm_config(w.heap_budget()).telemetry(true));
+        let (_, vm) = run_once_vm(*w, config, vm_config)?;
+        out.push_str(&vm.telemetry().to_jsonl(Some(w.name())));
     }
     Ok(out)
 }
@@ -555,7 +512,7 @@ pub fn suite_census_jsonl_collector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_once, ExpConfig};
+    use crate::runner::run_once;
 
     #[test]
     fn suite_has_the_papers_benchmarks() {
@@ -607,7 +564,7 @@ mod tests {
     fn suite_jsonl_is_tagged_and_parseable() {
         let mut w = dacapo().remove(0);
         w.iterations = 5;
-        let jsonl = suite_telemetry_jsonl(&[w], ExpConfig::Infrastructure).unwrap();
+        let jsonl = suite_jsonl(&[&w], ExpConfig::Infrastructure, |c| c).unwrap();
         assert!(
             !jsonl.is_empty(),
             "at least one GC cycle should be recorded"
@@ -623,7 +580,7 @@ mod tests {
         // Enough iterations that a GC triggers mid-burst, while the
         // temporary chain is still rooted (so "Temp" shows up live).
         w.iterations = 20;
-        let jsonl = suite_census_jsonl(&[w], ExpConfig::Infrastructure).unwrap();
+        let jsonl = suite_jsonl(&[&w], ExpConfig::Infrastructure, |c| c.census(true)).unwrap();
         let parsed = gc_assertions::parse_jsonl(&jsonl).unwrap();
         assert!(!parsed.is_empty());
         let censuses: Vec<_> = parsed

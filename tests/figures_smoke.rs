@@ -5,8 +5,7 @@
 //! not asserted here (debug-build timing is too noisy).
 
 use gca_bench::{
-    ablation_bibop, ablation_path_tracking, baseline_detectors, figure1, figures_2_3, figures_4_5,
-    summarize_infra,
+    ablation_path_tracking, baseline_detectors, figure1, figures_2_3, figures_4_5, summarize_infra,
 };
 
 #[test]
@@ -67,18 +66,6 @@ fn ablation_rows_have_both_modes() {
         assert!(r.gc_plain.as_nanos() > 0);
         assert!(r.gc_paths.as_nanos() > 0);
     }
-}
-
-#[test]
-fn ablation_bibop_row_shape() {
-    let row = ablation_bibop(1, 2_000, 2);
-    assert_eq!(row.objects, 2_000);
-    assert!(row.freelist_alloc.as_nanos() > 0);
-    assert!(row.bibop_alloc.as_nanos() > 0);
-    assert!(row.freelist_mark.as_nanos() > 0);
-    assert!(row.bibop_mark.as_nanos() > 0);
-    assert!(row.alloc_delta().is_finite());
-    assert!(row.mark_delta().is_finite());
 }
 
 #[test]
