@@ -73,7 +73,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod assertions;
 mod census;
 mod config;
 mod engine;
@@ -83,11 +82,9 @@ mod ownership;
 mod par_engine;
 mod probe;
 mod report;
-mod shared;
 mod violation;
 mod vm;
 
-pub use assertions::{Assertions, RegionGuard};
 pub use census::AllocSite;
 pub use config::{
     AssertionClass, CollectorKind, MinorStrategy, Mode, Reaction, VmConfig, VmConfigBuilder,
@@ -95,9 +92,7 @@ pub use config::{
 pub use engine::AssertionEngine;
 pub use error::VmError;
 pub use mutator::MutatorId;
-pub use probe::Probe;
 pub use report::{CheckCounters, GcReport};
-pub use shared::{SharedVm, VmThread};
 pub use violation::{Violation, ViolationKind};
 pub use vm::{AssertionCallCounts, Vm};
 

@@ -1,11 +1,10 @@
-//! QVM-style heap probes behind one entry point: [`Vm::probe`] returns a
-//! [`Probe`] handle whose queries each run a full traversal *right now*.
+//! QVM-style heap probes: the `Vm::probe_*` queries, each of which runs a
+//! full traversal *right now*.
 //!
 //! Probes are the comparison point for the paper's central performance
 //! argument: an immediate query costs a complete heap trace, while GC
 //! assertions batch the same questions into the collector's normal trace
-//! for free. All probe machinery lives in this module; the legacy
-//! `Vm::probe_*` methods delegate here.
+//! for free (§4.1). All probe machinery lives in this module.
 //!
 //! ```
 //! use gc_assertions::{Vm, VmConfig};
@@ -18,9 +17,9 @@
 //! let b = vm.alloc(m, node, 1, 0)?;
 //! vm.set_field(a, 0, b)?;
 //!
-//! assert!(vm.probe().reachable(b)?);
-//! assert_eq!(vm.probe().instances(node)?, 2);
-//! let path = vm.probe().path(b)?.expect("b is reachable");
+//! assert!(vm.probe_reachable(b)?);
+//! assert_eq!(vm.probe_instances(node)?, 2);
+//! let path = vm.probe_path(b)?.expect("b is reachable");
 //! assert_eq!(path.target(), Some(b));
 //! # Ok(())
 //! # }
@@ -32,18 +31,7 @@ use gca_heap::{ClassId, Flags, Heap, HeapError, ObjRef};
 use crate::error::VmError;
 use crate::vm::Vm;
 
-/// Fluent handle over the immediate heap queries, obtained from
-/// [`Vm::probe`].
-#[derive(Debug)]
-pub struct Probe<'vm> {
-    vm: &'vm mut Vm,
-}
-
-impl<'vm> Probe<'vm> {
-    pub(crate) fn new(vm: &'vm mut Vm) -> Self {
-        Probe { vm }
-    }
-
+impl Vm {
     /// Is `target` reachable, and through what path? Runs a full
     /// path-tracking traversal; the heap is left unmodified (marks
     /// cleared). Returns `None` if `target` is dead or unreachable.
@@ -51,28 +39,28 @@ impl<'vm> Probe<'vm> {
     /// # Errors
     ///
     /// Tracing errors ([`VmError::Heap`]) or [`VmError::Halted`].
-    pub fn path(self, target: ObjRef) -> Result<Option<HeapPath>, VmError> {
-        self.vm.check_running()?;
-        if !self.vm.heap.is_valid(target) {
+    pub fn probe_path(&mut self, target: ObjRef) -> Result<Option<HeapPath>, VmError> {
+        self.check_running()?;
+        if !self.heap.is_valid(target) {
             return Ok(None);
         }
-        let roots = self.vm.gather_roots();
+        let roots = self.gather_roots();
         let mut finder = PathFinder {
             target,
             found: None,
         };
-        run_traversal(&mut self.vm.heap, &roots, true, &mut finder)?;
+        run_traversal(&mut self.heap, &roots, true, &mut finder)?;
         Ok(finder.found)
     }
 
     /// Is `target` reachable at all (probe-style `assert_dead`
-    /// complement)? Same cost as [`Probe::path`].
+    /// complement)? Same cost as [`Vm::probe_path`].
     ///
     /// # Errors
     ///
-    /// As [`Probe::path`].
-    pub fn reachable(self, target: ObjRef) -> Result<bool, VmError> {
-        Ok(self.path(target)?.is_some())
+    /// As [`Vm::probe_path`].
+    pub fn probe_reachable(&mut self, target: ObjRef) -> Result<bool, VmError> {
+        Ok(self.probe_path(target)?.is_some())
     }
 
     /// Counts the live (reachable) instances of `class` with a full
@@ -81,11 +69,11 @@ impl<'vm> Probe<'vm> {
     /// # Errors
     ///
     /// Tracing errors or [`VmError::Halted`].
-    pub fn instances(self, class: ClassId) -> Result<u32, VmError> {
-        self.vm.check_running()?;
-        let roots = self.vm.gather_roots();
+    pub fn probe_instances(&mut self, class: ClassId) -> Result<u32, VmError> {
+        self.check_running()?;
+        let roots = self.gather_roots();
         let mut counter = Counter { class, count: 0 };
-        run_traversal(&mut self.vm.heap, &roots, false, &mut counter)?;
+        run_traversal(&mut self.heap, &roots, false, &mut counter)?;
         Ok(counter.count)
     }
 
@@ -101,14 +89,17 @@ impl<'vm> Probe<'vm> {
     /// # Errors
     ///
     /// Tracing errors or [`VmError::Halted`].
-    pub fn explain_instances(self, class: ClassId) -> Result<Vec<(ObjRef, HeapPath)>, VmError> {
-        self.vm.check_running()?;
-        let roots = self.vm.gather_roots();
+    pub fn explain_instances(
+        &mut self,
+        class: ClassId,
+    ) -> Result<Vec<(ObjRef, HeapPath)>, VmError> {
+        self.check_running()?;
+        let roots = self.gather_roots();
         let mut finder = InstanceFinder {
             class,
             found: Vec::new(),
         };
-        run_traversal(&mut self.vm.heap, &roots, true, &mut finder)?;
+        run_traversal(&mut self.heap, &roots, true, &mut finder)?;
         Ok(finder.found)
     }
 
@@ -123,22 +114,22 @@ impl<'vm> Probe<'vm> {
     ///
     /// Reference-validity errors or [`VmError::Halted`].
     pub fn incoming_references(
-        self,
+        &mut self,
         target: ObjRef,
     ) -> Result<(Vec<(ObjRef, usize)>, bool), VmError> {
-        self.vm.check_running()?;
-        if !self.vm.heap.is_valid(target) {
+        self.check_running()?;
+        if !self.heap.is_valid(target) {
             return Err(VmError::Heap(HeapError::StaleRef(target)));
         }
         let mut edges = Vec::new();
-        for (src, obj) in self.vm.heap.iter() {
+        for (src, obj) in self.heap.iter() {
             for (f, &r) in obj.refs().iter().enumerate() {
                 if r == target {
                     edges.push((src, f));
                 }
             }
         }
-        let rooted = self.vm.gather_roots().contains(&target);
+        let rooted = self.gather_roots().contains(&target);
         Ok((edges, rooted))
     }
 }

@@ -78,13 +78,13 @@ pub struct AssertionCallCounts {
 pub struct Vm {
     pub(crate) heap: Heap,
     collector: Collector,
-    pub(crate) engine: AssertionEngine,
+    engine: AssertionEngine,
     config: VmConfig,
     budget: usize,
     mutators: Vec<Mutator>,
     globals: Vec<ObjRef>,
     halted: bool,
-    pub(crate) calls: AssertionCallCounts,
+    calls: AssertionCallCounts,
     collections_requested: u64,
     violation_log: Vec<crate::violation::Violation>,
     totals: crate::report::CheckCounters,
@@ -224,7 +224,7 @@ impl Vm {
             .ok_or(VmError::NoSuchMutator(m))
     }
 
-    pub(crate) fn mutator_mut(&mut self, m: MutatorId) -> Result<&mut Mutator, VmError> {
+    fn mutator_mut(&mut self, m: MutatorId) -> Result<&mut Mutator, VmError> {
         self.mutators
             .get_mut(m.0 as usize)
             .ok_or(VmError::NoSuchMutator(m))
@@ -238,7 +238,7 @@ impl Vm {
         }
     }
 
-    pub(crate) fn check_instrumented(&self) -> Result<(), VmError> {
+    fn check_instrumented(&self) -> Result<(), VmError> {
         match self.config.mode {
             Mode::Instrumented => Ok(()),
             Mode::Base => Err(VmError::BaseMode),
@@ -925,24 +925,18 @@ impl Vm {
     // GC assertions (§2 of the paper)
     // ------------------------------------------------------------------
 
-    /// The fluent assertion facade — the preferred entry point for all
-    /// five assertion kinds: `vm.assertions().dead(p)`,
-    /// `.instances(class, n)`, `.unshared(p)`, `.owned_by(p, q)` and the
-    /// `.region(m)` scope guard. The `assert_*` methods below delegate to
-    /// it.
-    pub fn assertions(&mut self) -> crate::assertions::Assertions<'_> {
-        crate::assertions::Assertions::new(self)
-    }
-
     /// `assert-dead(p)`: triggered at the next collection if `p` is still
-    /// reachable (§2.3.1). Equivalent to [`Vm::assertions`]`.dead(p)`.
+    /// reachable (§2.3.1).
     ///
     /// # Errors
     ///
     /// [`VmError::BaseMode`], [`VmError::Halted`] or reference-validity
     /// errors.
     pub fn assert_dead(&mut self, p: ObjRef) -> Result<(), VmError> {
-        self.assertions().dead(p)
+        self.check_running()?;
+        self.check_instrumented()?;
+        self.calls.dead += 1;
+        self.engine.assert_dead(&mut self.heap, p)
     }
 
     /// `start-region()`: begins an allocation region on mutator `m`; every
@@ -962,19 +956,6 @@ impl Vm {
         }
         mu.region = Some(Region::default());
         self.calls.regions_started += 1;
-        Ok(())
-    }
-
-    /// Abandons `m`'s active region without asserting anything — used by
-    /// [`crate::assertions::RegionGuard::cancel`] when a region's objects
-    /// turn out to legitimately survive.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError::NoRegion`] if no region is active.
-    pub fn cancel_region(&mut self, m: MutatorId) -> Result<(), VmError> {
-        let mu = self.mutator_mut(m)?;
-        mu.region.take().ok_or(VmError::NoRegion(m))?;
         Ok(())
     }
 
@@ -1010,7 +991,11 @@ impl Vm {
     ///
     /// Mode/halt errors.
     pub fn assert_instances(&mut self, class: ClassId, limit: u32) -> Result<(), VmError> {
-        self.assertions().instances(class, limit)
+        self.check_running()?;
+        self.check_instrumented()?;
+        self.calls.instances += 1;
+        self.heap.registry_mut().track_instances(class, limit);
+        Ok(())
     }
 
     /// `assert-unshared(p)`: triggered if `p` is found with more than one
@@ -1020,7 +1005,10 @@ impl Vm {
     ///
     /// Mode/halt or reference-validity errors.
     pub fn assert_unshared(&mut self, p: ObjRef) -> Result<(), VmError> {
-        self.assertions().unshared(p)
+        self.check_running()?;
+        self.check_instrumented()?;
+        self.calls.unshared += 1;
+        self.engine.assert_unshared(&mut self.heap, p)
     }
 
     /// `assert-ownedby(p, q)`: triggered if, at a collection, no path to
@@ -1031,7 +1019,10 @@ impl Vm {
     /// [`VmError::OwnershipConflict`] for disjointness violations, plus
     /// mode/halt and reference-validity errors.
     pub fn assert_owned_by(&mut self, owner: ObjRef, ownee: ObjRef) -> Result<(), VmError> {
-        self.assertions().owned_by(owner, ownee)
+        self.check_running()?;
+        self.check_instrumented()?;
+        self.calls.owned_by += 1;
+        self.engine.assert_owned_by(&mut self.heap, owner, ownee)
     }
 
     /// Withdraws the ownership assertion on `ownee` (the program removed
@@ -1061,79 +1052,6 @@ impl Vm {
     }
 
     // ------------------------------------------------------------------
-    // Heap probes (QVM-style immediate queries, for comparison)
-    // ------------------------------------------------------------------
-
-    /// The fluent probe facade — the preferred entry point for all
-    /// immediate heap queries: `vm.probe().path(p)`, `.reachable(p)`,
-    /// `.instances(class)`, `.explain_instances(class)` and
-    /// `.incoming_references(p)`. Each query runs a full traversal right
-    /// now — the QVM cost model the paper's assertions amortize away
-    /// (§4.1). The `probe_*` methods below delegate to it.
-    pub fn probe(&mut self) -> crate::probe::Probe<'_> {
-        crate::probe::Probe::new(self)
-    }
-
-    /// Immediately answers "is `target` reachable, and through what
-    /// path?". Equivalent to [`Vm::probe`]`.path(target)`.
-    ///
-    /// # Errors
-    ///
-    /// Tracing errors ([`VmError::Heap`]) or [`VmError::Halted`].
-    pub fn probe_path(
-        &mut self,
-        target: ObjRef,
-    ) -> Result<Option<gca_collector::HeapPath>, VmError> {
-        self.probe().path(target)
-    }
-
-    /// Immediately counts the live (reachable) instances of `class`.
-    /// Equivalent to [`Vm::probe`]`.instances(class)`.
-    ///
-    /// # Errors
-    ///
-    /// Tracing errors or [`VmError::Halted`].
-    pub fn probe_instances(&mut self, class: ClassId) -> Result<u32, VmError> {
-        self.probe().instances(class)
-    }
-
-    /// Immediately answers whether `target` is reachable. Equivalent to
-    /// [`Vm::probe`]`.reachable(target)`.
-    ///
-    /// # Errors
-    ///
-    /// Tracing errors or [`VmError::Halted`].
-    pub fn probe_reachable(&mut self, target: ObjRef) -> Result<bool, VmError> {
-        self.probe().reachable(target)
-    }
-
-    /// Collects a root-to-object path for every live instance of `class`.
-    /// Equivalent to [`Vm::probe`]`.explain_instances(class)`.
-    ///
-    /// # Errors
-    ///
-    /// Tracing errors or [`VmError::Halted`].
-    pub fn explain_instances(
-        &mut self,
-        class: ClassId,
-    ) -> Result<Vec<(ObjRef, gca_collector::HeapPath)>, VmError> {
-        self.probe().explain_instances(class)
-    }
-
-    /// Enumerates every heap reference into `target`. Equivalent to
-    /// [`Vm::probe`]`.incoming_references(target)`.
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors or [`VmError::Halted`].
-    pub fn incoming_references(
-        &mut self,
-        target: ObjRef,
-    ) -> Result<(Vec<(ObjRef, usize)>, bool), VmError> {
-        self.probe().incoming_references(target)
-    }
-
-    // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
 
@@ -1143,8 +1061,7 @@ impl Vm {
     }
 
     /// A stop-the-world snapshot of all roots (thread stacks + globals),
-    /// as the collector would see them. Used by offline analyzers (heap
-    /// snapshots, dominator trees).
+    /// as the collector would see them.
     pub fn roots(&self) -> Vec<ObjRef> {
         self.gather_roots()
     }

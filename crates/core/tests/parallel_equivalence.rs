@@ -106,7 +106,7 @@ fn run(workers: usize, ops: &[Op]) -> Outcome {
     let m = vm.main();
 
     // Volume assertion up front: at most 5 live `N` instances at GC.
-    vm.assertions().instances(n, 5).unwrap();
+    vm.assert_instances(n, 5).unwrap();
 
     let mut allocated: Vec<ObjRef> = Vec::new();
     let mut rooted: Vec<(usize, ObjRef)> = Vec::new();
@@ -142,17 +142,17 @@ fn run(workers: usize, ops: &[Op]) -> Outcome {
             }
             Op::AssertDead { idx } if !rooted.is_empty() => {
                 let o = rooted[idx % rooted.len()].1;
-                vm.assertions().dead(o).unwrap();
+                vm.assert_dead(o).unwrap();
             }
             Op::AssertUnshared { idx } if !rooted.is_empty() => {
                 let o = rooted[idx % rooted.len()].1;
-                vm.assertions().unshared(o).unwrap();
+                vm.assert_unshared(o).unwrap();
             }
             Op::Own => {
                 let owner = vm.alloc_rooted(m, owner_class, 1, 0).unwrap();
                 let ownee = vm.alloc(m, ownee_class, 1, 0).unwrap();
                 vm.set_field(owner, 0, ownee).unwrap();
-                vm.assertions().owned_by(owner, ownee).unwrap();
+                vm.assert_owned_by(owner, ownee).unwrap();
                 owners.push(owner);
                 ownees.push(ownee);
                 allocated.push(owner);
@@ -194,16 +194,16 @@ fn run(workers: usize, ops: &[Op]) -> Outcome {
                 }
             }
             Op::Region { n: num, leak } => {
-                let mut region = vm.assertions().region(m).unwrap();
+                vm.start_region(m).unwrap();
                 let mut last = ObjRef::NULL;
                 for _ in 0..*num {
-                    last = region.alloc(m, scratch, 0, 2).unwrap();
+                    last = vm.alloc(m, scratch, 0, 2).unwrap();
                 }
                 if *leak && !rooted.is_empty() && last.is_some() {
                     let f = rooted[0].1;
-                    region.set_field(f, 1, last).unwrap();
+                    vm.set_field(f, 1, last).unwrap();
                 }
-                drop(region); // assert-alldead fires here
+                vm.assert_alldead(m).unwrap();
             }
             Op::UnrootTo { keep } if rooted.len() > *keep => {
                 for &(slot, _) in &rooted[*keep..] {

@@ -81,21 +81,19 @@ fn run(workers: usize) -> (Vm, Vec<gc_assertions::Violation>, Scenario) {
     let owner = vm.alloc_rooted(m, owner_c, 1, 0).unwrap();
     let good_ownee = vm.alloc(m, ownee_c, 0, 0).unwrap();
     vm.set_field(owner, 0, good_ownee).unwrap();
-    vm.assertions().owned_by(owner, good_ownee).unwrap();
+    vm.assert_owned_by(owner, good_ownee).unwrap();
 
     let orphan_owner = vm.alloc_rooted(m, owner_c, 1, 0).unwrap();
     let orphan_ownee = vm.alloc(m, ownee_c, 0, 0).unwrap();
     vm.set_field(orphan_owner, 0, orphan_ownee).unwrap();
-    vm.assertions()
-        .owned_by(orphan_owner, orphan_ownee)
-        .unwrap();
+    vm.assert_owned_by(orphan_owner, orphan_ownee).unwrap();
     // Keep the ownee reachable from the hub, then drop the owner's edge:
     // the only remaining path avoids the owner.
     vm.set_field(hub, 2, orphan_ownee).unwrap();
     vm.set_field(orphan_owner, 0, ObjRef::NULL).unwrap();
 
-    vm.assertions().dead(dead).unwrap();
-    vm.assertions().unshared(shared).unwrap();
+    vm.assert_dead(dead).unwrap();
+    vm.assert_unshared(shared).unwrap();
 
     let report = vm.collect().unwrap();
     let scenario = Scenario {

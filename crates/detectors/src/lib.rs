@@ -24,7 +24,7 @@
 //! GC assertions, by contrast, are precise (no false positives: a
 //! violation is a mismatch with a programmer-stated fact), instance-level
 //! (full heap path), and nearly free (piggybacked on tracing) — at the
-//! price of missing transient violations. The comparison benchmarks and
+//! price of missing transient violations. `figures --baselines` and
 //! `tests/detectors.rs` demonstrate each of these trade-offs.
 
 #![forbid(unsafe_code)]
@@ -32,13 +32,9 @@
 #![warn(missing_debug_implementations)]
 
 mod cork;
-mod dominators;
 mod eager;
-mod snapshot;
 mod staleness;
 
 pub use cork::{CorkDetector, GrowthCandidate};
-pub use dominators::{top_retainers, Dominators, Retainer};
 pub use eager::{EagerOwnershipChecker, InvariantViolation};
-pub use snapshot::{HeapSnapshot, SnapshotNode};
 pub use staleness::{StaleCandidate, StalenessDetector};

@@ -112,9 +112,8 @@ impl Default for SoakConfig {
 }
 
 impl SoakConfig {
-    /// The deterministic 2-shard configuration the golden tests (and the
-    /// `figures --soak-bench` hook) run: virtual pacing, fixed seed, no
-    /// faults, no I/O.
+    /// The deterministic 2-shard configuration the golden tests run:
+    /// virtual pacing, fixed seed, no faults, no I/O.
     pub fn smoke() -> SoakConfig {
         SoakConfig {
             shards: 2,

@@ -15,7 +15,9 @@ use crate::config::{Arrivals, SoakConfig};
 use crate::fault::FaultInjector;
 use crate::http::{HttpServer, HttpState};
 use crate::report::SoakReport;
-use crate::shard::{run_shard, snapshot_slot, ShardSnapshot, ShardTask};
+use crate::shard::{
+    clone_snapshots, lock_snapshot, run_shard, snapshot_slot, ShardSnapshot, ShardTask,
+};
 
 /// A running soak fleet. Construct with [`Fleet::start`]; consume with
 /// [`Fleet::wait`]. While running, [`Fleet::metrics`] /
@@ -104,15 +106,12 @@ impl Fleet {
 
     /// Clones the current per-shard snapshots.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
-        self.snapshots
-            .iter()
-            .map(|s| s.lock().unwrap().clone())
-            .collect()
+        clone_snapshots(&self.snapshots)
     }
 
     /// `true` once every shard has finished its schedule.
     pub fn done(&self) -> bool {
-        self.snapshots.iter().all(|s| s.lock().unwrap().done)
+        self.snapshots.iter().all(|s| lock_snapshot(s).done)
     }
 
     /// Renders the current `/metrics` payload.
@@ -142,8 +141,17 @@ impl Fleet {
     ///
     /// Propagates I/O errors from the log merge or the bench write.
     pub fn wait(mut self) -> std::io::Result<SoakReport> {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        for (h, slot) in self.handles.drain(..).zip(&self.snapshots) {
+            if let Err(panic) = h.join() {
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string payload".to_owned());
+                let mut snap = lock_snapshot(slot);
+                snap.error = Some(format!("shard panicked: {message}"));
+                snap.done = true;
+            }
         }
         let wall_ms = self.started.elapsed().as_millis() as u64;
         if let Some(dir) = self.config.jsonl_dir.as_ref() {
@@ -420,4 +428,42 @@ pub(crate) fn render_status(snaps: &[ShardSnapshot], slo_ns: u64, elapsed: Durat
     }
     out.push_str("]}");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicked_shard_fails_the_report() {
+        let config = SoakConfig::smoke();
+        let snapshots: Vec<_> = (0..config.shards)
+            .map(|i| snapshot_slot(&config, i))
+            .collect();
+        // Shard 0 finishes clean; shard 1 dies after ten requests without
+        // ever setting `done` or `error`.
+        let (clean, dying) = (Arc::clone(&snapshots[0]), Arc::clone(&snapshots[1]));
+        let handles = vec![
+            std::thread::spawn(move || clean.lock().unwrap().done = true),
+            std::thread::spawn(move || {
+                dying.lock().unwrap().requests_done = 10;
+                panic!("boom");
+            }),
+        ];
+        let fleet = Fleet {
+            config,
+            snapshots,
+            handles,
+            stop: Arc::new(AtomicBool::new(false)),
+            http: None,
+            started: Instant::now(),
+        };
+        let report = fleet.wait().unwrap();
+        assert!(!report.passed());
+        assert!(report.shards[0].error.is_none());
+        assert_eq!(
+            report.shards[1].error.as_deref(),
+            Some("shard panicked: boom")
+        );
+    }
 }

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::shard::ShardSnapshot;
+use crate::shard::{clone_snapshots, ShardSnapshot};
 
 /// Shared state the server renders responses from.
 pub(crate) struct HttpState {
@@ -138,11 +138,7 @@ fn route(method: &str, path: &str, state: &HttpState) -> (&'static str, &'static
             "method not allowed\n".to_string(),
         );
     }
-    let snaps: Vec<ShardSnapshot> = state
-        .snapshots
-        .iter()
-        .map(|s| s.lock().unwrap().clone())
-        .collect();
+    let snaps = clone_snapshots(&state.snapshots);
     match path {
         "/metrics" => (
             "200 OK",
@@ -170,5 +166,38 @@ fn route(method: &str, path: &str, state: &HttpState) -> (&'static str, &'static
             "text/plain; charset=utf-8",
             "not found\n".to_string(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SoakConfig;
+    use crate::shard::snapshot_slot;
+
+    #[test]
+    fn a_poisoned_snapshot_degrades_healthz_and_keeps_metrics_up() {
+        let config = SoakConfig::smoke();
+        let snapshots: Vec<_> = (0..config.shards)
+            .map(|i| snapshot_slot(&config, i))
+            .collect();
+        // Shard 1 reports an error and then dies with the slot locked.
+        let slot = Arc::clone(&snapshots[1]);
+        let died = std::thread::spawn(move || {
+            let mut snap = slot.lock().unwrap();
+            snap.error = Some("request 10: boom".to_owned());
+            panic!("while publishing");
+        })
+        .join();
+        assert!(died.is_err() && snapshots[1].is_poisoned());
+
+        let state = HttpState {
+            snapshots,
+            slo_ns: config.slo_ns,
+            started: Instant::now(),
+        };
+        assert!(route("GET", "/healthz", &state).0.starts_with("503"));
+        assert!(route("GET", "/metrics", &state).0.starts_with("200"));
+        assert!(route("GET", "/status", &state).0.starts_with("200"));
     }
 }

@@ -3,7 +3,7 @@
 //! observability plane.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use gc_assertions::{Vm, VmConfig};
@@ -51,7 +51,8 @@ pub struct ShardSnapshot {
     pub detection: Option<Detection>,
     /// The shard finished its schedule (or was stopped).
     pub done: bool,
-    /// The shard died on a VM error (reported in `error`).
+    /// Set when the shard died: on a VM error (by the shard itself) or by
+    /// panicking (by `Fleet::wait`, when it joins the thread).
     pub error: Option<String>,
 }
 
@@ -112,6 +113,19 @@ pub(crate) fn snapshot_slot(config: &SoakConfig, shard: usize) -> Arc<Mutex<Shar
     Arc::new(Mutex::new(snap))
 }
 
+/// Locks a published snapshot, recovering the guard when a shard thread
+/// panicked while holding it. Every field is a plain value overwritten
+/// whole, so an interrupted publish leaves the slot stale, never invalid —
+/// and the observability plane must outlive a dying shard.
+pub(crate) fn lock_snapshot(slot: &Mutex<ShardSnapshot>) -> MutexGuard<'_, ShardSnapshot> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Clones the current state of every slot.
+pub(crate) fn clone_snapshots(slots: &[Arc<Mutex<ShardSnapshot>>]) -> Vec<ShardSnapshot> {
+    slots.iter().map(|s| lock_snapshot(s).clone()).collect()
+}
+
 /// The shard thread body: builds the VM, runs setup, then serves the
 /// arrival schedule, measuring latency and watching for its fault.
 pub(crate) fn run_shard(mut task: ShardTask) {
@@ -126,7 +140,7 @@ pub(crate) fn run_shard(mut task: ShardTask) {
     let mut vm = Vm::new(config);
 
     if let Err(e) = scenario.setup(&mut vm, true) {
-        let mut snap = task.snapshot.lock().unwrap();
+        let mut snap = lock_snapshot(&task.snapshot);
         snap.error = Some(format!("setup: {e}"));
         snap.done = true;
         return;
@@ -160,14 +174,14 @@ pub(crate) fn run_shard(mut task: ShardTask) {
         }
 
         if let Err(e) = scenario.request(&mut vm, true) {
-            let mut snap = task.snapshot.lock().unwrap();
+            let mut snap = lock_snapshot(&task.snapshot);
             snap.error = Some(format!("request {requests_done}: {e}"));
             break;
         }
         requests_done += 1;
         if let Some(inj) = task.fault.as_mut() {
             if let Err(e) = inj.after_request(&mut vm, requests_done) {
-                let mut snap = task.snapshot.lock().unwrap();
+                let mut snap = lock_snapshot(&task.snapshot);
                 snap.error = Some(format!("fault injection: {e}"));
                 break;
             }
@@ -280,7 +294,7 @@ fn publish(
     done: bool,
 ) {
     let census = vm.census();
-    let mut snap = task.snapshot.lock().unwrap();
+    let mut snap = lock_snapshot(&task.snapshot);
     snap.requests_done = requests_done;
     snap.telemetry = vm.telemetry();
     snap.drifting_keys = census.drifts().len();

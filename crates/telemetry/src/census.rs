@@ -141,7 +141,7 @@ pub struct CensusDrift {
 }
 
 impl CensusDrift {
-    /// One-line human rendering, for logs and the figures binary.
+    /// One-line human rendering, for logs.
     pub fn render(&self) -> String {
         format!(
             "drift: {} {:?} grew {} -> {} objects over {} cycles \

@@ -50,23 +50,6 @@ impl ExpConfig {
             ExpConfig::WithAssertions => "WithAssertions",
         }
     }
-
-    /// The VM configuration the figures measure this experiment under: a
-    /// growable heap of `heap_budget` words, base mode for
-    /// [`ExpConfig::Base`], instrumented otherwise.  Callers that want
-    /// telemetry, the census, another collector or an ablated knob chain
-    /// the [`VmConfig`] setters onto it and pass it to [`run_once_vm`].
-    pub fn vm_config(self, heap_budget: usize) -> VmConfig {
-        let mode = match self {
-            ExpConfig::Base => Mode::Base,
-            _ => Mode::Instrumented,
-        };
-        VmConfig::builder()
-            .heap_budget(heap_budget)
-            .grow_on_oom(true)
-            .mode(mode)
-            .build()
-    }
 }
 
 impl fmt::Display for ExpConfig {
@@ -98,37 +81,28 @@ pub struct Measurement {
     pub ownees_checked_per_gc: f64,
 }
 
-/// Runs `workload` once under `config` with a fresh VM and returns the
-/// measurement.
+/// Runs `workload` once under `config` on a fresh VM — a growable heap of
+/// the workload's budget, base mode for [`ExpConfig::Base`], instrumented
+/// otherwise — and returns the measurement.
 ///
 /// # Errors
 ///
 /// Propagates workload VM errors.
 pub fn run_once(workload: &dyn Workload, config: ExpConfig) -> Result<Measurement, VmError> {
-    let vm_config = config.vm_config(workload.heap_budget());
-    run_once_vm(workload, config, vm_config).map(|(m, _)| m)
-}
-
-/// As [`run_once`], but with full control of the [`VmConfig`] (telemetry,
-/// census, collector backend, ablated knobs), and additionally returning
-/// the finished [`Vm`] so callers can inspect post-run state (telemetry
-/// snapshots, violation logs, heap statistics). The `config` argument is
-/// recorded in the measurement and selects whether the workload registers
-/// its assertions; `vm_config` is used as given.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_once_vm(
-    workload: &dyn Workload,
-    config: ExpConfig,
-    vm_config: VmConfig,
-) -> Result<(Measurement, Vm), VmError> {
-    let mut vm = Vm::new(vm_config);
-    let assertions = config == ExpConfig::WithAssertions;
+    let mode = match config {
+        ExpConfig::Base => Mode::Base,
+        _ => Mode::Instrumented,
+    };
+    let mut vm = Vm::new(
+        VmConfig::builder()
+            .heap_budget(workload.heap_budget())
+            .grow_on_oom(true)
+            .mode(mode)
+            .build(),
+    );
 
     let start = Instant::now();
-    workload.run(&mut vm, assertions)?;
+    workload.run(&mut vm, config == ExpConfig::WithAssertions)?;
     // Final collection so assertions issued near the end of the run are
     // checked at least once (uniform across configurations).
     vm.collect()?;
@@ -136,7 +110,7 @@ pub fn run_once_vm(
 
     let gc = vm.gc_stats().total_gc_time;
     let collections = vm.gc_stats().collections;
-    let measurement = Measurement {
+    Ok(Measurement {
         workload: workload.name().to_owned(),
         config,
         total,
@@ -150,26 +124,7 @@ pub fn run_once_vm(
         } else {
             vm.check_totals().ownees_checked as f64 / collections as f64
         },
-    };
-    Ok((measurement, vm))
-}
-
-/// Runs `workload` `n` times under `config` and returns the run with the
-/// median total time — the repetition discipline of §3.1.1, scaled down.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn run_median(
-    workload: &dyn Workload,
-    config: ExpConfig,
-    n: usize,
-) -> Result<Measurement, VmError> {
-    let mut runs: Vec<Measurement> = (0..n.max(1))
-        .map(|_| run_once(workload, config))
-        .collect::<Result<_, _>>()?;
-    runs.sort_by_key(|r| r.total);
-    Ok(runs.swap_remove(runs.len() / 2))
+    })
 }
 
 /// Relative overhead of `new` vs `base` in percent (e.g. `3.1` = +3.1%).
@@ -178,22 +133,6 @@ pub fn overhead_percent(base: Duration, new: Duration) -> f64 {
         return 0.0;
     }
     (new.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0
-}
-
-/// Geometric mean of normalized ratios (`new/base`), in percent overhead,
-/// as the paper reports its cross-benchmark means.
-pub fn geomean_overhead_percent(pairs: &[(Duration, Duration)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = pairs
-        .iter()
-        .map(|(base, new)| {
-            let b = base.as_secs_f64().max(1e-9);
-            (new.as_secs_f64().max(1e-9) / b).ln()
-        })
-        .sum();
-    ((log_sum / pairs.len() as f64).exp() - 1.0) * 100.0
 }
 
 #[cfg(test)]
@@ -244,21 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn median_of_three() {
-        let m = run_median(&Churn, ExpConfig::Base, 3).unwrap();
-        assert_eq!(m.workload, "churn");
-    }
-
-    #[test]
     fn overhead_math() {
         let base = Duration::from_millis(100);
         let new = Duration::from_millis(103);
         let pct = overhead_percent(base, new);
         assert!((pct - 3.0).abs() < 0.01);
-        let g = geomean_overhead_percent(&[(base, new), (base, new)]);
-        assert!((g - 3.0).abs() < 0.01);
         assert_eq!(overhead_percent(Duration::ZERO, new), 0.0);
-        assert_eq!(geomean_overhead_percent(&[]), 0.0);
     }
 
     #[test]

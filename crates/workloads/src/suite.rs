@@ -12,11 +12,11 @@
 //! workload*, so relative overheads are meaningful even though the
 //! kernels are synthetic. See DESIGN.md §2 for the substitution argument.
 
-use gc_assertions::{ObjRef, Vm, VmConfig, VmError};
+use gc_assertions::{ObjRef, Vm, VmError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::runner::{run_once_vm, ExpConfig, Workload};
+use crate::runner::Workload;
 use crate::structures::{HArrayList, HBTree, HHashMap};
 
 /// A parameterized allocation/mutation kernel; see the module docs.
@@ -484,35 +484,10 @@ pub fn full_suite() -> Vec<SyntheticWorkload> {
     all
 }
 
-/// Runs every workload once under `config` with telemetry enabled and
-/// returns the concatenated JSON-lines export: one record per GC cycle,
-/// each tagged with its benchmark name (`"bench"` field). `tweak` adjusts
-/// each run's VM configuration — `figures --census` turns the heap census
-/// on (cycle records then carry per-class live tallies and top allocation
-/// sites), `--collector copying` picks the backend. This is the emission
-/// behind `figures --telemetry`/`--census` and the CI artifact steps.
-///
-/// # Errors
-///
-/// Propagates workload VM errors.
-pub fn suite_jsonl(
-    workloads: &[&dyn Workload],
-    config: ExpConfig,
-    tweak: impl Fn(VmConfig) -> VmConfig,
-) -> Result<String, VmError> {
-    let mut out = String::new();
-    for w in workloads {
-        let vm_config = tweak(config.vm_config(w.heap_budget()).telemetry(true));
-        let (_, vm) = run_once_vm(*w, config, vm_config)?;
-        out.push_str(&vm.telemetry().to_jsonl(Some(w.name())));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_once;
+    use crate::runner::{run_once, ExpConfig};
 
     #[test]
     fn suite_has_the_papers_benchmarks() {
@@ -558,42 +533,6 @@ mod tests {
             let m2 = run_once(&w, ExpConfig::Infrastructure).unwrap();
             assert_eq!(m2.violations, 0, "{} has no assertions", w.name);
         }
-    }
-
-    #[test]
-    fn suite_jsonl_is_tagged_and_parseable() {
-        let mut w = dacapo().remove(0);
-        w.iterations = 5;
-        let jsonl = suite_jsonl(&[&w], ExpConfig::Infrastructure, |c| c).unwrap();
-        assert!(
-            !jsonl.is_empty(),
-            "at least one GC cycle should be recorded"
-        );
-        let parsed = gc_assertions::parse_jsonl(&jsonl).unwrap();
-        assert!(!parsed.is_empty());
-        assert!(parsed.iter().all(|r| r.bench.as_deref() == Some("antlr")));
-    }
-
-    #[test]
-    fn suite_census_jsonl_records_carry_census_fields() {
-        let mut w = dacapo().remove(0);
-        // Enough iterations that a GC triggers mid-burst, while the
-        // temporary chain is still rooted (so "Temp" shows up live).
-        w.iterations = 20;
-        let jsonl = suite_jsonl(&[&w], ExpConfig::Infrastructure, |c| c.census(true)).unwrap();
-        let parsed = gc_assertions::parse_jsonl(&jsonl).unwrap();
-        assert!(!parsed.is_empty());
-        let censuses: Vec<_> = parsed
-            .iter()
-            .filter_map(|r| r.record.census.as_ref())
-            .collect();
-        assert!(!censuses.is_empty(), "census fields present");
-        assert!(censuses
-            .iter()
-            .any(|c| c.classes.iter().any(|e| e.name == "Temp")));
-        assert!(censuses
-            .iter()
-            .all(|c| c.classes.iter().all(|e| e.objects > 0 && e.bytes > 0)));
     }
 
     #[test]
