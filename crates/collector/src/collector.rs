@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use gca_heap::{Flags, Heap, HeapError, ObjRef, SpaceKind};
+use gca_heap::{slots_of, Flags, Heap, HeapError, ObjRef, SpaceKind};
 
 use crate::census::SurvivorVisitor;
 use crate::hooks::TraceHooks;
@@ -296,31 +296,45 @@ impl Collector {
     }
 }
 
-/// Calls `f` for every marked live object, page by page in index order —
-/// the bitmap walk [`sweep_heap`] does for the unmarked complement.
+/// The one bitmap walker: calls `f` with the handle of every slot of page
+/// `pid` named in `mask` (a subset of the page's live mask), in slot order.
+fn for_each_slot(
+    heap: &mut Heap,
+    pid: usize,
+    mask: u64,
+    mut f: impl FnMut(&mut Heap, ObjRef) -> Result<(), HeapError>,
+) -> Result<(), HeapError> {
+    for slot in slots_of(mask) {
+        let r = heap
+            .page_meta(pid)
+            .handle(slot)
+            .expect("live bitmap slot must hold an object");
+        f(heap, r)?;
+    }
+    Ok(())
+}
+
+/// Calls `f` for every marked live object, page by page in index order.
 pub(crate) fn for_each_marked(
     heap: &mut Heap,
     mut f: impl FnMut(&mut Heap, ObjRef) -> Result<(), HeapError>,
 ) -> Result<(), HeapError> {
     for pid in 0..heap.page_count() {
         let meta = heap.page_meta(pid);
-        let mut marked = meta.live_mask() & meta.flag_word(Flags::MARK);
-        while marked != 0 {
-            let slot = marked.trailing_zeros() as usize;
-            marked &= marked - 1;
-            let r = heap
-                .page_meta(pid)
-                .handle(slot)
-                .expect("live bitmap slot must hold an object");
-            f(heap, r)?;
-        }
+        let marked = meta.live_mask() & meta.flag_word(Flags::MARK);
+        for_each_slot(heap, pid, marked, &mut f)?;
     }
     Ok(())
 }
 
-/// Sweeps the heap: frees every unmarked object (calling
-/// [`TraceHooks::swept`] first) and clears the per-GC flags of survivors.
-/// Returns `(objects_swept, words_swept)`.
+/// Sweeps the heap: frees every unmarked object and clears the per-GC
+/// flags of survivors. Returns `(objects_swept, words_swept)`.
+///
+/// One bitmap word per page decides the page's fate: dead slots are
+/// live-but-unmarked and go in a single [`Heap::reclaim_page`]; of those,
+/// only the ones carrying a [`TraceHooks::swept_interest`] flag are walked
+/// for a [`TraceHooks::swept`] call first (none under [`crate::NoHooks`]);
+/// survivors get their `PER_GC` planes cleared in one word-wise operation.
 ///
 /// Public so that layer probes can time the sweep on its own; collections
 /// reach it only through [`Collector`]'s cycle driver.
@@ -329,28 +343,27 @@ pub(crate) fn for_each_marked(
 ///
 /// Propagates heap errors, which indicate a broken collector invariant.
 pub fn sweep_heap<H: TraceHooks>(heap: &mut Heap, hooks: &mut H) -> Result<(u64, u64), HeapError> {
+    let interest = hooks.swept_interest();
     let mut objects = 0u64;
     let mut words = 0u64;
     for pid in 0..heap.page_count() {
-        // One bitmap word per page decides the page's fate: dead slots are
-        // live-but-unmarked; survivors get their PER_GC planes cleared in
-        // a single word-wise operation.
         let meta = heap.page_meta(pid);
         let live = meta.live_mask();
         let survivors = live & meta.flag_word(Flags::MARK);
-        let mut dead = live & !survivors;
-        while dead != 0 {
-            let slot = dead.trailing_zeros() as usize;
-            dead &= dead - 1;
-            let r = heap
-                .page_meta(pid)
-                .handle(slot)
-                .expect("live bitmap slot must hold an object");
-            hooks.swept(heap, r);
-            words += heap.free(r)? as u64;
-            objects += 1;
+        let dead = live & !survivors;
+        if dead != 0 {
+            let wanted = dead & meta.flag_word(interest);
+            for_each_slot(heap, pid, wanted, |heap, r| {
+                hooks.swept(heap, r);
+                Ok(())
+            })?;
+            let (n, w) = heap.reclaim_page(pid, dead);
+            objects += n as u64;
+            words += w as u64;
         }
-        heap.clear_flag_word(pid, Flags::PER_GC, survivors);
+        if survivors != 0 {
+            heap.clear_flag_word(pid, Flags::PER_GC, survivors);
+        }
     }
     Ok((objects, words))
 }
@@ -496,15 +509,18 @@ mod tests {
         fn gc_begin(&mut self, _heap: &mut Heap) {
             self.begun += 1;
         }
-        fn visit_new(&mut self, _h: &mut Heap, _o: ObjRef, _c: &TraceCtx<'_>) -> Visit {
+        fn visit_new(&mut self, _h: &mut Heap, _o: ObjRef, _p: Flags, _c: &TraceCtx<'_>) -> Visit {
             self.new += 1;
             Visit::Descend
         }
-        fn visit_marked(&mut self, _h: &mut Heap, _o: ObjRef, _c: &TraceCtx<'_>) {
+        fn visit_marked(&mut self, _h: &mut Heap, _o: ObjRef, _p: Flags, _c: &TraceCtx<'_>) {
             self.marked += 1;
         }
         fn trace_done(&mut self, _heap: &mut Heap) {
             self.traced += 1;
+        }
+        fn swept_interest(&self) -> Flags {
+            Flags::DEAD
         }
         fn swept(&mut self, _heap: &Heap, _obj: ObjRef) {
             self.swept += 1;
@@ -523,7 +539,8 @@ mod tests {
         let l = heap.alloc(c, 2, 0).unwrap();
         let r = heap.alloc(c, 2, 0).unwrap();
         let shared = heap.alloc(c, 2, 0).unwrap();
-        let _garbage = heap.alloc(c, 2, 0).unwrap();
+        let garbage = heap.alloc(c, 2, 0).unwrap();
+        heap.set_flag(garbage, Flags::DEAD).unwrap();
         heap.set_ref_field(root, 0, l).unwrap();
         heap.set_ref_field(root, 1, r).unwrap();
         heap.set_ref_field(l, 0, shared).unwrap();
@@ -539,6 +556,90 @@ mod tests {
         assert_eq!(counter.ended, 1);
         assert_eq!(counter.traced, 1);
         assert_eq!(cycle.edges_traced, 4);
+    }
+
+    /// Hooks that record `swept` calls for `DEAD`-flagged victims.
+    #[derive(Default)]
+    struct DeadRecorder(Vec<ObjRef>);
+
+    impl TraceHooks for DeadRecorder {
+        fn swept_interest(&self) -> Flags {
+            Flags::DEAD
+        }
+        fn swept(&mut self, heap: &Heap, obj: ObjRef) {
+            assert!(heap.has_flag(obj, Flags::DEAD).unwrap(), "still live here");
+            self.0.push(obj);
+        }
+    }
+
+    /// Hooks with the default (empty) interest: `swept` must never run.
+    struct Uninterested;
+
+    impl TraceHooks for Uninterested {
+        fn swept(&mut self, _heap: &Heap, obj: ObjRef) {
+            panic!("swept({obj}) called for a hook that declared no interest");
+        }
+    }
+
+    #[test]
+    fn swept_fires_only_for_victims_carrying_an_interest_flag() {
+        // Victims with the flag, with other flags and with none, over two
+        // size classes and the large object space; one flagged survivor.
+        for minor in [false, true] {
+            let mut heap = Heap::new();
+            let c = heap.register_class("T", &["f"]);
+            let root = heap.alloc(c, 1, 0).unwrap();
+            heap.set_flag(root, Flags::DEAD).unwrap();
+            let mut young = vec![root];
+            let mut flagged = Vec::new();
+            for i in 0..200 {
+                let data = if i % 50 == 49 { 300 } else { (i % 2) * 9 };
+                let o = heap.alloc(c, 1, data).unwrap();
+                match i % 3 {
+                    0 => {
+                        heap.set_flag(o, Flags::DEAD).unwrap();
+                        flagged.push(o);
+                    }
+                    1 => heap.set_flag(o, Flags::UNSHARED | Flags::OWNEE).unwrap(),
+                    _ => {}
+                }
+                young.push(o);
+            }
+            let mut gc = Collector::new();
+            let mut rec = DeadRecorder::default();
+            if minor {
+                // A minor sweeps in young-list order.
+                gc.collect_minor(&mut heap, &[root], &[], &young, &mut rec)
+                    .unwrap();
+            } else {
+                // A major sweeps page by page, slot by slot.
+                gc.collect(&mut heap, &[root], &mut rec).unwrap();
+                flagged.sort_unstable_by_key(|r| r.index());
+            }
+            assert_eq!(rec.0, flagged, "minor={minor}");
+            assert!(heap.is_valid(root), "a flagged survivor is not swept");
+            assert_eq!(heap.live_objects(), 1);
+            assert_eq!(heap.verify(), Vec::<String>::new());
+
+            // The default interest is empty: no victim reaches `swept`,
+            // whatever it carries.
+            let mut heap = Heap::new();
+            let c = heap.register_class("T", &[]);
+            let victims: Vec<ObjRef> = (0..70).map(|_| heap.alloc(c, 0, 0).unwrap()).collect();
+            heap.set_flag(victims[3], Flags::DEAD | Flags::OWNEE | Flags::OWNER)
+                .unwrap();
+            let swept = if minor {
+                gc.collect_minor(&mut heap, &[], &[], &victims, &mut Uninterested)
+                    .unwrap()
+                    .objects_swept
+            } else {
+                gc.collect(&mut heap, &[], &mut Uninterested)
+                    .unwrap()
+                    .objects_swept
+            };
+            assert_eq!(swept, 70, "minor={minor}");
+            assert_eq!(heap.live_objects(), 0);
+        }
     }
 
     /// Runs a census cycle, returning the survivors the pass reported.

@@ -260,12 +260,18 @@ mod tests {
         fn wants_paths(&self) -> bool {
             true
         }
-        fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
+        fn visit_new(
+            &mut self,
+            heap: &mut Heap,
+            obj: ObjRef,
+            _p: Flags,
+            ctx: &TraceCtx<'_>,
+        ) -> Visit {
             self.new.push(obj);
             self.paths.push((obj, ctx.current_path(heap)));
             Visit::Descend
         }
-        fn visit_marked(&mut self, _h: &mut Heap, obj: ObjRef, _c: &TraceCtx<'_>) {
+        fn visit_marked(&mut self, _h: &mut Heap, obj: ObjRef, _p: Flags, _c: &TraceCtx<'_>) {
             self.marked.push(obj);
         }
     }

@@ -1,6 +1,6 @@
 //! The trace-hook interface that assertion checking piggybacks on.
 
-use gca_heap::{Heap, HeapError, ObjRef};
+use gca_heap::{Flags, Heap, HeapError, ObjRef};
 
 use crate::parallel::{mark_parallel, NoParVisitor, ParMarkStats};
 use crate::stats::CycleStats;
@@ -35,7 +35,8 @@ pub enum Visit {
 ///    (a cycle with several tracing workers calls
 ///    [`TraceHooks::mark_roots_parallel`] for this step instead)
 /// 4. [`TraceHooks::trace_done`]
-/// 5. sweep, calling [`TraceHooks::swept`] for each reclaimed object
+/// 5. sweep, calling [`TraceHooks::swept`] for each reclaimed object that
+///    carries a [`TraceHooks::swept_interest`] flag
 /// 6. [`TraceHooks::gc_end`]
 ///
 /// A cycle that fails with a heap error stops wherever it is and calls
@@ -67,18 +68,27 @@ pub trait TraceHooks {
     }
 
     /// Called when the tracer marks `obj` for the first time this cycle.
-    /// The object's header has already been read and written (mark bit), so
-    /// per the paper the extra flag checks here are effectively free.
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
-        let _ = (heap, obj, ctx);
+    /// `prev` is the object's header as the mark claim found it: the claim
+    /// read and wrote the header in one page lookup, so per the paper the
+    /// extra flag checks here are effectively free — a hook tests `prev`
+    /// and never reads the object's flags again.
+    fn visit_new(
+        &mut self,
+        heap: &mut Heap,
+        obj: ObjRef,
+        prev: Flags,
+        ctx: &TraceCtx<'_>,
+    ) -> Visit {
+        let _ = (heap, obj, prev, ctx);
         Visit::Descend
     }
 
     /// Called when the tracer encounters `obj` through an edge but finds it
     /// already marked — the second (or later) incoming pointer, which is
-    /// where `assert-unshared` fires.
-    fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) {
-        let _ = (heap, obj, ctx);
+    /// where `assert-unshared` fires. `prev` is the header the failed claim
+    /// read, `MARK` included.
+    fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, prev: Flags, ctx: &TraceCtx<'_>) {
+        let _ = (heap, obj, prev, ctx);
     }
 
     /// The root scan of a cycle with `workers > 1` tracing threads: marks
@@ -109,8 +119,17 @@ pub trait TraceHooks {
         let _ = heap;
     }
 
-    /// Called for each unreachable object just before it is freed. The
-    /// engine uses this to retire metadata for dying owners/ownees.
+    /// The flags that make a dying object this hook's business: the sweep
+    /// calls [`TraceHooks::swept`] only for unreachable objects carrying at
+    /// least one of them, and reclaims every other dead slot of a page with
+    /// bitmap arithmetic alone. The default is empty — no calls at all.
+    fn swept_interest(&self) -> Flags {
+        Flags::empty()
+    }
+
+    /// Called just before an unreachable object that carries a
+    /// [`TraceHooks::swept_interest`] flag is freed. The engine uses this
+    /// to retire metadata for dying owners/ownees.
     fn swept(&mut self, heap: &Heap, obj: ObjRef) {
         let _ = (heap, obj);
     }
@@ -164,10 +183,11 @@ mod tests {
         // Default hook bodies are callable no-ops.
         h.gc_begin(&mut heap);
         assert_eq!(
-            h.visit_new(&mut heap, o, &TraceCtx::no_paths()),
+            h.visit_new(&mut heap, o, Flags::empty(), &TraceCtx::no_paths()),
             Visit::Descend
         );
-        h.visit_marked(&mut heap, o, &TraceCtx::no_paths());
+        h.visit_marked(&mut heap, o, Flags::MARK, &TraceCtx::no_paths());
+        assert!(h.swept_interest().is_empty());
         h.trace_done(&mut heap);
         h.swept(&heap, o);
         h.gc_end(&mut heap, &CycleStats::default());

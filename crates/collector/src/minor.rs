@@ -13,7 +13,8 @@
 //!   barrier), treating every old object as immortal;
 //! * young survivors are promoted (their `OLD` bit is set);
 //! * **no assertions are checked** — only the [`TraceHooks::swept`] hook
-//!   runs, so engine metadata for reclaimed objects can be retired.
+//!   runs (for victims carrying a [`TraceHooks::swept_interest`] flag), so
+//!   engine metadata for reclaimed objects can be retired.
 
 use std::time::{Duration, Instant};
 
@@ -56,8 +57,8 @@ struct MinorHooks {
 }
 
 impl TraceHooks for MinorHooks {
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _ctx: &TraceCtx<'_>) -> Visit {
-        if heap.has_flag(obj, Flags::OLD).unwrap_or(false) {
+    fn visit_new(&mut self, _h: &mut Heap, obj: ObjRef, prev: Flags, _c: &TraceCtx<'_>) -> Visit {
+        if prev.contains(Flags::OLD) {
             // Old objects are immortal for a minor collection; any young
             // objects they reference are covered by the remembered set.
             self.touched_old.push(obj);
@@ -116,24 +117,24 @@ pub(crate) fn collect_minor<H: TraceHooks>(
     stats.objects_marked = tracer.objects_marked();
     stats.edges_traced = tracer.edges_traced();
 
-    // Sweep the young population only.
+    // Sweep the young population only. One lookup per entry validates the
+    // handle, sets `OLD` and returns the flags it held before, which decide
+    // the entry's fate; on a victim the bit dies with the object.
+    let interest = hooks.swept_interest();
     for &y in young {
-        if !heap.is_valid(y) {
+        let Ok(prev) = heap.fetch_set_flag(y, Flags::OLD) else {
             continue; // already reclaimed (e.g. duplicate entry)
-        }
-        let marked = heap.has_flag(y, Flags::MARK)?;
-        if marked {
+        };
+        if prev.contains(Flags::MARK) {
             heap.clear_flag(y, Flags::PER_GC)?;
-            heap.set_flag(y, Flags::OLD)?;
             stats.promoted += 1;
-        } else if heap.has_flag(y, Flags::OLD)? {
-            // Already promoted by an earlier entry (duplicates) — skip.
-            continue;
-        } else {
-            hooks.swept(heap, y);
+        } else if !prev.contains(Flags::OLD) {
+            if prev.intersects(interest) {
+                hooks.swept(heap, y);
+            }
             stats.words_swept += heap.free(y)? as u64;
             stats.objects_swept += 1;
-        }
+        } // else: already promoted by an earlier entry (duplicates)
     }
 
     // Clear the marks the trace left on touched old objects.
@@ -283,12 +284,16 @@ mod tests {
     fn swept_hook_fires_for_minor_victims() {
         struct Recorder(Vec<ObjRef>);
         impl TraceHooks for Recorder {
+            fn swept_interest(&self) -> Flags {
+                Flags::DEAD
+            }
             fn swept(&mut self, _heap: &Heap, obj: ObjRef) {
                 self.0.push(obj);
             }
         }
         let (mut heap, mut tracer) = setup();
         let dead = alloc(&mut heap);
+        heap.set_flag(dead, Flags::DEAD).unwrap();
         let mut rec = Recorder(Vec::new());
         collect_minor(&mut tracer, &mut heap, &[], &[], &[dead], &mut rec).unwrap();
         assert_eq!(rec.0, vec![dead]);

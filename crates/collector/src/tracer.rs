@@ -165,11 +165,13 @@ impl Tracer {
 }
 
 /// The one visit step of every sequential trace, whatever its worklist:
-/// claim `MARK` on `obj`. The first claim is the object's first visit —
-/// `claimed` runs (an evacuating trace forwards the object there), then
-/// [`TraceHooks::visit_new`], whose verdict is returned. Any later arrival
-/// is an extra incoming edge: [`TraceHooks::visit_marked`] fires and `None`
-/// is returned. Objects a pre-root phase already marked are simply
+/// claim `MARK` on `obj`, in the one page lookup that validates the handle
+/// and snapshots the flags it held before the claim. The first claim is
+/// the object's first visit — `claimed` runs (an evacuating trace forwards
+/// the object there), then [`TraceHooks::visit_new`], whose verdict is
+/// returned. Any later arrival is an extra incoming edge:
+/// [`TraceHooks::visit_marked`] fires and `None` is returned. Either hook
+/// gets the snapshot. Objects a pre-root phase already marked are simply
 /// "already marked" here.
 #[inline]
 pub(crate) fn visit<H: TraceHooks>(
@@ -179,13 +181,18 @@ pub(crate) fn visit<H: TraceHooks>(
     ctx: &TraceCtx<'_>,
     claimed: impl FnOnce(&mut Heap) -> Result<(), HeapError>,
 ) -> Result<Option<Visit>, HeapError> {
-    if heap.has_flag(obj, Flags::MARK)? {
-        hooks.visit_marked(heap, obj, ctx);
+    let prev = heap.fetch_set_flag(obj, Flags::MARK)?;
+    debug_assert_eq!(
+        heap.flags_of(obj),
+        Ok(prev | Flags::MARK),
+        "the mark claim's snapshot is not the header it claimed"
+    );
+    if prev.contains(Flags::MARK) {
+        hooks.visit_marked(heap, obj, prev, ctx);
         return Ok(None);
     }
-    heap.set_flag(obj, Flags::MARK)?;
     claimed(heap)?;
-    Ok(Some(hooks.visit_new(heap, obj, ctx)))
+    Ok(Some(hooks.visit_new(heap, obj, prev, ctx)))
 }
 
 #[inline]
@@ -476,7 +483,13 @@ mod tests {
         fn wants_paths(&self) -> bool {
             true
         }
-        fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
+        fn visit_new(
+            &mut self,
+            heap: &mut Heap,
+            obj: ObjRef,
+            _prev: Flags,
+            ctx: &TraceCtx<'_>,
+        ) -> Visit {
             self.paths.push((obj, ctx.current_path(heap)));
             Visit::Descend
         }
@@ -540,7 +553,7 @@ mod tests {
     }
 
     impl TraceHooks for Skipper {
-        fn visit_new(&mut self, _heap: &mut Heap, obj: ObjRef, _ctx: &TraceCtx<'_>) -> Visit {
+        fn visit_new(&mut self, _h: &mut Heap, obj: ObjRef, _p: Flags, _c: &TraceCtx<'_>) -> Visit {
             if obj == self.skip {
                 Visit::Skip
             } else {
@@ -580,7 +593,7 @@ mod tests {
     }
 
     impl TraceHooks for RevisitRecorder {
-        fn visit_marked(&mut self, _heap: &mut Heap, obj: ObjRef, _ctx: &TraceCtx<'_>) {
+        fn visit_marked(&mut self, _h: &mut Heap, obj: ObjRef, _p: Flags, _c: &TraceCtx<'_>) {
             self.revisits.push(obj);
         }
     }

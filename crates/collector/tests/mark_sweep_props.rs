@@ -2,7 +2,7 @@
 //! objects of arbitrary random object graphs, in both worklist modes.
 
 use gca_collector::{Collector, NoHooks, TraceCtx, TraceHooks, Visit};
-use gca_heap::{Heap, ObjRef};
+use gca_heap::{Flags, Heap, ObjRef, SpaceKind};
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
 
@@ -53,7 +53,7 @@ impl TraceHooks for PathValidator {
     fn wants_paths(&self) -> bool {
         true
     }
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
+    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _p: Flags, ctx: &TraceCtx<'_>) -> Visit {
         let path = ctx.current_path(heap);
         let steps = path.steps();
         assert_eq!(steps.last().map(|s| s.object), Some(obj));
@@ -69,6 +69,44 @@ impl TraceHooks for PathValidator {
         }
         self.checked += 1;
         Visit::Descend
+    }
+}
+
+/// Every flag but `MARK`, which belongs to the trace.
+const NON_MARK_FLAGS: [Flags; 8] = [
+    Flags::DEAD,
+    Flags::UNSHARED,
+    Flags::OWNEE,
+    Flags::OWNED,
+    Flags::REPORTED,
+    Flags::OWNER,
+    Flags::OLD,
+    Flags::REMEMBERED,
+];
+
+/// Differential hooks: the header snapshot every visit hands over must be
+/// the header itself — as the mark claim found it on a first visit, as it
+/// stands on a re-visit, including what hooks wrote earlier in the trace.
+#[derive(Default)]
+struct SnapshotChecker {
+    new: usize,
+}
+
+impl TraceHooks for SnapshotChecker {
+    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, prev: Flags, _c: &TraceCtx<'_>) -> Visit {
+        assert!(
+            !prev.contains(Flags::MARK),
+            "first visit of a marked object"
+        );
+        assert_eq!(prev | Flags::MARK, heap.flags_of(obj).unwrap());
+        if obj.index().is_multiple_of(2) {
+            heap.set_flag(obj, Flags::REPORTED).unwrap();
+        }
+        self.new += 1;
+        Visit::Descend
+    }
+    fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, prev: Flags, _c: &TraceCtx<'_>) {
+        assert_eq!(prev, heap.flags_of(obj).unwrap());
     }
 }
 
@@ -102,6 +140,7 @@ fn million_deep_chain_traced_without_stack_overflow() {
             &mut self,
             heap: &mut Heap,
             _obj: gca_heap::ObjRef,
+            _prev: Flags,
             ctx: &TraceCtx<'_>,
         ) -> Visit {
             // Reconstructing full million-step paths per node would be
@@ -174,6 +213,26 @@ proptest! {
             prop_assert_eq!(heap_a.is_valid(a), heap_b.is_valid(b));
         }
         prop_assert_eq!(validator.checked as usize, heap_b.live_objects());
+    }
+
+    #[test]
+    fn visits_carry_the_header_snapshot(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0usize..40, 0usize..4, 0usize..40), 0..120),
+        root_picks in proptest::collection::vec(0usize..40, 0..6),
+        flag_picks in proptest::collection::vec((0usize..40, 0usize..8), 0..60),
+    ) {
+        // The LIFO drain and the Cheney scan share the one visit step.
+        for kind in [SpaceKind::Paged, SpaceKind::Semispace] {
+            let mut heap = Heap::with_space(kind);
+            let (objs, roots) = build_graph(&mut heap, n, &edges, &root_picks);
+            for &(o, bit) in &flag_picks {
+                heap.set_flag(objs[o % n], NON_MARK_FLAGS[bit]).unwrap();
+            }
+            let mut checker = SnapshotChecker::default();
+            Collector::new().collect(&mut heap, &roots, &mut checker).unwrap();
+            prop_assert_eq!(checker.new, reachable(&heap, &roots).len());
+        }
     }
 
     #[test]

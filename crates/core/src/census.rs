@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use gca_heap::{ClassId, Heap, ObjRef, Object};
+use gca_heap::{Heap, ObjRef, Object};
 use gca_telemetry::{CensusData, CensusEntry, HeapCensus};
 
 /// Heap words are u64s.
@@ -40,11 +40,23 @@ impl AllocSite {
 }
 
 /// One cycle's survivor tally: `(objects, bytes)` per class and per
-/// allocation site.
+/// allocation site. Class and site ids are dense, so each table is a `Vec`
+/// indexed by the id and grown on demand — a survivor costs two index
+/// bumps, no hashing.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
-    classes: HashMap<ClassId, (u64, u64)>,
-    sites: HashMap<u32, (u64, u64)>,
+    classes: Vec<(u64, u64)>,
+    sites: Vec<(u64, u64)>,
+}
+
+/// Adds one object of `bytes` bytes to row `id` of a tally table.
+fn bump(table: &mut Vec<(u64, u64)>, id: u32, bytes: u64) {
+    let id = id as usize;
+    if table.len() <= id {
+        table.resize(id + 1, (0, 0));
+    }
+    table[id].0 += 1;
+    table[id].1 += bytes;
 }
 
 /// All census state owned by the VM (boxed, present only when
@@ -107,6 +119,7 @@ impl CensusState {
         self.site_of[slot] = self.current_site;
     }
 
+    #[cfg(test)]
     fn site_name(&self, id: u32) -> &str {
         &self.site_names[id as usize]
     }
@@ -120,33 +133,33 @@ impl CensusState {
             .get(obj.index() as usize)
             .copied()
             .unwrap_or(UNATTRIBUTED);
-        for entry in [
-            tally.classes.entry(o.class()).or_insert((0, 0)),
-            tally.sites.entry(site).or_insert((0, 0)),
-        ] {
-            entry.0 += 1;
-            entry.1 += bytes;
-        }
+        bump(&mut tally.classes, o.class().as_u32(), bytes);
+        bump(&mut tally.sites, site, bytes);
     }
 
     /// Resolves a finished tally into named, normalized census data.
     pub(crate) fn build_data(&self, heap: &Heap, tally: Tally) -> CensusData {
-        let entry = |name: &str, (objects, bytes): (u64, u64)| CensusEntry {
-            name: name.to_owned(),
-            objects,
-            bytes,
-        };
+        // Rows nothing survived in are skipped; registry and site table
+        // both hand out ids in index order.
+        fn entries<'n>(
+            names: impl Iterator<Item = &'n str>,
+            table: Vec<(u64, u64)>,
+        ) -> Vec<CensusEntry> {
+            names
+                .zip(table)
+                .filter(|&(_, (objects, _))| objects != 0)
+                .map(|(name, (objects, bytes))| CensusEntry {
+                    name: name.to_owned(),
+                    objects,
+                    bytes,
+                })
+                .collect()
+        }
+        let classes = heap.registry().iter().map(|(_, info)| info.name());
+        let sites = self.site_names.iter().map(String::as_str);
         let mut data = CensusData {
-            classes: tally
-                .classes
-                .into_iter()
-                .map(|(class, totals)| entry(heap.registry().name(class), totals))
-                .collect(),
-            sites: tally
-                .sites
-                .into_iter()
-                .map(|(site, totals)| entry(self.site_name(site), totals))
-                .collect(),
+            classes: entries(classes, tally.classes),
+            sites: entries(sites, tally.sites),
         };
         data.normalize();
         data

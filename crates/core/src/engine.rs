@@ -354,9 +354,13 @@ impl TraceHooks for AssertionEngine {
         Ok(())
     }
 
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
-        let flags = heap.flags_of(obj).expect("traced object is live");
-
+    fn visit_new(
+        &mut self,
+        heap: &mut Heap,
+        obj: ObjRef,
+        flags: Flags,
+        ctx: &TraceCtx<'_>,
+    ) -> Visit {
         // assert-instances: count every traced object of a tracked class.
         if let Some(class) = tracked_class(heap, obj) {
             heap.registry_mut().info_mut(class).instance_count += 1;
@@ -424,8 +428,7 @@ impl TraceHooks for AssertionEngine {
         Visit::Descend
     }
 
-    fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) {
-        let flags = heap.flags_of(obj).expect("traced object is live");
+    fn visit_marked(&mut self, heap: &mut Heap, obj: ObjRef, flags: Flags, ctx: &TraceCtx<'_>) {
         // During the ownership phase, an already-marked ownee of the
         // *current* owner may have been marked through another region's
         // back edge before its owner's scan reached it — credit it now and
@@ -462,16 +465,17 @@ impl TraceHooks for AssertionEngine {
         crate::par_engine::mark_roots(self, heap, roots, workers)
     }
 
+    fn swept_interest(&self) -> Flags {
+        Flags::OWNEE | Flags::OWNER
+    }
+
     fn swept(&mut self, heap: &Heap, obj: ObjRef) {
-        // A flag test per reclaimed object — the header is already being
-        // touched by the free.
-        if let Ok(flags) = heap.flags_of(obj) {
-            if flags.contains(Flags::OWNEE) {
-                self.swept_ownees.push(obj);
-            }
-            if flags.contains(Flags::OWNER) {
-                self.swept_owners.push(obj);
-            }
+        // Selected by `swept_interest`, so a participant: an owner, or —
+        // the table keeps the two apart — an ownee.
+        if heap.has_flag(obj, Flags::OWNER).unwrap_or(false) {
+            self.swept_owners.push(obj);
+        } else {
+            self.swept_ownees.push(obj);
         }
     }
 

@@ -169,7 +169,7 @@ impl TraceHooks for PathFinder {
     fn wants_paths(&self) -> bool {
         true
     }
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
+    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _p: Flags, ctx: &TraceCtx<'_>) -> Visit {
         if obj == self.target && self.found.is_none() {
             self.found = Some(ctx.current_path(heap));
         }
@@ -183,7 +183,7 @@ struct Counter {
 }
 
 impl TraceHooks for Counter {
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _ctx: &TraceCtx<'_>) -> Visit {
+    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _p: Flags, _c: &TraceCtx<'_>) -> Visit {
         if heap.get(obj).map(|o| o.class()) == Ok(self.class) {
             self.count += 1;
         }
@@ -200,7 +200,7 @@ impl TraceHooks for InstanceFinder {
     fn wants_paths(&self) -> bool {
         true
     }
-    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, ctx: &TraceCtx<'_>) -> Visit {
+    fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _p: Flags, ctx: &TraceCtx<'_>) -> Visit {
         if heap.get(obj).map(|o| o.class()) == Ok(self.class) {
             self.found.push((obj, ctx.current_path(heap)));
         }

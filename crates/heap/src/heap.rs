@@ -1,6 +1,6 @@
 //! The heap: BiBOP page-table storage behind a pluggable space backend.
 
-use crate::pages::{PageMeta, PageTable, RefFault, PAGE_SHIFT, PAGE_SLOTS};
+use crate::pages::{slots_of, PageMeta, PageTable, PAGE_SHIFT, PAGE_SLOTS};
 use crate::{
     CardTable, ClassId, Flags, HeapError, HeapSpace, HeapStats, ObjRef, Object, SemiSpaces,
     SpaceKind, TypeRegistry,
@@ -140,20 +140,27 @@ impl Heap {
     /// [`HeapError::NullRef`], [`HeapError::InvalidRef`] or
     /// [`HeapError::StaleRef`] if `r` does not name a live object.
     pub fn free(&mut self, r: ObjRef) -> Result<usize, HeapError> {
-        if r.is_null() {
-            return Err(HeapError::NullRef);
-        }
-        let words = match self.table.free_checked(r.index(), r.generation()) {
-            Ok(words) => words,
-            Err(RefFault::Invalid) => return Err(HeapError::InvalidRef(r)),
-            Err(RefFault::Stale) => return Err(HeapError::StaleRef(r)),
-        };
+        self.check(r)?;
+        let (pid, slot) = (r.index() >> PAGE_SHIFT, r.index() % PAGE_SLOTS as u32);
+        Ok(self.reclaim_page(pid as usize, 1 << slot).1)
+    }
+
+    /// Frees every live object of page `pid` named in the `dead` slot mask
+    /// in one call — the sweep's bulk [`Heap::free`], with the same effect
+    /// on each object as freeing them one by one in ascending slot order.
+    /// Returns `(objects, words)` reclaimed.
+    pub fn reclaim_page(&mut self, pid: usize, dead: u64) -> (usize, usize) {
+        let dead = dead & self.page_meta(pid).live_mask();
         if let Some(semi) = &mut self.semi {
-            semi.note_free(r.index() as usize);
+            for slot in slots_of(dead) {
+                semi.note_free(pid * PAGE_SLOTS + slot);
+            }
         }
-        self.stats.frees += 1;
+        let objects = dead.count_ones() as usize;
+        let words = self.table.reclaim(pid, dead);
+        self.stats.frees += objects as u64;
         self.stats.freed_words += words as u64;
-        Ok(words)
+        (objects, words)
     }
 
     #[inline]
@@ -322,6 +329,7 @@ impl Heap {
     /// # Errors
     ///
     /// Reference-validity errors.
+    #[inline]
     pub fn fetch_set_flag(&self, r: ObjRef, bits: Flags) -> Result<Flags, HeapError> {
         self.check(r)?;
         Ok(self.table.fetch_set_flags(r.index(), bits))
@@ -436,14 +444,8 @@ impl Heap {
                 break;
             }
             let meta = self.page_meta(pid as usize);
-            let mut olds = meta.live_mask() & meta.flag_word(Flags::OLD);
-            while olds != 0 {
-                let slot = olds.trailing_zeros() as usize;
-                olds &= olds - 1;
-                if let Some(r) = meta.handle(slot) {
-                    out.push(r);
-                }
-            }
+            let olds = meta.live_mask() & meta.flag_word(Flags::OLD);
+            out.extend(slots_of(olds).filter_map(|slot| meta.handle(slot)));
         }
         out
     }

@@ -81,7 +81,9 @@ pub use flags::{AtomicFlags, Flags};
 pub use heap::{Heap, LiveIter};
 pub use object::{Object, HEADER_WORDS};
 pub use objref::ObjRef;
-pub use pages::{PageMeta, PageTable, LOS_THRESHOLD, PAGE_SHIFT, PAGE_SLOTS, SIZE_CLASSES};
+pub use pages::{
+    slots_of, PageMeta, PageTable, LOS_THRESHOLD, PAGE_SHIFT, PAGE_SLOTS, SIZE_CLASSES,
+};
 pub use space::{HeapSpace, SpaceKind};
 pub use spaces::SemiSpaces;
 pub use stats::HeapStats;

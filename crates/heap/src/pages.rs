@@ -54,22 +54,24 @@ const WORD_BYTES: u64 = 8;
 /// and semispace address ranges are visibly disjoint in debug output.
 const FIRST_PAGE_BASE: u64 = 1 << 20;
 
-/// Why a handle failed validation: the index lies outside the page table
-/// entirely, or the slot exists but the generation/liveness check failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RefFault {
-    /// Never-allocated address space.
-    Invalid,
-    /// Slot exists, but the handle's generation is out of date (or the
-    /// slot is currently free).
-    Stale,
-}
-
 /// Returns the size-class index for an object of `words` words, or `None`
 /// if it belongs in the large object space.
 #[inline]
 pub(crate) fn size_class_index(words: usize) -> Option<usize> {
     SIZE_CLASSES.iter().position(|&c| words <= c)
+}
+
+/// The slots named by the set bits of a page bitmap word (a live mask, a
+/// [`PageMeta::flag_word`], any combination), in ascending order — the one
+/// bit walk behind every word-wise loop over a page.
+pub fn slots_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slot
+        })
+    })
 }
 
 /// One page: metadata word(s) plus the slot storage.
@@ -149,6 +151,7 @@ impl Page {
 
     /// Records that the planes named in `raw` now (may) hold bits. The
     /// load-then-or avoids the RMW on the common already-hinted path.
+    #[inline]
     fn hint_planes(&self, raw: u16) {
         if self.plane_hint.load(Ordering::Relaxed) & raw != raw {
             self.plane_hint.fetch_or(raw, Ordering::Relaxed);
@@ -166,22 +169,24 @@ impl Page {
         }
     }
 
-    /// Sets `bits` on `slot`, returning the flags held before. For the
-    /// planes being set, the previous value comes from the `fetch_or`
+    /// Sets `bits` on `slot`, returning the flags held before. A plane
+    /// being set is read first and only written when the bit is still
+    /// clear — a re-visit of a marked object costs loads, no read-modify-
+    /// write — and then the previous value comes from the `fetch_or`
     /// itself, so concurrent setters of the same bit see exactly one
     /// winner (the parallel tracer's mark-claim); other planes are plain
     /// loads, which is sound because collection is stop-the-world and
-    /// only the claimed bits are concurrently mutated.
+    /// only the claimed bits are concurrently mutated, and never cleared.
+    #[inline]
     fn fetch_set_flags(&self, slot: usize, bits: Flags) -> Flags {
         let raw = bits.bits();
         self.hint_planes(raw);
         let mut prev = 0u16;
         for (k, plane) in self.planes.iter().enumerate() {
-            let word = if raw >> k & 1 != 0 {
-                plane.fetch_or(Self::slot_bit(slot), Ordering::Relaxed)
-            } else {
-                plane.load(Ordering::Relaxed)
-            };
+            let mut word = plane.load(Ordering::Relaxed);
+            if raw >> k & 1 != 0 && word >> slot & 1 == 0 {
+                word = plane.fetch_or(Self::slot_bit(slot), Ordering::Relaxed);
+            }
             if word >> slot & 1 != 0 {
                 prev |= 1 << k;
             }
@@ -210,23 +215,22 @@ impl Page {
         true
     }
 
-    /// Clears every plane's bit for `slot` (object freed). Takes `&mut
-    /// self` so the plane clears compile to plain stores instead of atomic
-    /// RMWs — `free` always holds exclusive access, and this is the
-    /// allocation-churn hot path. Only planes named by the occupancy hint
-    /// are visited (a flag-free page touches nothing but the hint word),
-    /// and the hint is re-tightened from what remains.
-    fn clear_all_flags(&mut self, slot: usize) {
+    /// Clears every plane's bits for the `mask` slots (objects freed). Takes
+    /// `&mut self` so the plane clears compile to plain stores instead of
+    /// atomic RMWs — reclamation always holds exclusive access, and this is
+    /// the allocation-churn hot path. Only planes named by the occupancy
+    /// hint are visited (a flag-free page touches nothing but the hint
+    /// word), and the hint is re-tightened from what remains.
+    fn clear_all_flags(&mut self, mask: u64) {
         let hint = *self.plane_hint.get_mut();
         if hint == 0 {
             return;
         }
-        let keep = !Self::slot_bit(slot);
         let mut remaining = 0u16;
         for k in 0..FLAG_PLANES {
             if hint >> k & 1 != 0 {
                 let plane = self.planes[k].get_mut();
-                *plane &= keep;
+                *plane &= !mask;
                 if *plane != 0 {
                     remaining |= 1 << k;
                 }
@@ -247,14 +251,17 @@ impl Page {
         }
     }
 
-    /// The bitmap word of one single-bit flag plane.
-    fn plane_word(&self, bit: Flags) -> u64 {
-        let raw = bit.bits();
-        assert!(
-            raw.count_ones() == 1,
-            "plane_word wants exactly one flag bit, got {bit:?}"
-        );
-        self.planes[raw.trailing_zeros() as usize].load(Ordering::Relaxed)
+    /// The union of the bitmap words of the planes named in `bits`.
+    #[inline]
+    fn plane_word(&self, bits: Flags) -> u64 {
+        let raw = bits.bits();
+        let mut word = 0;
+        for (k, plane) in self.planes.iter().enumerate() {
+            if raw >> k & 1 != 0 {
+                word |= plane.load(Ordering::Relaxed);
+            }
+        }
+        word
     }
 
     #[inline]
@@ -334,12 +341,12 @@ impl<'a> PageMeta<'a> {
         self.page.free_mask
     }
 
-    /// The side-bitmap word of one single-bit flag (e.g. `Flags::MARK`):
-    /// bit `s` is the flag of slot `s`. Panics if `bit` has more or fewer
-    /// than one bit set.
+    /// The side-bitmap word of `bits`: bit `s` is set when slot `s` holds
+    /// any of those flags. For one flag (e.g. `Flags::MARK`) that is its
+    /// plane; for several, the union of theirs.
     #[inline]
-    pub fn flag_word(&self, bit: Flags) -> u64 {
-        self.page.plane_word(bit)
+    pub fn flag_word(&self, bits: Flags) -> u64 {
+        self.page.plane_word(bits)
     }
 
     /// The live handle stored in `slot`, if the slot is occupied.
@@ -480,35 +487,35 @@ impl PageTable {
         }
     }
 
-    /// Validates the handle and reclaims the object behind it in a single
-    /// page lookup (this is the `Heap::free` hot path), returning its
-    /// footprint in words. The slot generation is bumped and all
-    /// flag-plane bits are cleared.
-    pub(crate) fn free_checked(&mut self, index: u32, generation: u32) -> Result<usize, RefFault> {
-        let (pid, slot) = Self::split(index);
-        let page = self.pages.get_mut(pid).ok_or(RefFault::Invalid)?;
-        if slot >= page.capacity as usize {
-            return Err(RefFault::Invalid);
+    /// Reclaims the `dead` slots of page `pid` — all of them live — and
+    /// returns the words they held. The one reclaim body, for a sweep's
+    /// whole-page mask and `Heap::free`'s single bit alike. Per slot it does
+    /// only what is irreducibly per object: drop the [`Object`], add its
+    /// exact footprint, bump the generation. Everything else — the live and
+    /// free masks, the flag planes, the avail stack, the counters — is one
+    /// word operation per page.
+    pub(crate) fn reclaim(&mut self, pid: usize, dead: u64) -> usize {
+        let page = &mut self.pages[pid];
+        debug_assert_eq!(dead & !page.live_mask, 0, "reclaiming a vacant slot");
+        let mut words = 0;
+        for slot in slots_of(dead) {
+            let object = page.slots[slot].take().expect("live slot holds an object");
+            words += object.size_words();
+            page.gens[slot] = page.gens[slot].wrapping_add(1);
         }
-        if page.gens[slot] != generation || page.live_mask >> slot & 1 == 0 {
-            return Err(RefFault::Stale);
-        }
-        let object = page.slots[slot].take().expect("live slot holds an object");
-        let words = object.size_words();
-        page.live_mask &= !Page::slot_bit(slot);
-        page.free_mask |= Page::slot_bit(slot);
-        page.gens[slot] = page.gens[slot].wrapping_add(1);
-        page.clear_all_flags(slot);
-        if !page.in_avail {
+        page.live_mask &= !dead;
+        page.free_mask |= dead;
+        page.clear_all_flags(dead);
+        if dead != 0 && !page.in_avail {
             page.in_avail = true;
             match page.class_index {
                 Some(ci) => self.avail[ci as usize].push(pid as u32),
                 None => self.los_free.push(pid as u32),
             }
         }
-        self.live_objects -= 1;
+        self.live_objects -= dead.count_ones() as usize;
         self.occupied_words -= words;
-        Ok(words)
+        words
     }
 
     /// Number of pages; the index space is `0..page_count * PAGE_SLOTS`.
@@ -596,6 +603,7 @@ impl PageTable {
         self.pages[pid].set_flags(slot, bits);
     }
 
+    #[inline]
     pub(crate) fn fetch_set_flags(&self, index: u32, bits: Flags) -> Flags {
         let (pid, slot) = Self::split(index);
         self.pages[pid].fetch_set_flags(slot, bits)

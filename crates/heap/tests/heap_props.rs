@@ -8,10 +8,14 @@
 //! * slot reuse never lets a stale handle observe the new occupant,
 //! * field writes are only visible through the written object,
 //! * the page-table structural invariants (`Heap::verify`) hold after
-//!   arbitrary churn.
+//!   arbitrary churn,
+//! * reclaiming a page's dead slots in bulk (`Heap::reclaim_page`) leaves
+//!   the heap exactly where freeing them one by one does.
 
-use gca_heap::{Flags, Heap, HeapError, ObjRef};
+use gca_heap::{Flags, Heap, HeapError, ObjRef, SpaceKind, HEADER_WORDS, LOS_THRESHOLD};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -147,5 +151,110 @@ proptest! {
         for r in &second {
             prop_assert!(heap.is_valid(*r));
         }
+    }
+}
+
+/// A random object shape: all seven size classes and the large object
+/// space come up.
+fn random_shape(rng: &mut SmallRng) -> (usize, usize) {
+    let words = match rng.gen_range(0..9) {
+        8 => rng.gen_range(LOS_THRESHOLD + 1..LOS_THRESHOLD * 2),
+        class => rng.gen_range(HEADER_WORDS..=4 << class),
+    };
+    let nrefs = rng.gen_range(0..=(words - HEADER_WORDS).min(3));
+    (nrefs, words - HEADER_WORDS - nrefs)
+}
+
+const ALL_FLAGS: [Flags; 9] = [
+    Flags::MARK,
+    Flags::DEAD,
+    Flags::UNSHARED,
+    Flags::OWNEE,
+    Flags::OWNED,
+    Flags::REPORTED,
+    Flags::OWNER,
+    Flags::OLD,
+    Flags::REMEMBERED,
+];
+
+/// Replays one seeded alloc / flag / free history on a fresh heap.
+fn churned_heap(seed: u64, kind: SpaceKind) -> Heap {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut heap = Heap::with_space(kind);
+    let class = heap.register_class("B", &[]);
+    let mut live: Vec<ObjRef> = Vec::new();
+    for _ in 0..rng.gen_range(200..900) {
+        match rng.gen_range(0..10) {
+            0..=5 => {
+                let (nrefs, data) = random_shape(&mut rng);
+                live.push(heap.alloc(class, nrefs, data).unwrap());
+            }
+            6..=7 if !live.is_empty() => {
+                let o = live[rng.gen_range(0..live.len())];
+                let flag = ALL_FLAGS[rng.gen_range(0..9)] | ALL_FLAGS[rng.gen_range(0..9)];
+                heap.set_flag(o, flag).unwrap();
+            }
+            _ if !live.is_empty() => {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                heap.free(victim).unwrap();
+            }
+            _ => {}
+        }
+    }
+    heap
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Twin heaps with the same history; per page a random dead mask goes
+    /// in one `reclaim_page` on one and through per-object `free` in
+    /// ascending slot order on the other. Everything observable must agree
+    /// — down to the handles the next allocations mint, which pins the
+    /// avail-stack order the benchmark's golden counters depend on.
+    #[test]
+    fn bulk_reclaim_equals_per_object_frees(seed in any::<u64>(), semispace in any::<bool>()) {
+        let kind = if semispace { SpaceKind::Semispace } else { SpaceKind::Paged };
+        let mut bulk = churned_heap(seed, kind);
+        let mut single = churned_heap(seed, kind);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        for pid in 0..bulk.page_count() {
+            // Bits outside the live mask must be ignored.
+            let mask = match rng.gen_range(0..4) {
+                0 => u64::MAX,
+                1 => 0,
+                _ => rng.gen::<u64>(),
+            };
+            let victims: Vec<ObjRef> = (0..64)
+                .filter(|slot| mask >> slot & 1 != 0)
+                .filter_map(|slot| single.page_meta(pid).handle(slot))
+                .collect();
+            let mut freed = (0, 0);
+            for &v in &victims {
+                freed = (freed.0 + 1, freed.1 + single.free(v).unwrap());
+            }
+            prop_assert_eq!(bulk.reclaim_page(pid, mask), freed);
+            for &v in &victims {
+                prop_assert!(!bulk.is_valid(v), "{} survived a bulk reclaim", v);
+            }
+        }
+        let handles = |heap: &Heap| -> Vec<(ObjRef, Flags)> {
+            heap.iter().map(|(r, _)| (r, heap.flags_of(r).unwrap())).collect()
+        };
+        prop_assert_eq!(handles(&bulk), handles(&single));
+        prop_assert_eq!(bulk.verify(), Vec::<String>::new());
+        prop_assert_eq!(single.verify(), Vec::<String>::new());
+        prop_assert_eq!(bulk.stats(), single.stats());
+        prop_assert_eq!(bulk.live_objects(), single.live_objects());
+        prop_assert_eq!(bulk.occupied_words(), single.occupied_words());
+        let class = bulk.registry().lookup("B").unwrap();
+        for _ in 0..256 {
+            let (nrefs, data) = random_shape(&mut rng);
+            let a = bulk.alloc(class, nrefs, data).unwrap();
+            let b = single.alloc(class, nrefs, data).unwrap();
+            prop_assert_eq!(a, b, "allocation order diverged");
+            prop_assert!(bulk.flags_of(a).unwrap().is_empty(), "flags leaked to a new tenant");
+        }
+        prop_assert_eq!(bulk.verify(), Vec::<String>::new());
     }
 }
