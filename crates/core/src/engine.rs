@@ -271,7 +271,7 @@ impl AssertionEngine {
                 class_name,
             },
             Finding::NotOwned => {
-                let (owner, owner_class) = match self.ownership.owner_of(obj) {
+                let (owner, owner_class) = match self.ownership.entry_of(obj) {
                     Some(idx) => {
                         let e = self.ownership.entry(idx);
                         (e.owner, e.owner_class.clone())
@@ -300,7 +300,6 @@ impl TraceHooks for AssertionEngine {
 
     fn gc_begin(&mut self, heap: &mut Heap) {
         heap.registry_mut().reset_instance_counts();
-        self.ownership.prepare_for_gc();
         self.counters = CheckCounters::default();
         self.violations_before_cycle = self.violations.len();
         self.deferred.clear();

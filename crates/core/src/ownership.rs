@@ -1,28 +1,44 @@
 //! The owner/ownee table behind `assert-ownedby` (§2.5.2).
-
-use std::collections::HashMap;
+//!
+//! The paper stores "a pair of arrays, one containing owner objects and
+//! the other containing arrays of ownee objects, one for each owner", each
+//! ownee array kept in order and searched by bisection on every visit. An
+//! ownee has exactly one owner, so "is `obj` in owner `idx`'s array" is
+//! "is `obj`'s owner `idx`": this table keeps the owner array and replaces
+//! the ownee arrays with one side table keyed by heap slot index: one
+//! indexed load per question, and nothing put in order per collection,
+//! searched per visit or hashed per registration (DESIGN.md §7).
+//!
+//! **Invariant** (what the arrays' ordering is replaced by; checked by
+//! `tests/ownership_table_props.rs`): outside a collection, a live object
+//! carries `OWNEE` or `OWNER` exactly if `slots[its index]` holds its
+//! generation and a non-zero `entry`, and no slot names a dead object.
+//! The header bits say *which role* an object has; the slot says *which
+//! owner entry* it belongs to.
 
 use gca_heap::{Flags, Heap, ObjRef};
 
 use crate::error::VmError;
 
-/// One owner and its ownee array. The paper stores "a pair of arrays, one
-/// containing owner objects and the other containing arrays of ownee
-/// objects, one for each owner", with ownee arrays sorted for binary
-/// search; this struct is that layout.
-///
-/// Registration appends in O(1); the array is sorted lazily once per
-/// collection ([`OwnershipTable::prepare_for_gc`]), so the total sorting
-/// work per collection is the paper's n log n worst case and `assert-
-/// ownedby` stays cheap on the mutator's critical path.
+/// One registered owner. Its ownees are the slots naming this entry.
 #[derive(Debug, Clone)]
 pub(crate) struct OwnerEntry {
     pub(crate) owner: ObjRef,
     /// Class name captured at registration so reports can still name the
     /// owner after it dies.
     pub(crate) owner_class: String,
-    /// Sorted between `prepare_for_gc` and the next registration.
-    pub(crate) ownees: Vec<ObjRef>,
+}
+
+/// What the table knows about the object in one heap slot: 8 bytes per
+/// slot, up to the highest index ever registered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    /// Generation of the registered handle, so the slot's next tenant is
+    /// never taken for this one.
+    gen: u32,
+    /// 0: not registered. Otherwise 1 + the index in `entries` of the
+    /// object's owner — or, for an owner, of its own entry.
+    entry: u32,
 }
 
 /// The set of registered owner/ownee pairs.
@@ -35,8 +51,9 @@ pub(crate) struct OwnerEntry {
 #[derive(Debug, Default)]
 pub(crate) struct OwnershipTable {
     entries: Vec<OwnerEntry>,
-    owner_index: HashMap<ObjRef, usize>,
-    ownee_owner: HashMap<ObjRef, usize>,
+    /// Keyed by `ObjRef::index()`, grown on demand.
+    slots: Vec<Slot>,
+    ownees: usize,
 }
 
 impl OwnershipTable {
@@ -53,7 +70,7 @@ impl OwnershipTable {
     }
 
     pub(crate) fn ownee_count(&self) -> usize {
-        self.ownee_owner.len()
+        self.ownees
     }
 
     pub(crate) fn owner_at(&self, idx: usize) -> ObjRef {
@@ -64,29 +81,57 @@ impl OwnershipTable {
         &self.entries[idx]
     }
 
+    /// The entry index registered for exactly this handle: its owner's if
+    /// it carries `OWNEE`, its own if it carries `OWNER`.
+    pub(crate) fn entry_of(&self, r: ObjRef) -> Option<usize> {
+        let slot = self.slots.get(r.index() as usize)?;
+        (slot.gen == r.generation())
+            .then_some(slot.entry as usize)?
+            .checked_sub(1)
+    }
+
+    fn set_entry(&mut self, r: ObjRef, idx: usize) {
+        let i = r.index() as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        self.slots[i] = Slot {
+            gen: r.generation(),
+            entry: idx as u32 + 1,
+        };
+    }
+
+    /// Unregisters exactly this handle, returning the entry it named.
+    fn take_entry(&mut self, r: ObjRef) -> Option<usize> {
+        let idx = self.entry_of(r)?;
+        self.slots[r.index() as usize] = Slot::default();
+        Some(idx)
+    }
+
     /// Table-based owner test; the engine's hot path uses the `OWNER`
     /// header bit instead, so this is only needed by tests.
     #[cfg(test)]
     pub(crate) fn is_owner(&self, r: ObjRef) -> bool {
-        self.owner_index.contains_key(&r)
+        self.entry_of(r)
+            .is_some_and(|idx| self.entries[idx].owner == r)
     }
 
-    /// The entry index of `ownee`'s owner, if registered.
-    pub(crate) fn owner_of(&self, ownee: ObjRef) -> Option<usize> {
-        self.ownee_owner.get(&ownee).copied()
-    }
-
-    /// Binary search of entry `idx`'s sorted ownee array.
+    /// Whether `ownee` — an object carrying `OWNEE` — belongs to the owner
+    /// at entry `idx`: one indexed load.
+    #[inline]
     pub(crate) fn entry_contains(&self, idx: usize, ownee: ObjRef) -> bool {
-        self.entries[idx].ownees.binary_search(&ownee).is_ok()
+        self.entry_of(ownee) == Some(idx)
     }
 
-    /// Registers `owner` owns `ownee`, setting the `OWNEE` header bit.
+    /// Registers `owner` owns `ownee`, setting the `OWNER` and `OWNEE`
+    /// header bits. Both handles are validated before the first mutation,
+    /// so a failed registration leaves table and headers untouched.
     ///
     /// # Errors
     ///
     /// [`VmError::OwnershipConflict`] if the pair violates the
-    /// disjointness restrictions.
+    /// disjointness restrictions; [`VmError::Heap`] for a null or stale
+    /// handle.
     pub(crate) fn add(
         &mut self,
         heap: &mut Heap,
@@ -98,176 +143,126 @@ impl OwnershipTable {
                 "object {owner} cannot own itself"
             )));
         }
-        if self.ownee_owner.contains_key(&owner) {
+        let owner_flags = heap.flags_of(owner)?;
+        let ownee_flags = heap.flags_of(ownee)?;
+        if owner_flags.contains(Flags::OWNEE) {
             return Err(VmError::OwnershipConflict(format!(
                 "object {owner} is already an ownee and cannot also be an owner"
             )));
         }
-        if self.owner_index.contains_key(&ownee) {
+        if ownee_flags.contains(Flags::OWNER) {
             return Err(VmError::OwnershipConflict(format!(
                 "object {ownee} is already an owner and cannot also be an ownee"
             )));
         }
 
-        // Re-asserting moves the ownee to its new owner; asserting the
-        // same pair again is a no-op.
-        if let Some(&old_idx) = self.ownee_owner.get(&ownee) {
-            if let Some(&new_idx) = self.owner_index.get(&owner) {
-                if old_idx == new_idx {
-                    return Ok(());
-                }
-            }
-            let ownees = &mut self.entries[old_idx].ownees;
-            if let Some(pos) = ownees.iter().position(|&o| o == ownee) {
-                ownees.remove(pos);
-            }
-        }
-
-        let idx = match self.owner_index.get(&owner) {
-            Some(&idx) => idx,
+        // Not an ownee, so a slot naming this handle is its own entry.
+        let idx = match self.entry_of(owner) {
+            Some(idx) => idx,
             None => {
-                let owner_class = {
-                    let o = heap.get(owner).map_err(VmError::Heap)?;
-                    heap.registry().name(o.class()).to_owned()
-                };
+                let class = heap.class_of(owner)?;
                 let idx = self.entries.len();
                 self.entries.push(OwnerEntry {
                     owner,
-                    owner_class,
-                    ownees: Vec::new(),
+                    owner_class: heap.registry().name(class).to_owned(),
                 });
-                self.owner_index.insert(owner, idx);
+                self.set_entry(owner, idx);
                 // The OWNER header bit lets the tracer recognize owner
-                // boundaries with a flag test instead of a map lookup on
-                // every traced object.
-                heap.set_flag(owner, Flags::OWNER).map_err(VmError::Heap)?;
+                // boundaries with a flag test on every traced object.
+                heap.set_flag(owner, Flags::OWNER)?;
                 idx
             }
         };
 
-        // O(1) append; the `ownee_owner` map guarantees no duplicates.
-        self.entries[idx].ownees.push(ownee);
-        self.ownee_owner.insert(ownee, idx);
-        heap.set_flag(ownee, Flags::OWNEE).map_err(VmError::Heap)?;
+        // Re-asserting moves the ownee to its new owner (one overwrite);
+        // asserting the same pair again changes nothing.
+        if !ownee_flags.contains(Flags::OWNEE) {
+            heap.set_flag(ownee, Flags::OWNEE)?;
+            self.ownees += 1;
+        }
+        self.set_entry(ownee, idx);
         Ok(())
     }
 
-    /// Sorts every ownee array, restoring the binary-search invariant the
-    /// tracing-time checks rely on. Called once at the start of each
-    /// collection — this is where the paper's n log n worst case lives.
-    pub(crate) fn prepare_for_gc(&mut self) {
-        for entry in &mut self.entries {
-            if !entry.ownees.is_sorted() {
-                entry.ownees.sort_unstable();
-            }
-        }
-    }
-
     /// Unregisters an ownee (e.g. the program legitimately removed and
-    /// discarded it); clears its `OWNEE` bit if it is still live.
+    /// discarded it), clearing its `OWNEE` bit. A dead ownee was already
+    /// retired by the collection that freed it.
     pub(crate) fn remove_ownee(&mut self, heap: &mut Heap, ownee: ObjRef) -> bool {
-        match self.ownee_owner.remove(&ownee) {
-            Some(idx) => {
-                let ownees = &mut self.entries[idx].ownees;
-                if let Some(pos) = ownees.iter().position(|&o| o == ownee) {
-                    ownees.remove(pos);
-                }
-                if heap.is_valid(ownee) {
-                    let _ = heap.clear_flag(ownee, Flags::OWNEE);
-                }
-                true
-            }
-            None => false,
+        let registered =
+            heap.has_flag(ownee, Flags::OWNEE).unwrap_or(false) && self.take_entry(ownee).is_some();
+        if registered {
+            let _ = heap.clear_flag(ownee, Flags::OWNEE);
+            self.ownees -= 1;
         }
+        registered
     }
 
     /// Post-sweep maintenance ("we must remove each unreachable ownee
     /// after a GC", §3.1.2): drops the ownees and owners the sweep just
-    /// freed — the engine records them from its `swept` hook, so this
-    /// costs O(dead) rather than a rescan of the whole table. Entries of
-    /// dead owners are dropped with the `OWNEE` bit of their surviving
-    /// ownees cleared, so the next collection does not check an
-    /// unregistered pair.
+    /// freed — the engine records them from its `swept` hook, so a dead
+    /// ownee costs one store. Entries of dead owners are dropped with the
+    /// `OWNEE` bit of their surviving ownees cleared, so the next
+    /// collection does not check an unregistered pair; finding those
+    /// survivors is the one thing that walks the side table, once per
+    /// collection that lost an owner.
     ///
-    /// Returns, for each dead owner, its class name and surviving ownees
-    /// (consumed by the strict-owner-lifetime extension).
+    /// Returns, for each dead owner in `dead_owners` order, its class name
+    /// and surviving ownees in ascending slot order (consumed by the
+    /// strict-owner-lifetime extension).
     pub(crate) fn retire(
         &mut self,
         heap: &mut Heap,
         dead_ownees: &[ObjRef],
         dead_owners: &[ObjRef],
     ) -> Vec<(String, Vec<ObjRef>)> {
-        // 1. Drop dead ownees from their entries, grouped so each affected
-        //    entry is filtered once.
-        if !dead_ownees.is_empty() {
-            let mut by_entry: HashMap<usize, Vec<ObjRef>> = HashMap::new();
-            for &o in dead_ownees {
-                if let Some(idx) = self.ownee_owner.remove(&o) {
-                    by_entry.entry(idx).or_default().push(o);
-                }
-            }
-            for (idx, mut dead) in by_entry {
-                dead.sort_unstable();
-                self.entries[idx]
-                    .ownees
-                    .retain(|o| dead.binary_search(o).is_err());
+        for &ownee in dead_ownees {
+            if self.take_entry(ownee).is_some() {
+                self.ownees -= 1;
             }
         }
-
         if dead_owners.is_empty() {
             return Vec::new();
         }
 
-        // 2. Retire entries whose owner died.
-        let mut retired = Vec::new();
+        // Entry index -> position in `retired`, for a dead owner's entry.
+        let mut retired_at = vec![usize::MAX; self.entries.len()];
+        let mut retired = Vec::with_capacity(dead_owners.len());
         for &owner in dead_owners {
-            let Some(&idx) = self.owner_index.get(&owner) else {
+            if let Some(idx) = self.take_entry(owner) {
+                retired_at[idx] = retired.len();
+                let class = std::mem::take(&mut self.entries[idx].owner_class);
+                retired.push((class, Vec::new()));
+            }
+        }
+        // The kept entries close ranks: old entry index -> new index + 1.
+        let mut renumbered = Vec::with_capacity(retired_at.len());
+        let mut kept = 0;
+        self.entries.retain(|_| {
+            let keep = retired_at[renumbered.len()] == usize::MAX;
+            kept += u32::from(keep);
+            renumbered.push(kept);
+            keep
+        });
+
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            let Some(old) = (slot.entry as usize).checked_sub(1) else {
                 continue;
             };
-            let entry = &self.entries[idx];
-            for &ownee in &entry.ownees {
-                let _ = heap.clear_flag(ownee, Flags::OWNEE);
-            }
-            retired.push((entry.owner_class.clone(), entry.ownees.clone()));
-        }
-
-        // 3. Rebuild the table without the dead entries (indices shift, so
-        //    both maps are rebuilt).
-        let old = std::mem::take(&mut self.entries);
-        self.owner_index.clear();
-        self.ownee_owner.clear();
-        for entry in old {
-            if dead_owners.contains(&entry.owner) {
+            let Some((_, survivors)) = retired.get_mut(retired_at[old]) else {
+                slot.entry = renumbered[old];
                 continue;
+            };
+            // The dead were unregistered above, so this is a live ownee
+            // that outlived its owner.
+            let tenant = heap.object_at(index as u32);
+            if let Some((ownee, _)) = tenant.filter(|(o, _)| o.generation() == slot.gen) {
+                let _ = heap.clear_flag(ownee, Flags::OWNEE);
+                survivors.push(ownee);
             }
-            let idx = self.entries.len();
-            self.owner_index.insert(entry.owner, idx);
-            for &ownee in &entry.ownees {
-                self.ownee_owner.insert(ownee, idx);
-            }
-            self.entries.push(entry);
+            *slot = Slot::default();
+            self.ownees -= 1;
         }
         retired
-    }
-
-    /// Scan-based retirement used by unit tests: computes the dead sets by
-    /// checking every participant's validity, then delegates to
-    /// [`OwnershipTable::retire`].
-    #[cfg(test)]
-    pub(crate) fn retire_dead(&mut self, heap: &mut Heap) -> Vec<(String, Vec<ObjRef>)> {
-        let dead_ownees: Vec<ObjRef> = self
-            .ownee_owner
-            .keys()
-            .copied()
-            .filter(|&o| !heap.is_valid(o))
-            .collect();
-        let dead_owners: Vec<ObjRef> = self
-            .entries
-            .iter()
-            .map(|e| e.owner)
-            .filter(|&o| !heap.is_valid(o))
-            .collect();
-        self.retire(heap, &dead_ownees, &dead_owners)
     }
 }
 
@@ -294,7 +289,7 @@ mod tests {
         assert_eq!(t.ownee_count(), 2);
         assert!(t.is_owner(owner));
         assert!(!t.is_owner(a));
-        assert_eq!(t.owner_of(a), Some(0));
+        assert_eq!(t.entry_of(a), Some(0));
         assert!(t.entry_contains(0, a));
         assert!(t.entry_contains(0, b));
         assert!(heap.has_flag(a, Flags::OWNEE).unwrap());
@@ -333,7 +328,7 @@ mod tests {
         let mut t = OwnershipTable::new();
         t.add(&mut heap, owner, a).unwrap();
         t.add(&mut heap, owner2, a).unwrap();
-        assert_eq!(t.owner_of(a), Some(1));
+        assert_eq!(t.entry_of(a), Some(1));
         assert!(!t.entry_contains(0, a));
         assert!(t.entry_contains(1, a));
         assert_eq!(t.ownee_count(), 1);
@@ -357,7 +352,7 @@ mod tests {
         t.add(&mut heap, owner, a).unwrap();
         t.add(&mut heap, owner, b).unwrap();
         heap.free(a).unwrap();
-        let retired = t.retire_dead(&mut heap);
+        let retired = t.retire(&mut heap, &[a], &[]);
         assert!(retired.is_empty()); // owner still alive
         assert_eq!(t.ownee_count(), 1);
         assert!(t.entry_contains(0, b));
@@ -371,7 +366,7 @@ mod tests {
         t.add(&mut heap, owner, b).unwrap();
         heap.free(owner).unwrap();
         heap.free(b).unwrap();
-        let retired = t.retire_dead(&mut heap);
+        let retired = t.retire(&mut heap, &[b], &[owner]);
         assert_eq!(retired.len(), 1);
         let (class, survivors) = &retired[0];
         assert_eq!(class, "C");
@@ -391,11 +386,11 @@ mod tests {
         t.add(&mut heap, owner1, a).unwrap();
         t.add(&mut heap, owner2, b).unwrap();
         heap.free(owner1).unwrap();
-        t.retire_dead(&mut heap);
+        t.retire(&mut heap, &[], &[owner1]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.owner_at(0), owner2);
-        assert_eq!(t.owner_of(b), Some(0));
+        assert_eq!(t.entry_of(b), Some(0));
         assert!(t.entry_contains(0, b));
-        assert_eq!(t.owner_of(a), None);
+        assert_eq!(t.entry_of(a), None);
     }
 }

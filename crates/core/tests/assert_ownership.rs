@@ -4,7 +4,7 @@
 
 mod common;
 
-use gc_assertions::{CollectorKind, ObjRef, ViolationKind, Vm};
+use gc_assertions::{CollectorKind, Flags, HeapError, ObjRef, ViolationKind, Vm, VmError};
 
 fn vm() -> Vm {
     Vm::new(common::cfg().build())
@@ -403,4 +403,39 @@ fn large_ownee_set_binary_search_scales() {
     assert!(report.is_clean());
     assert_eq!(report.counters.ownees_checked, n as u64);
     assert_eq!(vm.ownee_count(), n);
+}
+
+#[test]
+fn failed_registration_leaves_the_table_untouched() {
+    // A rejected `assert_owned_by` must be a no-op: with a slot-keyed
+    // table, a stale registration would be credited to the slot's next
+    // tenant, and a dead handle that was never swept is never retired.
+    let mut vm = vm();
+    let cls = vm.register_class("C", &["x"]);
+    let m = vm.main();
+    let owner = vm.alloc_rooted(m, cls, 1, 0).unwrap();
+    let stale = vm.alloc(m, cls, 1, 0).unwrap();
+    vm.collect().unwrap();
+    assert!(!vm.is_live(stale));
+
+    assert!(matches!(
+        vm.assert_owned_by(owner, stale),
+        Err(VmError::Heap(HeapError::StaleRef(_)))
+    ));
+    assert!(vm.assert_owned_by(owner, ObjRef::NULL).is_err());
+    assert!(vm.assert_owned_by(stale, owner).is_err());
+    assert_eq!((vm.owner_count(), vm.ownee_count()), (0, 0));
+    let flags = vm.heap().flags_of(owner).unwrap();
+    assert!(!flags.intersects(Flags::OWNER | Flags::OWNEE), "{flags:?}");
+    assert_eq!(vm.collect().unwrap().counters.owners_scanned, 0);
+
+    // A failed *move* leaves the ownee with its old owner.
+    let e = vm.alloc(m, cls, 1, 0).unwrap();
+    vm.set_field(owner, 0, e).unwrap();
+    vm.assert_owned_by(owner, e).unwrap();
+    assert!(vm.assert_owned_by(stale, e).is_err());
+    assert_eq!((vm.owner_count(), vm.ownee_count()), (1, 1));
+    let report = vm.collect().unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.counters.ownees_checked, 1);
 }
