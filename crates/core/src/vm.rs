@@ -1,5 +1,7 @@
 //! The VM façade: heap + collector + assertion engine + mutators.
 
+use std::sync::LazyLock;
+
 use gca_collector::{Collector, GcStats, NoHooks, SurvivorVisitor};
 use gca_heap::{
     ClassId, Flags, Heap, HeapError, HeapStats, ObjRef, Object, SpaceKind, TypeRegistry,
@@ -742,32 +744,44 @@ impl Vm {
         self.minor_collections
     }
 
-    /// A snapshot of the GC telemetry recorded so far: per-cycle phase
-    /// spans, per-worker mark timings, per-assertion-kind overhead
+    /// The GC telemetry recorded so far, borrowed from the VM: per-cycle
+    /// phase spans, per-worker mark timings, per-assertion-kind overhead
     /// attribution and pause histograms.
     ///
-    /// When [`VmConfig::telemetry`] is off this returns the *disabled*
-    /// default snapshot (`enabled() == false`, everything empty), so
-    /// callers never need to branch on the knob.
-    pub fn telemetry(&self) -> gca_telemetry::GcTelemetry {
+    /// Reading costs nothing, whatever the history's length. The borrow
+    /// ends before the next collection can start (that needs `&mut Vm`),
+    /// so no reader sees a recorder mid-update; a caller that wants to
+    /// keep a snapshot across collections writes `.clone()`, and one that
+    /// publishes repeatedly brings its copy forward with
+    /// [`GcTelemetry::catch_up`](gca_telemetry::GcTelemetry::catch_up).
+    ///
+    /// When [`VmConfig::telemetry`] is off this is the shared *disabled*
+    /// default (`enabled() == false`, everything empty), so callers never
+    /// need to branch on the knob.
+    #[inline]
+    pub fn telemetry(&self) -> &gca_telemetry::GcTelemetry {
+        static DISABLED: LazyLock<gca_telemetry::GcTelemetry> = LazyLock::new(Default::default);
         match &self.telemetry {
-            Some(t) => (**t).clone(),
-            None => gca_telemetry::GcTelemetry::default(),
+            Some(t) => t,
+            None => &DISABLED,
         }
     }
 
-    /// A snapshot of the heap census recorded so far: per-class and
-    /// per-allocation-site live histograms for every cycle, the drift
+    /// The heap census recorded so far, borrowed from the VM: per-class
+    /// and per-allocation-site live histograms for every cycle, the drift
     /// events flagged by the rolling-window detector, suggested
     /// `assert-instances` limits, and `heapdiff` cycle comparisons.
     ///
-    /// When [`VmConfig::census`] is off this returns the *disabled*
-    /// default snapshot (`enabled() == false`, everything empty), so
-    /// callers never need to branch on the knob.
-    pub fn census(&self) -> gca_telemetry::HeapCensus {
+    /// Same contract as [`Vm::telemetry`]: free to read, `.clone()` to
+    /// keep, [`HeapCensus::catch_up`](gca_telemetry::HeapCensus::catch_up)
+    /// to republish. When [`VmConfig::census`] is off this is the shared
+    /// *disabled* default (`enabled() == false`, everything empty).
+    #[inline]
+    pub fn census(&self) -> &gca_telemetry::HeapCensus {
+        static DISABLED: LazyLock<gca_telemetry::HeapCensus> = LazyLock::new(Default::default);
         match &self.census {
-            Some(state) => state.recorder.clone(),
-            None => gca_telemetry::HeapCensus::default(),
+            Some(state) => &state.recorder,
+            None => &DISABLED,
         }
     }
 

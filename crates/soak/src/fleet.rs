@@ -16,7 +16,8 @@ use crate::fault::FaultInjector;
 use crate::http::{HttpServer, HttpState};
 use crate::report::SoakReport;
 use crate::shard::{
-    clone_snapshots, lock_snapshot, run_shard, snapshot_slot, ShardSnapshot, ShardTask,
+    clone_snapshots, lock_snapshot, mark_panicked, run_isolated, run_shard, snapshot_slot,
+    with_snapshots, ShardSnapshot, ShardTask,
 };
 
 /// A running soak fleet. Construct with [`Fleet::start`]; consume with
@@ -80,10 +81,11 @@ impl Fleet {
                     .as_ref()
                     .map(|d| d.join(format!("shard-{i}.jsonl"))),
             };
+            let slot = Arc::clone(snapshot);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("gca-soak-shard-{i}"))
-                    .spawn(move || run_shard(task))?,
+                    .spawn(move || run_isolated(&slot, || run_shard(task)))?,
             );
         }
 
@@ -104,7 +106,10 @@ impl Fleet {
         self.http.as_ref().map(|h| h.addr)
     }
 
-    /// Clones the current per-shard snapshots.
+    /// Clones the current per-shard snapshots, every recorded cycle
+    /// included — O(history), for a caller that wants to own the data.
+    /// [`Fleet::metrics`], [`Fleet::status_json`] and the HTTP plane render
+    /// from the slots by reference instead.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
         clone_snapshots(&self.snapshots)
     }
@@ -116,16 +121,14 @@ impl Fleet {
 
     /// Renders the current `/metrics` payload.
     pub fn metrics(&self) -> String {
-        render_metrics(&self.snapshots())
+        with_snapshots(&self.snapshots, render_metrics)
     }
 
     /// Renders the current `/status` payload.
     pub fn status_json(&self) -> String {
-        render_status(
-            &self.snapshots(),
-            self.config.slo_ns,
-            self.started.elapsed(),
-        )
+        with_snapshots(&self.snapshots, |snaps| {
+            render_status(snaps, self.config.slo_ns, self.started.elapsed())
+        })
     }
 
     /// Asks every shard to stop at its next request boundary.
@@ -142,22 +145,19 @@ impl Fleet {
     /// Propagates I/O errors from the log merge or the bench write.
     pub fn wait(mut self) -> std::io::Result<SoakReport> {
         for (h, slot) in self.handles.drain(..).zip(&self.snapshots) {
-            if let Err(panic) = h.join() {
-                let message = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string payload".to_owned());
-                let mut snap = lock_snapshot(slot);
-                snap.error = Some(format!("shard panicked: {message}"));
-                snap.done = true;
+            // A shard's own unwind handler has already marked its slot;
+            // a join error means that handler itself died.
+            if let Err(payload) = h.join() {
+                mark_panicked(slot, &*payload);
             }
         }
         let wall_ms = self.started.elapsed().as_millis() as u64;
         if let Some(dir) = self.config.jsonl_dir.as_ref() {
             merge_fleet_jsonl(dir, self.config.shards)?;
         }
-        let report = SoakReport::from_snapshots(&self.snapshots(), wall_ms);
+        let report = with_snapshots(&self.snapshots, |snaps| {
+            SoakReport::from_snapshots(snaps, wall_ms)
+        });
         if let Some(path) = self.config.bench_out.as_ref() {
             report.write_bench(path)?;
         }
@@ -217,7 +217,7 @@ fn json_u64_field(line: &str, key: &str) -> u64 {
 /// Renders the fleet `/metrics` payload: every telemetry and census
 /// family with `shard` labels, plus the soak harness's own families
 /// (request latency vs SLO, fault-injection detection).
-pub(crate) fn render_metrics(snaps: &[ShardSnapshot]) -> String {
+pub(crate) fn render_metrics(snaps: &[&ShardSnapshot]) -> String {
     let exports: Vec<ShardExport<'_>> = snaps
         .iter()
         .map(|s| ShardExport {
@@ -228,7 +228,7 @@ pub(crate) fn render_metrics(snaps: &[ShardSnapshot]) -> String {
         .collect();
     let mut out = fleet_to_prometheus(&exports);
 
-    let labels: Vec<String> = snaps.iter().map(shard_labels).collect();
+    let labels: Vec<String> = snaps.iter().map(|s| shard_labels(s)).collect();
     push_counter_family(
         &mut out,
         "gca_soak_requests_total",
@@ -369,7 +369,7 @@ fn push_counter_family<'a>(
 }
 
 /// Renders the `/status` JSON payload.
-pub(crate) fn render_status(snaps: &[ShardSnapshot], slo_ns: u64, elapsed: Duration) -> String {
+pub(crate) fn render_status(snaps: &[&ShardSnapshot], slo_ns: u64, elapsed: Duration) -> String {
     let mut out = String::with_capacity(512 + snaps.len() * 256);
     out.push_str(&format!(
         "{{\"elapsed_ms\":{},\"slo_ns\":{slo_ns},\"shards\":[",
@@ -465,5 +465,71 @@ mod tests {
             report.shards[1].error.as_deref(),
             Some("shard panicked: boom")
         );
+    }
+
+    #[test]
+    fn a_panicking_shard_is_reported_before_it_is_joined() {
+        let config = SoakConfig::smoke();
+        let snapshots: Vec<_> = (0..config.shards)
+            .map(|i| snapshot_slot(&config, i))
+            .collect();
+        let http = HttpServer::start(
+            0,
+            HttpState {
+                snapshots: snapshots.clone(),
+                slo_ns: config.slo_ns,
+                started: Instant::now(),
+            },
+        )
+        .unwrap();
+        // Shard 0 finishes clean; shard 1 dies mid-run inside the isolated
+        // body, as `Fleet::start` runs `run_shard`.
+        let (clean, dying) = (Arc::clone(&snapshots[0]), Arc::clone(&snapshots[1]));
+        let handles = vec![
+            std::thread::spawn(move || {
+                run_isolated(&clean, || lock_snapshot(&clean).done = true);
+            }),
+            std::thread::spawn(move || {
+                run_isolated(&dying, || {
+                    lock_snapshot(&dying).requests_done = 10;
+                    panic!("boom");
+                });
+            }),
+        ];
+        let fleet = Fleet {
+            config,
+            snapshots,
+            handles,
+            stop: Arc::new(AtomicBool::new(false)),
+            http: Some(http),
+            started: Instant::now(),
+        };
+
+        // What the benchmark and `gca soak` poll; nothing has joined yet.
+        let polling = Instant::now();
+        while !fleet.done() {
+            assert!(
+                polling.elapsed() < Duration::from_secs(10),
+                "a panicked shard must turn done() true on its own"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let get = |path: &str| {
+            let request = format!("GET {path} HTTP/1.1\r\n\r\n");
+            crate::http::exchange(fleet.http_addr().unwrap(), request.as_bytes())
+        };
+        assert!(get("/healthz").starts_with("HTTP/1.1 503 "));
+        assert!(get("/metrics").starts_with("HTTP/1.1 200 "));
+        assert!(fleet
+            .status_json()
+            .contains("\"error\":\"shard panicked: boom\""));
+
+        let report = fleet.wait().unwrap();
+        assert!(!report.passed());
+        assert_eq!(
+            report.shards[1].error.as_deref(),
+            Some("shard panicked: boom")
+        );
+        assert_eq!(report.shards[1].requests, 10);
     }
 }

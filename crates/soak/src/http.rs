@@ -12,8 +12,12 @@
 //!
 //! The listener is non-blocking and polls a stop flag every few
 //! milliseconds, so shutdown is prompt and the server never outlives the
-//! soak. Scrapes read snapshot clones only — they can never block a
-//! mutator thread.
+//! soak. A scrape renders from the published snapshots by reference,
+//! under their locks: it never touches a VM, copies no history, and can
+//! delay a shard's next publish by at most one render. The request head
+//! gets one 500 ms deadline overall (`408` on expiry, `431` past 8 KiB,
+//! `400` for a request line without a method and a path), so no client can
+//! hold the serving thread.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -22,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::shard::{clone_snapshots, ShardSnapshot};
+use crate::shard::{lock_snapshot, with_snapshots, ShardSnapshot};
 
 /// Shared state the server renders responses from.
 pub(crate) struct HttpState {
@@ -88,8 +92,9 @@ fn serve(listener: TcpListener, state: HttpState, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                // Serve inline: scrapes are cheap (snapshot clones) and a
-                // soak has a handful of scrapers at most.
+                // Serve inline: a connection holds this thread for at most
+                // the head deadline plus one render, and a soak has a
+                // handful of scrapers at most.
                 let _ = handle_conn(stream, &state);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -100,73 +105,142 @@ fn serve(listener: TcpListener, state: HttpState, stop: Arc<AtomicBool>) {
     }
 }
 
+/// Status line, content type, body.
+type Response = (&'static str, &'static str, String);
+
+fn plain(status: &'static str, body: &str) -> Response {
+    (status, "text/plain; charset=utf-8", body.to_string())
+}
+
 fn handle_conn(mut stream: TcpStream, state: &HttpState) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    // Read until the end of the request head; we only need the request
-    // line, and every route is a body-less GET.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
+    // One deadline for the whole head, however the client slices it: the
+    // thread serves one connection at a time, so a dribbling client must
+    // not be able to hold it.
+    let deadline = Instant::now() + Duration::from_millis(500);
+    let (refused, (status, content_type, body)) = match read_head(&mut stream, deadline)? {
+        Ok(head) => {
+            // Only the request line matters; every route is a body-less GET.
+            let head = String::from_utf8_lossy(&head);
+            let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+            let response = match (parts.next(), parts.next()) {
+                (Some(method), Some(path)) => route(method, path, state),
+                _ => plain("400 Bad Request", "bad request\n"),
+            };
+            (false, response)
         }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = route(method, path, state);
+        Err(refusal) => (true, refusal),
+    };
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(response.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    if refused {
+        // The client may still be sending; closing over unread input would
+        // reset the connection under the response. Let it finish, within
+        // what is left of the deadline.
+        stream.shutdown(std::net::Shutdown::Write)?;
+        let mut sink = [0u8; 512];
+        while matches!(read_before(&mut stream, deadline, &mut sink), Ok(Some(n)) if n > 0) {}
+    }
+    Ok(())
 }
 
-fn route(method: &str, path: &str, state: &HttpState) -> (&'static str, &'static str, String) {
-    if method != "GET" {
-        return (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        );
+/// One `read` that returns by `deadline`: `None` once it has passed.
+fn read_before(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    chunk: &mut [u8],
+) -> std::io::Result<Option<usize>> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(chunk) {
+            Ok(n) => return Ok(Some(n)),
+            // Timed out or interrupted: the loop re-reads the clock.
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(e) => return Err(e),
+        }
     }
-    let snaps = clone_snapshots(&state.snapshots);
+}
+
+/// Reads the request head, up to its blank line (or the client's EOF).
+/// The inner `Err` is the refusal to answer with: `408` when `deadline`
+/// passes first, `431` when the head outgrows 8 KiB.
+fn read_head(
+    stream: &mut TcpStream,
+    deadline: Instant,
+) -> std::io::Result<Result<Vec<u8>, Response>> {
+    let mut buf = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    loop {
+        let Some(n) = read_before(stream, deadline, &mut chunk)? else {
+            return Ok(Err(plain("408 Request Timeout", "request timeout\n")));
+        };
+        // Search the new bytes only, plus three of overlap for a
+        // terminator split across reads.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        if n == 0 || buf[from..].windows(4).any(|w| w == b"\r\n\r\n") {
+            return Ok(Ok(buf));
+        }
+        if buf.len() > 8192 {
+            return Ok(Err(plain(
+                "431 Request Header Fields Too Large",
+                "request head too large\n",
+            )));
+        }
+    }
+}
+
+fn route(method: &str, path: &str, state: &HttpState) -> Response {
+    if method != "GET" {
+        return plain("405 Method Not Allowed", "method not allowed\n");
+    }
     match path {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            crate::fleet::render_metrics(&snaps),
+            with_snapshots(&state.snapshots, crate::fleet::render_metrics),
         ),
+        // One field per shard: lock one slot at a time, copy nothing.
         "/healthz" => {
-            if snaps.iter().any(|s| s.error.is_some()) {
-                (
-                    "503 Service Unavailable",
-                    "text/plain; charset=utf-8",
-                    "degraded\n".to_string(),
-                )
+            if state
+                .snapshots
+                .iter()
+                .any(|s| lock_snapshot(s).error.is_some())
+            {
+                plain("503 Service Unavailable", "degraded\n")
             } else {
-                ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())
+                plain("200 OK", "ok\n")
             }
         }
         "/status" => (
             "200 OK",
             "application/json",
-            crate::fleet::render_status(&snaps, state.slo_ns, state.started.elapsed()),
+            with_snapshots(&state.snapshots, |snaps| {
+                crate::fleet::render_status(snaps, state.slo_ns, state.started.elapsed())
+            }),
         ),
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".to_string(),
-        ),
+        _ => plain("404 Not Found", "not found\n"),
     }
+}
+
+/// Test client: sends `request` as is and returns everything the server
+/// answers.
+#[cfg(test)]
+pub(crate) fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(request).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("receive");
+    response
 }
 
 #[cfg(test)]
@@ -199,5 +273,68 @@ mod tests {
         assert!(route("GET", "/healthz", &state).0.starts_with("503"));
         assert!(route("GET", "/metrics", &state).0.starts_with("200"));
         assert!(route("GET", "/status", &state).0.starts_with("200"));
+    }
+
+    fn server() -> HttpServer {
+        let config = SoakConfig::smoke();
+        let state = HttpState {
+            snapshots: (0..config.shards)
+                .map(|i| snapshot_slot(&config, i))
+                .collect(),
+            slo_ns: config.slo_ns,
+            started: Instant::now(),
+        };
+        HttpServer::start(0, state).expect("bind an ephemeral port")
+    }
+
+    #[test]
+    fn a_well_formed_get_is_served() {
+        let server = server();
+        let metrics = exchange(server.addr, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
+        assert!(metrics.contains("gca_soak_requests_total{shard=\"0\""));
+        // The terminator split across two writes is still found.
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r").unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        stream.write_all(b"\n").unwrap();
+        let mut health = String::new();
+        stream.read_to_string(&mut health).unwrap();
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n") && health.ends_with("ok\n"));
+    }
+
+    #[test]
+    fn a_stalled_head_gets_408_and_the_server_answers_the_next_connection() {
+        let server = server();
+        let asked = Instant::now();
+        // The head never ends; the client just waits for an answer.
+        let stalled = exchange(server.addr, b"GET /metr");
+        assert!(stalled.starts_with("HTTP/1.1 408 "), "{stalled}");
+        let took = asked.elapsed();
+        assert!(
+            took >= Duration::from_millis(400) && took < Duration::from_millis(1500),
+            "one 500 ms deadline for the head, took {took:?}"
+        );
+        let next = exchange(server.addr, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(next.starts_with("HTTP/1.1 200 OK\r\n"), "{next}");
+    }
+
+    #[test]
+    fn an_oversized_head_gets_431() {
+        let server = server();
+        let mut request = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        request.resize(9_000, b'a');
+        let response = exchange(server.addr, &request);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+    }
+
+    #[test]
+    fn a_request_line_without_method_and_path_gets_400() {
+        let server = server();
+        for request in [&b"\r\n\r\n"[..], b"GET\r\nHost: x\r\n\r\n"] {
+            let response = exchange(server.addr, request);
+            assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        }
     }
 }

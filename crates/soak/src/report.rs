@@ -62,7 +62,7 @@ pub struct SoakReport {
 
 impl SoakReport {
     /// Builds the report from the fleet's final snapshots.
-    pub fn from_snapshots(snaps: &[ShardSnapshot], wall_ms: u64) -> SoakReport {
+    pub fn from_snapshots(snaps: &[&ShardSnapshot], wall_ms: u64) -> SoakReport {
         SoakReport {
             shards: snaps
                 .iter()

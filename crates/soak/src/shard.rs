@@ -16,9 +16,15 @@ use crate::fault::{Detection, FaultInjector, FaultKind};
 /// How often (in served requests) a shard republishes its snapshot.
 const PUBLISH_EVERY: u64 = 32;
 
-/// The state a shard exposes to the observability plane. Shard threads
-/// own their VM outright; scrapes only ever see these cloned snapshots,
-/// so a slow scrape never blocks a mutator.
+/// The state a shard exposes to the observability plane: a copy of its
+/// VM's recorders, complete history included, plus the harness's own
+/// counters. The shard thread owns its VM outright and brings the copy
+/// forward every [`PUBLISH_EVERY`] requests with `catch_up`, so a publish
+/// costs the cycles recorded since the last one, not the history; after
+/// every publish `telemetry == *vm.telemetry()` and
+/// `census == *vm.census()`. Scrapes render from the slot by reference
+/// under its lock ([`with_snapshots`]) and never touch the VM; only
+/// [`Fleet::snapshots`](crate::Fleet::snapshots) clones one.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Shard index.
@@ -52,7 +58,7 @@ pub struct ShardSnapshot {
     /// The shard finished its schedule (or was stopped).
     pub done: bool,
     /// Set when the shard died: on a VM error (by the shard itself) or by
-    /// panicking (by `Fleet::wait`, when it joins the thread).
+    /// panicking (by its thread's unwind handler, [`run_isolated`]).
     pub error: Option<String>,
 }
 
@@ -115,15 +121,55 @@ pub(crate) fn snapshot_slot(config: &SoakConfig, shard: usize) -> Arc<Mutex<Shar
 
 /// Locks a published snapshot, recovering the guard when a shard thread
 /// panicked while holding it. Every field is a plain value overwritten
-/// whole, so an interrupted publish leaves the slot stale, never invalid —
-/// and the observability plane must outlive a dying shard.
+/// whole, or a recorder copy whose interrupted `catch_up` the next call
+/// completes, so an interrupted publish leaves the slot stale, never
+/// invalid — and the observability plane must outlive a dying shard.
 pub(crate) fn lock_snapshot(slot: &Mutex<ShardSnapshot>) -> MutexGuard<'_, ShardSnapshot> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Clones the current state of every slot.
+/// Runs `f` over every slot by reference, all locked (in shard order) for
+/// the duration. What a scrape uses: the hold time is one render — bounded
+/// by the number of metric families, classes and sites — and nothing is
+/// copied.
+pub(crate) fn with_snapshots<R>(
+    slots: &[Arc<Mutex<ShardSnapshot>>],
+    f: impl FnOnce(&[&ShardSnapshot]) -> R,
+) -> R {
+    let guards: Vec<_> = slots.iter().map(|s| lock_snapshot(s)).collect();
+    let snaps: Vec<&ShardSnapshot> = guards.iter().map(|g| &**g).collect();
+    f(&snaps)
+}
+
+/// Clones the current state of every slot, history and all — the one
+/// deliberate O(history) copy, for a caller that wants to own the data.
 pub(crate) fn clone_snapshots(slots: &[Arc<Mutex<ShardSnapshot>>]) -> Vec<ShardSnapshot> {
     slots.iter().map(|s| lock_snapshot(s).clone()).collect()
+}
+
+/// The shard thread's entry point: runs `body` and, if it unwinds, marks
+/// the slot dead at once, so `/healthz` and
+/// [`Fleet::done`](crate::Fleet::done) learn of the panic when it happens,
+/// not when the thread is joined.
+pub(crate) fn run_isolated(slot: &Mutex<ShardSnapshot>, body: impl FnOnce()) {
+    // The body's state dies with it; only the slot is looked at again, and
+    // `lock_snapshot` states why that one stays valid.
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        mark_panicked(slot, &*payload);
+    }
+}
+
+/// Records a shard's death by panic in its slot: `error = "shard panicked:
+/// <message>"`, `done = true`.
+pub(crate) fn mark_panicked(slot: &Mutex<ShardSnapshot>, payload: &(dyn std::any::Any + Send)) {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string payload".to_owned());
+    let mut snap = lock_snapshot(slot);
+    snap.error = Some(format!("shard panicked: {message}"));
+    snap.done = true;
 }
 
 /// The shard thread body: builds the VM, runs setup, then serves the
@@ -154,8 +200,6 @@ pub(crate) fn run_shard(mut task: ShardTask) {
     // Virtual-pacing server model: the instant the server frees up.
     let mut busy_until_ns = 0u64;
     let mut last_cycles = vm.collections();
-    let mut last_census_cycles = 0u64;
-    let mut drifting = false;
     let mut records_streamed = 0usize;
 
     let arrivals: Vec<u64> = task.arrivals.clone().collect();
@@ -203,19 +247,15 @@ pub(crate) fn run_shard(mut task: ShardTask) {
             slo_breaches += 1;
         }
 
-        // Observe: drain new violations; re-read the census only when a
-        // collection actually happened (snapshotting it clones maps).
-        let cycles = vm.collections();
+        // Observe: drain new violations and ask the census, through the
+        // borrow, whether anything drifts (the set only changes at a
+        // collection; reading it copies nothing).
         let drained = vm.take_violation_log();
         violations += drained.len() as u64;
-        if cycles != last_census_cycles {
-            drifting = !vm.census().drifts().is_empty();
-            last_census_cycles = cycles;
-        }
         if let Some(inj) = task.fault.as_mut() {
-            inj.observe(&vm, &drained, drifting);
+            inj.observe(&vm, &drained, !vm.census().drifts().is_empty());
         }
-        last_cycles = cycles;
+        last_cycles = vm.collections();
 
         if requests_done.is_multiple_of(PUBLISH_EVERY) {
             publish(
@@ -237,9 +277,8 @@ pub(crate) fn run_shard(mut task: ShardTask) {
     if vm.collect().is_ok() {
         let drained = vm.take_violation_log();
         violations += drained.len() as u64;
-        drifting = !vm.census().drifts().is_empty();
         if let Some(inj) = task.fault.as_mut() {
-            inj.observe(&vm, &drained, drifting);
+            inj.observe(&vm, &drained, !vm.census().drifts().is_empty());
         }
     }
     publish(
@@ -262,8 +301,7 @@ fn stream_jsonl(task: &ShardTask, vm: &Vm, streamed: &mut usize) {
     let Some(path) = task.jsonl_path.as_ref() else {
         return;
     };
-    let telemetry = vm.telemetry();
-    let records = telemetry.records();
+    let records = vm.telemetry().records();
     if records.len() <= *streamed {
         return;
     }
@@ -293,12 +331,11 @@ fn publish(
     requests_done: u64,
     done: bool,
 ) {
-    let census = vm.census();
     let mut snap = lock_snapshot(&task.snapshot);
     snap.requests_done = requests_done;
-    snap.telemetry = vm.telemetry();
-    snap.drifting_keys = census.drifts().len();
-    snap.census = census;
+    snap.telemetry.catch_up(vm.telemetry());
+    snap.census.catch_up(vm.census());
+    snap.drifting_keys = snap.census.drifts().len();
     snap.latency = latency.clone();
     snap.slo_breaches = slo_breaches;
     snap.violations = violations;
@@ -308,4 +345,75 @@ fn publish(
         snap.detection = inj.detection();
     }
     snap.done = done;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_publish_leaves_the_slot_equal_to_the_recorders() {
+        let config = SoakConfig::smoke();
+        let slot = snapshot_slot(&config, 0);
+        let task = ShardTask {
+            shard: 0,
+            kind: config.scenario_for(0),
+            seed: config.seed,
+            pacing: config.pacing,
+            arrivals: Arrivals::new(&config.phases),
+            slo_ns: config.slo_ns,
+            fault: None,
+            snapshot: Arc::clone(&slot),
+            stop: Arc::new(AtomicBool::new(false)),
+            jsonl_path: None,
+        };
+        let mut scenario = task.kind.build(task.seed);
+        let mut vm = Vm::new(
+            VmConfig::builder()
+                .heap_budget(scenario.heap_budget())
+                .grow_on_oom(true)
+                .telemetry(true)
+                .census(true)
+                .build(),
+        );
+        scenario.setup(&mut vm, true).unwrap();
+
+        // Publish off the collection grid, so one publish sees no new
+        // cycle, the next one, the next several.
+        let latency = LatencyHistogram::new();
+        let (mut idle, mut behind_by_several) = (0, 0);
+        for served in 1..=900u64 {
+            scenario.request(&mut vm, true).unwrap();
+            if served.is_multiple_of(40) {
+                vm.collect().unwrap();
+            }
+            if served.is_multiple_of(7) && served % 300 < 150 {
+                let had = lock_snapshot(&slot).telemetry.records().len();
+                publish(
+                    &task,
+                    &vm,
+                    scenario.counters(),
+                    &latency,
+                    0,
+                    0,
+                    served,
+                    false,
+                );
+                let snap = lock_snapshot(&slot);
+                assert_eq!(snap.telemetry, *vm.telemetry());
+                assert_eq!(snap.census, *vm.census());
+                assert_eq!(snap.drifting_keys, vm.census().drifts().len());
+                match snap.telemetry.records().len() - had {
+                    0 => idle += 1,
+                    1 => {}
+                    _ => behind_by_several += 1,
+                }
+            }
+        }
+        assert!(
+            idle > 0 && behind_by_several > 0,
+            "{idle} {behind_by_several}"
+        );
+        assert!(vm.telemetry().records().len() as u64 >= 900 / 40);
+    }
 }

@@ -417,6 +417,40 @@ impl HeapCensus {
         seq
     }
 
+    /// Brings `self`, a copy of an earlier state of `src`, up to `src` by
+    /// appending the cycles `src` has gained and copying the detector
+    /// state (rolling windows and active drifts, bounded by the number of
+    /// classes and sites, not of cycles). Afterwards `*self == *src`.
+    /// Returns at once when `src` has recorded nothing new.
+    ///
+    /// Total, with the same boundary prefix test and the same
+    /// counts-written-last recovery as
+    /// [`GcTelemetry::catch_up`](crate::GcTelemetry::catch_up): anything
+    /// that is not a prefix of `src` — longer, the other `enabled` state,
+    /// another window, a different last cycle — becomes a whole copy.
+    /// (Census cycles carry no measured times, so two recorders watching
+    /// identical heaps can agree at the boundary; a copy is meant to
+    /// follow one recorder.)
+    pub fn catch_up(&mut self, src: &HeapCensus) {
+        let have = self.cycles.len();
+        let is_prefix = (self.enabled, self.window) == (src.enabled, src.window)
+            && have <= src.cycles.len()
+            && self.cycles.last() == src.cycles[..have].last();
+        if !is_prefix {
+            self.clone_from(src);
+            return;
+        }
+        if have == src.cycles.len() && (self.majors, self.minors) == (src.majors, src.minors) {
+            return;
+        }
+        self.cycles.extend_from_slice(&src.cycles[have..]);
+        self.class_windows.clone_from(&src.class_windows);
+        self.site_windows.clone_from(&src.site_windows);
+        self.drifts.clone_from(&src.drifts);
+        self.majors = src.majors;
+        self.minors = src.minors;
+    }
+
     /// Pushes this cycle's counts into every key's rolling window. Keys
     /// absent from the cycle push 0, so a class that empties out resets
     /// its trend.
@@ -508,7 +542,15 @@ impl HeapCensus {
     /// unknown. Rows are sorted by retained-byte delta, biggest growth
     /// first, ties by name.
     pub fn heapdiff(&self, from_seq: u64, to_seq: u64) -> Option<HeapDiff> {
-        let find = |seq: u64| self.cycles.iter().find(|c| c.seq == seq);
+        // `seq` is the 1-based position by construction (the record calls
+        // assign `cycles.len() + 1`), so index instead of searching.
+        let find = |seq: u64| {
+            let cycle = self
+                .cycles
+                .get(usize::try_from(seq.checked_sub(1)?).ok()?)?;
+            debug_assert_eq!(cycle.seq, seq, "census seq is the 1-based index");
+            Some(cycle)
+        };
         let from = find(from_seq)?;
         let to = find(to_seq)?;
         let mut names: BTreeSet<&str> = BTreeSet::new();
@@ -778,6 +820,28 @@ mod tests {
         assert!(text.contains("heapdiff: cycle 1 -> cycle 2"));
         assert!(text.contains("New"));
         assert!(c.heapdiff(a, 99).is_none());
+    }
+
+    #[test]
+    fn heapdiff_of_seq_zero_is_none() {
+        let mut c = HeapCensus::new();
+        let a = c.record_major(data(&[("A", 1, 10)]));
+        assert!(c.heapdiff(0, a).is_none() && c.heapdiff(a, 0).is_none());
+    }
+
+    #[test]
+    fn catch_up_completes_a_copy_abandoned_mid_update() {
+        let mut src = HeapCensus::with_window(2);
+        src.record_major(data(&[("A", 1, 10)]));
+        let mut copy = src.clone();
+        src.record_major(data(&[("A", 5, 50)]));
+        assert_eq!(src.drifts().len(), 1);
+        // What a publisher dying between the append and the detector state
+        // leaves behind: every cycle, stale windows and drift set.
+        copy.cycles.extend_from_slice(&src.cycles[1..]);
+        assert_ne!(copy, src);
+        copy.catch_up(&src);
+        assert_eq!(copy, src);
     }
 
     #[test]

@@ -220,6 +220,44 @@ impl GcTelemetry {
         self.records.push(record);
     }
 
+    /// Brings `self`, a copy of an earlier state of `src`, up to `src` by
+    /// appending the records `src` has gained and copying the roll-ups —
+    /// work proportional to what happened since the copy was last brought
+    /// forward, not to the history. Afterwards `*self == *src`. Returns
+    /// at once when `src` has recorded nothing new.
+    ///
+    /// Total: when `self` is not a prefix of `src` (longer, the other
+    /// `enabled` state, or another recorder's history) the whole of `src`
+    /// is copied. The prefix test is made at the boundary — `self`'s last
+    /// record against `src`'s at that position; records carry measured
+    /// times, so two histories do not agree there by accident. The cycle
+    /// counts are written last and are what "nothing new" reads, so a copy
+    /// abandoned mid-update (records extended, roll-ups stale) is
+    /// completed by the next call.
+    pub fn catch_up(&mut self, src: &GcTelemetry) {
+        let have = self.records.len();
+        let is_prefix = self.enabled == src.enabled
+            && have <= src.records.len()
+            && self.records.last() == src.records[..have].last();
+        if !is_prefix {
+            self.clone_from(src);
+            return;
+        }
+        if have == src.records.len() && (self.majors, self.minors) == (src.majors, src.minors) {
+            return;
+        }
+        self.records.extend_from_slice(&src.records[have..]);
+        self.phase_total_ns = src.phase_total_ns;
+        self.total_pause_ns = src.total_pause_ns;
+        self.worker_mark_ns.clone_from(&src.worker_mark_ns);
+        self.overhead = src.overhead;
+        self.pause.clone_from(&src.pause);
+        self.minor_pause.clone_from(&src.minor_pause);
+        self.violations = src.violations;
+        self.majors = src.majors;
+        self.minors = src.minors;
+    }
+
     /// Major collection cycles recorded.
     pub fn cycles(&self) -> u64 {
         self.majors
@@ -344,6 +382,20 @@ mod tests {
         assert_eq!(t.worker_mark_ns(), &[130, 50]);
         assert_eq!(t.pause_histogram().count(), 2);
         assert_eq!(t.minor_pause_histogram().count(), 1);
+    }
+
+    #[test]
+    fn catch_up_completes_a_copy_abandoned_mid_update() {
+        let mut src = GcTelemetry::new();
+        src.record(major(100, 10, 60, 30, &[60]));
+        let mut copy = src.clone();
+        src.record(major(200, 20, 120, 60, &[70, 50]));
+        // What a publisher dying between the append and the roll-ups
+        // leaves behind: every record, stale totals.
+        copy.records.extend_from_slice(&src.records[1..]);
+        assert_ne!(copy, src);
+        copy.catch_up(&src);
+        assert_eq!(copy, src);
     }
 
     #[test]

@@ -233,7 +233,7 @@ fn violations_with_workers(
             .map(|v| format!("{:?}", v.kind))
             .collect();
     kinds.sort();
-    (kinds, t.vm.telemetry())
+    (kinds, t.vm.telemetry().clone())
 }
 
 #[test]
