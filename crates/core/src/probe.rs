@@ -4,7 +4,9 @@
 //! Probes are the comparison point for the paper's central performance
 //! argument: an immediate query costs a complete heap trace, while GC
 //! assertions batch the same questions into the collector's normal trace
-//! for free (§4.1). All probe machinery lives in this module.
+//! for free (§4.1). [`Vm::probe_survey`] is the batched form a caller with
+//! many questions uses: every answer from one traversal. All probe
+//! machinery lives in this module.
 //!
 //! ```
 //! use gc_assertions::{Vm, VmConfig};
@@ -19,6 +21,7 @@
 //!
 //! assert!(vm.probe_reachable(b)?);
 //! assert_eq!(vm.probe_instances(node)?, 2);
+//! assert_eq!(vm.probe_survey(&[a, b], &[node])?, (vec![true, true], vec![2]));
 //! let path = vm.probe_path(b)?.expect("b is reachable");
 //! assert_eq!(path.target(), Some(b));
 //! # Ok(())
@@ -49,12 +52,14 @@ impl Vm {
             target,
             found: None,
         };
-        run_traversal(&mut self.heap, &roots, true, &mut finder)?;
+        run_traversal(&mut self.heap, &roots, true, &mut finder, |_| ())?;
         Ok(finder.found)
     }
 
     /// Is `target` reachable at all (probe-style `assert_dead`
-    /// complement)? Same cost as [`Vm::probe_path`].
+    /// complement)? Same cost as [`Vm::probe_path`]: one path-tracking
+    /// traversal per call. To ask about many objects at once, use
+    /// [`Vm::probe_survey`].
     ///
     /// # Errors
     ///
@@ -65,16 +70,55 @@ impl Vm {
 
     /// Counts the live (reachable) instances of `class` with a full
     /// traversal — the probe-style equivalent of `assert-instances`.
+    /// This is [`Vm::probe_survey`] asked about one class.
     ///
     /// # Errors
     ///
-    /// Tracing errors or [`VmError::Halted`].
+    /// As [`Vm::probe_survey`].
     pub fn probe_instances(&mut self, class: ClassId) -> Result<u32, VmError> {
+        let (_, counts) = self.probe_survey(&[], &[class])?;
+        Ok(counts[0])
+    }
+
+    /// Answers a batch of probes with **one** plain (non-path) traversal
+    /// from the roots: for each of `targets`, whether it is reachable, and
+    /// for each of `classes`, how many reachable instances it has.
+    ///
+    /// A stale or null target answers `false`, and a class with no
+    /// reachable instance (or one this VM never registered) answers 0. The
+    /// heap is left as it was: the marks are read for `targets` and then
+    /// cleared. This is the batching argument of §4 applied to probes —
+    /// `k` questions cost one trace instead of `k`.
+    ///
+    /// # Errors
+    ///
+    /// Tracing errors ([`VmError::Heap`]) or [`VmError::Halted`].
+    pub fn probe_survey(
+        &mut self,
+        targets: &[ObjRef],
+        classes: &[ClassId],
+    ) -> Result<(Vec<bool>, Vec<u32>), VmError> {
         self.check_running()?;
         let roots = self.gather_roots();
-        let mut counter = Counter { class, count: 0 };
-        run_traversal(&mut self.heap, &roots, false, &mut counter)?;
-        Ok(counter.count)
+        let mut tally = Tally {
+            by_class: if classes.is_empty() {
+                Vec::new()
+            } else {
+                vec![0; self.heap.registry().len()]
+            },
+        };
+        let reachable = run_traversal(&mut self.heap, &roots, false, &mut tally, |heap| {
+            targets
+                .iter()
+                .map(|&t| heap.has_flag(t, Flags::MARK) == Ok(true))
+                .collect()
+        })?;
+        let by_class = tally.by_class;
+        let counts = classes
+            .iter()
+            .map(|c| by_class.get(c.as_u32() as usize).map_or(0, |&n| n))
+            .collect();
+        Ok((reachable, counts))
     }
 
     /// Collects a root-to-object path for **every live instance** of
@@ -99,7 +143,7 @@ impl Vm {
             class,
             found: Vec::new(),
         };
-        run_traversal(&mut self.heap, &roots, true, &mut finder)?;
+        run_traversal(&mut self.heap, &roots, true, &mut finder, |_| ())?;
         Ok(finder.found)
     }
 
@@ -134,30 +178,27 @@ impl Vm {
     }
 }
 
-/// Runs one probe traversal from `roots` and clears the marks it left.
-fn run_traversal<H: TraceHooks>(
+/// Runs one probe traversal from `roots`, lets `read` look at the heap
+/// while the marks are still set, and clears them — on failure too, so a
+/// probe never leaves marks behind.
+fn run_traversal<H: TraceHooks, R>(
     heap: &mut Heap,
     roots: &[ObjRef],
     paths: bool,
     hooks: &mut H,
-) -> Result<(), VmError> {
+    read: impl FnOnce(&Heap) -> R,
+) -> Result<R, VmError> {
     let mut tracer = Tracer::new();
     tracer.set_path_mode(paths);
     tracer.begin_cycle();
     for &r in roots {
         tracer.push_root(r);
     }
-    tracer.drain(heap, hooks)?;
-    clear_probe_marks(heap)?;
-    Ok(())
-}
-
-/// Clears the marks left behind by a probe traversal.
-fn clear_probe_marks(heap: &mut Heap) -> Result<(), VmError> {
+    let traced = tracer.drain(heap, hooks).map(|()| read(heap));
     for pid in 0..heap.page_count() {
         heap.clear_flag_word(pid, Flags::PER_GC, u64::MAX);
     }
-    Ok(())
+    traced.map_err(VmError::from)
 }
 
 struct PathFinder {
@@ -177,15 +218,18 @@ impl TraceHooks for PathFinder {
     }
 }
 
-struct Counter {
-    class: ClassId,
-    count: u32,
+/// A [`Vm::probe_survey`]'s instance tally: reachable objects per class
+/// id, or nothing at all when no class was asked about.
+struct Tally {
+    by_class: Vec<u32>,
 }
 
-impl TraceHooks for Counter {
+impl TraceHooks for Tally {
     fn visit_new(&mut self, heap: &mut Heap, obj: ObjRef, _p: Flags, _c: &TraceCtx<'_>) -> Visit {
-        if heap.get(obj).map(|o| o.class()) == Ok(self.class) {
-            self.count += 1;
+        if !self.by_class.is_empty() {
+            if let Ok(o) = heap.get(obj) {
+                self.by_class[o.class().as_u32() as usize] += 1;
+            }
         }
         Visit::Descend
     }

@@ -5,7 +5,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use gc_assertions::{AssertionClass, ObjRef, Reaction, ViolationKind, Vm, VmConfig, VmError};
+use gc_assertions::{
+    AssertionClass, ClassId, CollectorKind, Flags, ObjRef, Reaction, ViolationKind, Vm, VmConfig,
+    VmError,
+};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn leaky_vm(config: VmConfig) -> (Vm, ObjRef, ObjRef) {
     let mut vm = Vm::new(config);
@@ -275,11 +280,147 @@ fn incoming_references_enumerates_all_edges() {
 
 #[test]
 fn probes_respect_halt() {
-    let (mut vm, _h, x) = leaky_vm(VmConfig::builder().reaction(Reaction::Halt).build());
+    let (mut vm, h, x) = leaky_vm(VmConfig::builder().reaction(Reaction::Halt).build());
     vm.collect().unwrap();
+    let holder = vm.registry().lookup("Holder").unwrap();
     assert!(matches!(vm.probe_path(x), Err(VmError::Halted)));
+    assert!(matches!(vm.probe_instances(holder), Err(VmError::Halted)));
     assert!(matches!(
-        vm.probe_instances(vm.registry().lookup("Holder").unwrap()),
+        vm.probe_survey(&[h, x], &[holder]),
         Err(VmError::Halted)
     ));
+    assert!(vm.heap().verify().is_empty());
+    assert!(!vm.heap().has_flag(h, Flags::MARK).unwrap());
+}
+
+/// The three collector setups a survey must agree with single probes on.
+fn survey_configs() -> [VmConfig; 3] {
+    [
+        VmConfig::builder().build(),
+        VmConfig::builder().generational(4).build(),
+        VmConfig::builder()
+            .collector(CollectorKind::Copying)
+            .build(),
+    ]
+}
+
+/// A seeded random heap: three rounds of allocating objects of three
+/// classes (some rooted), wiring random edges between live objects and
+/// collecting — a major, then a minor where `config` is generational —
+/// so that some handles are stale by the end. Returns the VM, every
+/// handle it ever minted and the classes.
+fn random_heap(seed: u64, config: VmConfig) -> (Vm, Vec<ObjRef>, Vec<ClassId>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let generational = config.generational.is_some();
+    let mut vm = Vm::new(config);
+    let shapes: [(&str, &[&str]); 3] = [("A", &["x", "y"]), ("B", &["x"]), ("C", &[])];
+    let classes: Vec<ClassId> = shapes
+        .iter()
+        .map(|(name, fields)| vm.register_class(name, fields))
+        .collect();
+    let m = vm.main();
+    let mut objs = Vec::new();
+    for round in 0..3 {
+        for _ in 0..rng.gen_range(5..30) {
+            let k = rng.gen_range(0..3);
+            let nrefs = shapes[k].1.len();
+            let o = if rng.gen_bool(0.2) {
+                vm.alloc_rooted(m, classes[k], nrefs, 0)
+            } else {
+                vm.alloc(m, classes[k], nrefs, 0)
+            };
+            objs.push(o.unwrap());
+        }
+        let live: Vec<ObjRef> = objs.iter().copied().filter(|&o| vm.is_live(o)).collect();
+        for _ in 0..40 {
+            let src = live[rng.gen_range(0..live.len())];
+            let nrefs = vm.heap().get(src).unwrap().refs().len();
+            if nrefs > 0 {
+                let dst = if rng.gen_bool(0.2) {
+                    ObjRef::NULL
+                } else {
+                    live[rng.gen_range(0..live.len())]
+                };
+                vm.set_field(src, rng.gen_range(0..nrefs), dst).unwrap();
+            }
+        }
+        if round == 1 && generational {
+            vm.collect_minor().unwrap();
+        } else if round < 2 {
+            vm.collect().unwrap();
+        }
+    }
+    (vm, objs, classes)
+}
+
+/// A class id the VMs of `random_heap` never registered.
+fn unregistered_class() -> ClassId {
+    let mut other = Vm::new(VmConfig::builder().build());
+    for name in ["P", "Q", "R", "S", "T"] {
+        other.register_class(name, &[]);
+    }
+    other.register_class("U", &[])
+}
+
+#[test]
+fn probe_survey_agrees_with_single_probes() {
+    let unregistered = unregistered_class();
+    for config in survey_configs() {
+        for seed in 0..30 {
+            let (mut vm, mut targets, mut classes) = random_heap(seed, config.clone());
+            assert!(unregistered.as_u32() as usize >= vm.registry().len());
+            classes.push(unregistered);
+            targets.push(ObjRef::NULL);
+            assert!(
+                targets.iter().any(|&o| o.is_some() && !vm.is_live(o)),
+                "seed {seed}: no stale handle"
+            );
+            let (reachable, counts) = vm.probe_survey(&targets, &classes).unwrap();
+            assert_eq!(reachable.len(), targets.len());
+            for (&t, &r) in targets.iter().zip(&reachable) {
+                assert_eq!(r, vm.probe_reachable(t).unwrap(), "seed {seed}: {t:?}");
+            }
+            assert_eq!(counts.len(), classes.len());
+            for (&c, &n) in classes.iter().zip(&counts) {
+                assert_eq!(n, vm.probe_instances(c).unwrap(), "seed {seed}: {c:?}");
+            }
+            assert_eq!(counts.last(), Some(&0));
+            // Nothing asked, nothing traced into an answer.
+            assert_eq!(vm.probe_survey(&[], &[]).unwrap(), (vec![], vec![]));
+        }
+    }
+}
+
+#[test]
+fn probe_survey_leaves_no_marks_behind() {
+    let mut violations = 0;
+    for config in survey_configs() {
+        for seed in 0..20 {
+            // Two identical heaps with identical assertions; only one is
+            // surveyed before the next collection.
+            let (mut probed, objs, classes) = random_heap(seed, config.clone());
+            let (mut plain, _, _) = random_heap(seed, config.clone());
+            for &o in objs.iter().step_by(3) {
+                if probed.is_live(o) {
+                    probed.assert_dead(o).unwrap();
+                    plain.assert_dead(o).unwrap();
+                }
+            }
+            probed.probe_survey(&objs, &classes).unwrap();
+            assert!(probed.heap().verify().is_empty(), "seed {seed}");
+            for (o, _) in probed.heap().iter() {
+                assert!(!probed.heap().has_flag(o, Flags::MARK).unwrap());
+            }
+            let (a, b) = (probed.collect().unwrap(), plain.collect().unwrap());
+            let summaries = |r: &gc_assertions::GcReport| -> Vec<String> {
+                r.violations.iter().map(|v| v.summary()).collect()
+            };
+            assert_eq!(summaries(&a), summaries(&b), "seed {seed}");
+            violations += a.violations.len();
+            for &o in &objs {
+                assert_eq!(probed.is_live(o), plain.is_live(o), "seed {seed}: {o:?}");
+            }
+        }
+    }
+    assert!(violations > 0, "no verdict to compare");
 }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use gc_assertions::{ClassId, GcReport, ObjRef, Vm, VmConfig};
+use gc_assertions::{ClassId, GcReport, ObjRef, Reaction, Vm, VmConfig};
 
 use crate::ast::{parse_script, BlockError, Blocks, Command, Step, Target};
 use crate::config::apply_config;
@@ -87,8 +87,18 @@ impl Interpreter {
         for (line, cmd) in parse_script(src)? {
             interp.execute(line, &cmd)?;
         }
-        interp.blocks.finish().map_err(Self::block_err)?;
+        interp.end_of_script()?;
         Ok(interp.finish())
+    }
+
+    /// The command stream has ended: a `repeat`/`proc` block still open
+    /// is an error at its opener's line.
+    ///
+    /// # Errors
+    ///
+    /// The unclosed block, as a line-tagged [`ScriptError`].
+    pub(crate) fn end_of_script(&self) -> Result<(), ScriptError> {
+        self.blocks.finish().map_err(Self::block_err)
     }
 
     /// Finishes the run, yielding the output.
@@ -128,6 +138,11 @@ impl Interpreter {
     /// The object currently bound to `name`, if any.
     pub(crate) fn binding(&self, name: &str) -> Option<ObjRef> {
         self.vars.get(name).copied()
+    }
+
+    /// The violation reaction the script configured (`config reaction`).
+    pub(crate) fn reaction(&self) -> Reaction {
+        self.config.reaction
     }
 
     /// The declared class id for `name`, if any.

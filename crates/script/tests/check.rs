@@ -413,6 +413,31 @@ fn block_structure_errors_agree_between_run_and_check() {
     );
 }
 
+/// `gca suggest` runs the script it observes to the end of the command
+/// stream, so a block left open there is the same error it is for `gca
+/// <file>` and `gca check` — not an empty suggestion.
+#[test]
+fn suggest_reports_an_unclosed_block_like_run_and_check() {
+    let src = "class T f\nnew a T\nroot a\nnew b T\nrepeat 2\nnew c T\n";
+    let message = "`repeat` opened here is never closed by `end-repeat`";
+    let run = Interpreter::run_script(src).expect_err("run");
+    let suggested = suggest(src).expect_err("suggest");
+    assert_eq!((suggested.line, &suggested.kind), (run.line, &run.kind));
+    assert_eq!(suggested.line, 5);
+    assert_eq!(
+        suggested.kind,
+        ScriptErrorKind::BadArguments(message.to_owned())
+    );
+    let analysis = analyze(src).expect("parses");
+    let errors: Vec<_> = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| (d.line, d.message.as_str()))
+        .collect();
+    assert_eq!(errors, [(5, message)]);
+}
+
 /// The access graph earns Safe on `list_builder.gca`'s severed chain.
 /// The loop-blind per-site strawman it was compared against could only
 /// answer May (`dead-reachable Cell`); that half of the comparison is
