@@ -5,11 +5,13 @@
 //! so the cycle driver takes the census there, once, instead of threading
 //! an accumulator through each trace loop: [`take`] walks `live & MARK`
 //! page by page (the bitmap walk the sweep does for the complement) and
-//! hands every survivor to the caller. The pass knows nothing about class
+//! hands every survivor to the caller. A minor's census covers the nursery
+//! survivors only, `live & MARK & !OLD`, taken before the sweep promotes
+//! them. The pass knows nothing about class
 //! *names* or allocation sites: attribution is the VM's, which owns the
 //! type registry and the per-slot allocation-site table.
 
-use gca_heap::{Heap, HeapError, ObjRef, Object};
+use gca_heap::{Flags, Heap, HeapError, ObjRef, Object};
 
 use crate::collector::for_each_marked;
 
@@ -17,19 +19,21 @@ use crate::collector::for_each_marked;
 /// object itself.
 pub type SurvivorVisitor<'a> = dyn FnMut(ObjRef, &Object) + 'a;
 
-/// Calls `visit` once for every marked live object, in index order, and
-/// returns the `(objects, words)` it covered. Run between the end of the
-/// trace and the sweep, that is exactly the population the sweep keeps.
+/// Calls `visit` once for every marked live object outside the `immortal`
+/// plane, in index order, and returns the `(objects, words)` it covered.
+/// Run between the end of the trace and the sweep, that is exactly the
+/// population the sweep keeps (a full cycle) or promotes (a minor).
 ///
 /// # Errors
 ///
 /// Reference-validity errors, which indicate a broken heap invariant.
 pub(crate) fn take(
     heap: &mut Heap,
+    immortal: Flags,
     visit: &mut SurvivorVisitor<'_>,
 ) -> Result<(usize, usize), HeapError> {
     let mut totals = (0, 0);
-    for_each_marked(heap, |heap, r| {
+    for_each_marked(heap, immortal, |heap, r| {
         let o = heap.get(r)?;
         visit(r, o);
         totals.0 += 1;
@@ -77,10 +81,26 @@ mod tests {
             heap.set_flag(o, Flags::MARK).unwrap();
         }
         let mut seen = Vec::new();
-        let totals = take(&mut heap, &mut |r, o| seen.push((r, o.size_words()))).unwrap();
+        let totals = take(&mut heap, Flags::empty(), &mut |r, o| {
+            seen.push((r, o.size_words()));
+        })
+        .unwrap();
         // Unmarked `a` is not a survivor. Node: header(2)+1 ref = 3 words;
         // Blob: 2+6 = 8.
         assert_eq!(seen, vec![(objs[1], 3), (objs[2], 8)]);
+        assert_eq!(totals, (2, 11));
+    }
+
+    #[test]
+    fn a_minor_census_skips_the_immortal_plane() {
+        let (mut heap, objs) = two_class_heap();
+        for &o in &objs {
+            heap.set_flag(o, Flags::MARK).unwrap();
+        }
+        heap.set_flag(objs[1], Flags::OLD).unwrap();
+        let mut seen = Vec::new();
+        let totals = take(&mut heap, Flags::OLD, &mut |r, _| seen.push(r)).unwrap();
+        assert_eq!(seen, vec![objs[0], objs[2]]);
         assert_eq!(totals, (2, 11));
     }
 

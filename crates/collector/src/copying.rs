@@ -66,7 +66,7 @@ use std::collections::VecDeque;
 
 #[cfg(doc)]
 use gca_heap::SpaceKind;
-use gca_heap::{Heap, HeapError, ObjRef};
+use gca_heap::{Flags, Heap, HeapError, ObjRef};
 
 use crate::collector::for_each_marked;
 use crate::hooks::{TraceHooks, Visit};
@@ -149,7 +149,9 @@ pub(crate) fn evacuate<H: TraceHooks>(
     // analogue of the sequential drain not descending into already-marked
     // objects. (With ownee truncation this also keeps the ownership
     // phase's bounded-collection property.)
-    for_each_marked(heap, |heap, r| forward(heap, r, &mut scan.skip_forward))?;
+    for_each_marked(heap, Flags::empty(), |heap, r| {
+        forward(heap, r, &mut scan.skip_forward)
+    })?;
 
     for &r in roots {
         if r.is_some() {

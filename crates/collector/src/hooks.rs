@@ -41,6 +41,11 @@ pub enum Visit {
 ///
 /// A cycle that fails with a heap error stops wherever it is and calls
 /// [`TraceHooks::gc_abort`] instead of the remaining hooks.
+///
+/// A minor collection ([`crate::Collector::collect_minor`]) is the same
+/// cycle restricted to the nursery and checks nothing: it calls only
+/// [`TraceHooks::swept_interest`] and step 5's [`TraceHooks::swept`] —
+/// not even [`TraceHooks::gc_abort`] when it fails.
 pub trait TraceHooks {
     /// If `true`, the collector uses the path-tracking worklist (§2.7) so
     /// [`TraceCtx::current_path`] can reconstruct root-to-object paths.

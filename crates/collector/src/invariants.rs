@@ -16,9 +16,9 @@ use gca_heap::{Flags, Heap};
 /// Mark-plane hygiene at `gc_begin` time: no live object may carry `MARK`
 /// from before the cycle. A stale mark makes the trace treat a survivor as
 /// already visited — its subgraph is never traced and the sweep frees
-/// reachable objects. Every way out of a cycle (the sweep, a minor
-/// collection's cleanup, the abandoned-cycle path, a probe traversal)
-/// must therefore leave the plane clear.
+/// reachable objects. Every way out of a cycle (the sweep of either
+/// scope, the abandoned-cycle path, a probe traversal) must therefore
+/// leave the plane clear.
 pub fn stale_mark_violations(heap: &Heap) -> Vec<String> {
     (0..heap.page_count())
         .filter_map(|pid| {
@@ -34,17 +34,24 @@ pub fn stale_mark_violations(heap: &Heap) -> Vec<String> {
 /// field of a MARK'd (black) object must point to a MARK'd object. An
 /// unmarked child here means the tracer lost an edge, and the sweep is
 /// about to free a reachable object.
-pub fn tricolor_violations(heap: &Heap) -> Vec<String> {
+///
+/// `immortal` is the plane of objects the cycle does not collect: empty
+/// for a full collection, [`Flags::OLD`] for a minor. An immortal object
+/// is never black (the trace stops at it), and an edge into one is never
+/// lost (the sweep keeps it).
+pub fn tricolor_violations(heap: &Heap, immortal: Flags) -> Vec<String> {
+    let kept = |f: Flags| f.contains(Flags::MARK) || f.intersects(immortal);
     let mut problems = Vec::new();
     for (r, obj) in heap.iter() {
-        if !heap.has_flag(r, Flags::MARK).unwrap_or(false) {
-            continue;
+        match heap.flags_of(r) {
+            Ok(f) if f.contains(Flags::MARK) && !f.intersects(immortal) => {}
+            _ => continue,
         }
         for (i, &child) in obj.refs().iter().enumerate() {
             if !child.is_some() {
                 continue;
             }
-            match heap.has_flag(child, Flags::MARK) {
+            match heap.flags_of(child).map(kept) {
                 Ok(true) => {}
                 Ok(false) => problems.push(format!(
                     "black-to-white edge: marked {r:?}.{i} -> unmarked {child:?}"
@@ -110,11 +117,36 @@ mod tests {
         let child = heap.alloc(c, 1, 0).unwrap();
         heap.set_ref_field(parent, 0, child).unwrap();
         heap.set_flag(parent, Flags::MARK).unwrap();
-        let problems = tricolor_violations(&heap);
+        let problems = tricolor_violations(&heap, Flags::empty());
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("black-to-white"));
         heap.set_flag(child, Flags::MARK).unwrap();
-        assert!(tricolor_violations(&heap).is_empty());
+        assert!(tricolor_violations(&heap, Flags::empty()).is_empty());
+    }
+
+    #[test]
+    fn tricolor_in_the_young_scope_treats_old_objects_as_kept() {
+        // young -> old -> young2: a marked young object may point at an
+        // unmarked old one, and the trace stopped at the old object, so
+        // its edge to an unmarked young object is no black-to-white edge.
+        let mut heap = Heap::new();
+        let c = heap.register_class("T", &["f"]);
+        let young = heap.alloc(c, 1, 0).unwrap();
+        let old = heap.alloc(c, 1, 0).unwrap();
+        let young2 = heap.alloc(c, 1, 0).unwrap();
+        heap.set_ref_field(young, 0, old).unwrap();
+        heap.set_ref_field(old, 0, young2).unwrap();
+        heap.set_flag(young, Flags::MARK).unwrap();
+        heap.set_flag(old, Flags::OLD | Flags::MARK).unwrap();
+        assert!(tricolor_violations(&heap, Flags::OLD).is_empty());
+        // The full scope collects old objects too: old -> young2 is lost.
+        assert_eq!(tricolor_violations(&heap, Flags::empty()).len(), 1);
+        // A marked young object's edge to an unmarked young one is lost
+        // in either scope.
+        heap.set_ref_field(young, 0, young2).unwrap();
+        let problems = tricolor_violations(&heap, Flags::OLD);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("black-to-white"));
     }
 
     #[test]
@@ -126,7 +158,7 @@ mod tests {
         heap.set_ref_field(parent, 0, child).unwrap();
         heap.set_ref_field(parent, 0, ObjRef::NULL).unwrap();
         heap.set_flag(parent, Flags::MARK).unwrap();
-        assert!(tricolor_violations(&heap).is_empty());
+        assert!(tricolor_violations(&heap, Flags::empty()).is_empty());
     }
 
     #[test]

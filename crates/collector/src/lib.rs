@@ -16,6 +16,14 @@
 //!   drain, Cheney evacuation on a semispace heap (the `copying` module),
 //!   or the work-stealing mark when [`Collector::collect_with`] is handed
 //!   more than one tracing worker.
+//! * [`Collector::collect_minor`] runs the same driver in its *young
+//!   scope*, the nursery collection of the generational mode: old objects
+//!   (those carrying [`gca_heap::Flags::OLD`]) are immortal, the trace
+//!   starts from the roots and the remembered sources' fields and stops at
+//!   old objects, and the sweep — the same page loop — frees the unmarked
+//!   young objects and promotes the marked ones. A minor checks nothing:
+//!   of the hooks it calls only [`TraceHooks::swept_interest`] and
+//!   [`TraceHooks::swept`].
 //! * [`NoHooks`] compiles every hook away — this is the paper's **Base**
 //!   configuration (an unmodified collector).
 //! * A hooks object that returns `true` from [`TraceHooks::wants_paths`]
@@ -69,7 +77,6 @@ mod copying;
 mod deque;
 mod hooks;
 mod invariants;
-mod minor;
 mod parallel;
 mod path;
 #[doc(hidden)]
@@ -82,10 +89,9 @@ pub use collector::{sweep_heap, Collector};
 pub use deque::StealDeque;
 pub use hooks::{NoHooks, TraceHooks, Visit};
 pub use invariants::{forwarding_totality_violations, stale_mark_violations, tricolor_violations};
-pub use minor::MinorStats;
 pub use parallel::{
     mark_parallel, reconstruct_path, NoParVisitor, ParMarkStats, ParVisitor, WorkItem,
 };
 pub use path::{HeapPath, PathDisplay, PathStep};
-pub use stats::{CycleStats, GcStats};
+pub use stats::{CycleStats, GcStats, MinorStats};
 pub use tracer::{Provenance, TraceCtx, Tracer};

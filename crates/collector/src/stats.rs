@@ -45,6 +45,32 @@ impl fmt::Display for CycleStats {
     }
 }
 
+/// Statistics for one minor collection.
+///
+/// Minor cycles report the same trace counters as full collections
+/// (`objects_marked`, `edges_traced`), so telemetry records for the two
+/// cycle kinds are directly comparable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MinorStats {
+    /// Wall time of the cycle.
+    pub total: Duration,
+    /// Young objects that survived and were promoted.
+    pub promoted: u64,
+    /// Young objects reclaimed.
+    pub objects_swept: u64,
+    /// Words reclaimed.
+    pub words_swept: u64,
+    /// Remembered-set entries scanned.
+    pub remembered_scanned: u64,
+    /// Objects marked by the minor trace. Includes old objects the trace
+    /// touched and stopped at (their mark is claimed before the visit
+    /// decides to skip), so this can exceed `promoted`.
+    pub objects_marked: u64,
+    /// Reference edges traversed by the minor trace, including the
+    /// remembered-set field scans.
+    pub edges_traced: u64,
+}
+
 /// Cumulative statistics over the lifetime of a [`crate::Collector`].
 ///
 /// The benchmark harness reads `total_gc_time` to reproduce the GC-time

@@ -164,21 +164,6 @@ impl CensusState {
         data.normalize();
         data
     }
-
-    /// Builds nursery-survivor census data after a minor collection:
-    /// every still-valid entry of the taken young list was promoted by
-    /// the sweep. Minor census covers the nursery only (untouched old
-    /// objects are invisible to a minor trace) and is kept out of the
-    /// drift windows for that reason.
-    pub(crate) fn build_minor_data(&self, heap: &Heap, young: &[ObjRef]) -> CensusData {
-        let mut tally = Tally::default();
-        for &y in young {
-            if let Ok(o) = heap.get(y) {
-                self.observe(&mut tally, y, o);
-            }
-        }
-        self.build_data(heap, tally)
-    }
 }
 
 #[cfg(test)]
@@ -245,14 +230,22 @@ mod tests {
 
     #[test]
     fn invalid_refs_are_ignored() {
-        // A minor's young list may name objects the nursery sweep freed.
-        let mut heap = Heap::new();
-        let node = heap.register_class("Node", &[]);
-        let s = CensusState::new();
-        let kept = heap.alloc(node, 0, 0).unwrap();
-        let freed = heap.alloc(node, 0, 0).unwrap();
-        heap.free(freed).unwrap();
-        let data = s.build_minor_data(&heap, &[kept, freed, ObjRef::NULL]);
+        // A minor's census counts the nursery survivors only: the objects
+        // its sweep frees never reach the tally.
+        let mut vm = crate::Vm::new(
+            crate::VmConfig::builder()
+                .census(true)
+                .generational(8)
+                .build(),
+        );
+        let node = vm.register_class("Node", &[]);
+        let m = vm.main();
+        let kept = vm.alloc_rooted(m, node, 0, 0).unwrap();
+        let freed = vm.alloc(m, node, 0, 0).unwrap();
+        vm.collect_minor().unwrap();
+        assert!(vm.is_live(kept));
+        assert!(!vm.is_live(freed));
+        let data = &vm.census().records().last().unwrap().data;
         assert_eq!(data.classes.len(), 1);
         assert_eq!(data.classes[0].objects, 1);
     }

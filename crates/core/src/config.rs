@@ -63,8 +63,9 @@ pub enum CollectorKind {
 ///
 /// Both strategies produce bit-identical collection results — the same
 /// survivors, promotions and assertion verdicts — because any extra old
-/// objects a card scan visits only have their old (skipped) or
-/// already-young-listed children examined. Only scan-effort statistics
+/// object a card scan visits acquired no young reference since the last
+/// collection, so its children are old and the minor trace skips them.
+/// Only scan-effort statistics
 /// differ. The knob exists so the equivalence is testable (and so the
 /// ablation benches can price each barrier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

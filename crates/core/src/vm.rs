@@ -91,8 +91,6 @@ pub struct Vm {
     violation_log: Vec<crate::violation::Violation>,
     totals: crate::report::CheckCounters,
     handler: Handler,
-    /// Generational mode: objects allocated since the last collection.
-    young: Vec<ObjRef>,
     /// Generational mode: write-barrier log of old objects that may
     /// reference young objects.
     remembered: Vec<ObjRef>,
@@ -178,7 +176,6 @@ impl Vm {
             violation_log: Vec::new(),
             totals: crate::report::CheckCounters::default(),
             handler: Handler(None),
-            young: Vec::new(),
             remembered: Vec::new(),
             minors_since_major: 0,
             minor_collections: 0,
@@ -381,9 +378,6 @@ impl Vm {
         if let Some(census) = self.census.as_deref_mut() {
             census.note_alloc(r.index());
         }
-        if self.config.generational.is_some() {
-            self.young.push(r);
-        }
         if let Some(region) = &mut self.mutators[m.0 as usize].region {
             region.queue.push(r);
         }
@@ -468,21 +462,16 @@ impl Vm {
                 survivors,
             ),
         }?;
-        let census_data = self.census.as_deref_mut().map(|state| {
-            let data = state.build_data(&self.heap, tally);
-            state.recorder.record_major(data.clone());
-            data
-        });
         // Generational bookkeeping: a major collection promotes every
-        // survivor and resets the nursery and the remembered set.
+        // survivor (one word operation per page) and resets the
+        // remembered set.
         if self.config.generational.is_some() {
-            for i in 0..self.young.len() {
-                let r = self.young[i];
-                if self.heap.is_valid(r) {
-                    self.heap.set_flag(r, Flags::OLD)?;
+            for pid in 0..self.heap.page_count() {
+                let live = self.heap.page_meta(pid).live_mask();
+                if live != 0 {
+                    self.heap.set_flag_word(pid, Flags::OLD, live);
                 }
             }
-            self.young.clear();
             for i in 0..self.remembered.len() {
                 let r = self.remembered[i];
                 if self.heap.is_valid(r) {
@@ -491,23 +480,6 @@ impl Vm {
             }
             self.remembered.clear();
             self.minors_since_major = 0;
-            // Every old->young edge the cards were tracking is now
-            // old->old (all survivors promoted); start a clean epoch.
-            self.heap.clear_cards();
-            debug_assert_eq!(
-                self.heap.cards().dirty_count(),
-                0,
-                "card-clear postcondition: a major must start a clean card epoch"
-            );
-        }
-
-        // Purge region queues of entries that died during the collection
-        // (their generation check now fails).
-        for mutator in &mut self.mutators {
-            if let Some(region) = &mut mutator.region {
-                let heap = &self.heap;
-                region.queue.retain(|&r| heap.is_valid(r));
-            }
         }
         let (violations, counters) = self.engine.drain();
         // Report-once invariant (debug builds): with the `REPORTED` bit
@@ -557,21 +529,12 @@ impl Vm {
         // implicitly inside `alloc` are not lost.
         self.violation_log.extend(violations.iter().cloned());
         self.totals.add(&counters);
-        if self.telemetry.is_some() {
-            // The JSONL record carries the full class histogram but only
-            // the top allocation sites by bytes, keeping lines bounded.
-            let census_record = census_data.map(|d| gca_telemetry::CensusData {
-                sites: d.top_sites_by_bytes(10).into_iter().cloned().collect(),
-                classes: d.classes,
-            });
-            self.record_major_telemetry(
-                &cycle,
-                worker_mark,
-                &counters,
-                violations.len() as u64,
-                census_record,
-            );
-        }
+        let n = violations.len() as u64;
+        let record = self
+            .telemetry
+            .is_some()
+            .then(|| self.major_record(&cycle, worker_mark, &counters, n));
+        self.finish_cycle(gca_telemetry::CycleKind::Major, tally, record);
         self.last_calls = self.calls;
         Ok(GcReport {
             cycle,
@@ -581,7 +544,7 @@ impl Vm {
         })
     }
 
-    /// Converts one major cycle's statistics into a telemetry record,
+    /// Converts one major cycle's statistics into its telemetry record,
     /// attributing the checking work to assertion kinds:
     ///
     /// * `registered` — assertion API calls since the previous collection
@@ -593,14 +556,13 @@ impl Vm {
     ///   checked, deferred ownees) and regions opened.
     /// * `extra_edges_traced` — edges traced by the pre-root (ownership)
     ///   phase that a plain collection would not have traced.
-    fn record_major_telemetry(
-        &mut self,
+    fn major_record(
+        &self,
         cycle: &gca_collector::CycleStats,
         worker_mark: Vec<std::time::Duration>,
         counters: &crate::report::CheckCounters,
         violations: u64,
-        census: Option<gca_telemetry::CensusData>,
-    ) {
+    ) -> gca_telemetry::CycleRecord {
         let delta = |now: u64, then: u64| now.saturating_sub(then);
         let mut overhead = gca_telemetry::AssertionOverhead::default();
         overhead.dead.registered = delta(self.calls.dead, self.last_calls.dead);
@@ -618,8 +580,7 @@ impl Vm {
             counters.owners_scanned + counters.ownees_checked + counters.deferred_ownees_processed;
         overhead.owned_by.extra_edges_traced = cycle.pre_root_edges;
 
-        let t = self.telemetry.as_deref_mut().expect("checked by caller");
-        t.record(gca_telemetry::CycleRecord {
+        gca_telemetry::CycleRecord {
             seq: 0, // assigned by record()
             kind: gca_telemetry::CycleKind::Major,
             total_ns: cycle.total.as_nanos() as u64,
@@ -638,8 +599,59 @@ impl Vm {
                 .map(|d| d.as_nanos() as u64)
                 .collect(),
             overhead,
-            census,
+            census: None, // filled in by `finish_cycle`
+        }
+    }
+
+    /// The epilogue of every collection, major or minor: purge the region
+    /// queues, spend the dirty cards, then record the census of the
+    /// cycle's survivors (`tally`) and its telemetry `record` (built only
+    /// when telemetry is on).
+    fn finish_cycle(
+        &mut self,
+        kind: gca_telemetry::CycleKind,
+        tally: Tally,
+        record: Option<gca_telemetry::CycleRecord>,
+    ) {
+        // Purge region queues of entries that died during the collection
+        // (their generation check now fails).
+        for mutator in &mut self.mutators {
+            if let Some(region) = &mut mutator.region {
+                let heap = &self.heap;
+                region.queue.retain(|&r| heap.is_valid(r));
+            }
+        }
+        if self.config.generational.is_some() {
+            // Every survivor is old now, so each old->young edge the cards
+            // were tracking is old->old: start a clean card epoch.
+            self.heap.clear_cards();
+            debug_assert_eq!(
+                self.heap.cards().dirty_count(),
+                0,
+                "card-clear postcondition: a collection must start a clean card epoch"
+            );
+        }
+        // Minors are recorded beside majors but never feed the drift
+        // windows: they see only the nursery, so their histograms are not
+        // comparable cycle to cycle.
+        let census = self.census.as_deref_mut().map(|state| {
+            let data = state.build_data(&self.heap, tally);
+            if kind == gca_telemetry::CycleKind::Minor {
+                state.recorder.record_minor(data.clone());
+            } else {
+                state.recorder.record_major(data.clone());
+            }
+            data
         });
+        if let (Some(t), Some(mut record)) = (self.telemetry.as_deref_mut(), record) {
+            // The JSONL record carries the full class histogram but only
+            // the top allocation sites by bytes, keeping lines bounded.
+            record.census = census.map(|d| gca_telemetry::CensusData {
+                sites: d.top_sites_by_bytes(10).into_iter().cloned().collect(),
+                classes: d.classes,
+            });
+            t.record(record);
+        }
     }
 
     /// Runs a minor (nursery-only) collection now. **No assertions are
@@ -652,15 +664,16 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// [`VmError::BaseMode`]-like misuse is not possible (minor works in
-    /// both modes); heap errors propagate; [`VmError::Halted`] if halted.
+    /// [`VmError::Halted`] if the VM is halted. Heap errors from tracing
+    /// (collector invariant violations) propagate; the failed minor is
+    /// abandoned without leaving marks behind. Unlike assertion calls, a
+    /// minor works in both modes.
     pub fn collect_minor(&mut self) -> Result<gca_collector::MinorStats, VmError> {
         self.check_running()?;
         if self.config.generational.is_none() {
             return Ok(gca_collector::MinorStats::default());
         }
         let roots = self.gather_roots();
-        let young = std::mem::take(&mut self.young);
         // Sources of hidden old->young edges, by strategy. The card
         // harvest is a superset of the remembered set (every dirty page's
         // live old objects, in index order) but the extra entries only
@@ -670,21 +683,29 @@ impl Vm {
             MinorStrategy::Cards => self.heap.remembered_from_cards(),
             MinorStrategy::RememberedSet => std::mem::take(&mut self.remembered),
         };
+        // The census observes the nursery survivors in the same pass as a
+        // major's.
+        let mut tally = Tally::default();
+        let mut observe = self
+            .census
+            .as_deref()
+            .map(|state| |r: ObjRef, o: &Object| state.observe(&mut tally, r, o));
+        let survivors = observe.as_mut().map(|f| f as &mut SurvivorVisitor<'_>);
         let stats = match self.config.mode {
             Mode::Base => self.collector.collect_minor(
                 &mut self.heap,
                 &roots,
                 &remembered,
-                &young,
                 &mut NoHooks,
+                survivors,
             )?,
             Mode::Instrumented => {
                 let stats = self.collector.collect_minor(
                     &mut self.heap,
                     &roots,
                     &remembered,
-                    &young,
                     &mut self.engine,
+                    survivors,
                 )?;
                 self.engine.after_minor(&mut self.heap);
                 let (violations, _) = self.engine.drain();
@@ -695,47 +716,21 @@ impl Vm {
         self.minors_since_major += 1;
         self.minor_collections += 1;
         self.minor_gc_time += stats.total;
-        // The minor promoted every young survivor, so each tracked
-        // old->young edge is now old->old; the dirty cards are spent.
-        self.heap.clear_cards();
-        debug_assert_eq!(
-            self.heap.cards().dirty_count(),
-            0,
-            "card-clear postcondition: a minor must spend every dirty card"
-        );
-        // Minor census: the still-valid entries of the taken young list
-        // are exactly the nursery survivors the sweep promoted. Minors
-        // are recorded beside majors but never feed the drift windows
-        // (they see only the nursery, so their histograms are not
-        // comparable cycle to cycle).
-        let mut minor_census = None;
-        if let Some(state) = self.census.as_deref_mut() {
-            let data = state.build_minor_data(&self.heap, &young);
-            state.recorder.record_minor(data.clone());
-            minor_census = Some(data);
-        }
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record(gca_telemetry::CycleRecord {
-                kind: gca_telemetry::CycleKind::Minor,
+        let kind = gca_telemetry::CycleKind::Minor;
+        let record = self
+            .telemetry
+            .is_some()
+            .then(|| gca_telemetry::CycleRecord {
+                kind,
                 total_ns: stats.total.as_nanos() as u64,
                 objects_marked: stats.objects_marked,
                 edges_traced: stats.edges_traced,
                 objects_swept: stats.objects_swept,
                 words_swept: stats.words_swept,
                 promoted: stats.promoted,
-                census: minor_census.map(|d| gca_telemetry::CensusData {
-                    sites: d.top_sites_by_bytes(10).into_iter().cloned().collect(),
-                    classes: d.classes,
-                }),
                 ..Default::default()
             });
-        }
-        for mutator in &mut self.mutators {
-            if let Some(region) = &mut mutator.region {
-                let heap = &self.heap;
-                region.queue.retain(|&r| heap.is_valid(r));
-            }
-        }
+        self.finish_cycle(kind, tally, record);
         Ok(stats)
     }
 

@@ -276,3 +276,163 @@ fn minor_without_a_nursery_is_a_no_op() {
     assert!(vm.is_live(b));
     assert_eq!(vm.heap().verify(), Vec::<String>::new());
 }
+
+/// Property: the `OLD` plane alone tells young from old. At every step of
+/// a seeded random history, the live objects without `OLD` are exactly
+/// the ones allocated since the last collection (none right after an
+/// explicit minor or major), no live object carries `MARK`, and the heap
+/// verifies. Card marking and the remembered set agree on the live set at
+/// every step.
+mod young_is_live_and_not_old {
+    use std::collections::HashSet;
+
+    use gc_assertions::{Flags, MinorStrategy, ObjRef, Vm, VmConfig};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const FIELDS: usize = 2;
+
+    /// One step of a history; objects are named by allocation ordinal, so
+    /// the same history replays under both strategies.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Allocate; root it, or store it into `parent.field`.
+        Alloc {
+            parent: Option<(usize, usize)>,
+        },
+        Link {
+            from: usize,
+            field: usize,
+            to: Option<usize>,
+        },
+        Unroot {
+            obj: usize,
+        },
+        Minor,
+        Major,
+    }
+
+    fn history(seed: u64, len: usize) -> Vec<Op> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut allocated = 0usize;
+        let mut ops = Vec::with_capacity(len);
+        while ops.len() < len {
+            // Biased to recent ordinals, which are the likely-live ones.
+            let recent = |rng: &mut SmallRng| allocated - 1 - rng.gen_range(0..allocated.min(16));
+            let op = match rng.gen_range(0..100) {
+                _ if allocated < 2 => Op::Alloc { parent: None },
+                0..=24 => Op::Alloc { parent: None },
+                25..=54 => Op::Alloc {
+                    parent: Some((recent(&mut rng), rng.gen_range(0..FIELDS))),
+                },
+                55..=74 => Op::Link {
+                    from: recent(&mut rng),
+                    field: rng.gen_range(0..FIELDS),
+                    to: rng.gen_bool(0.7).then(|| recent(&mut rng)),
+                },
+                75..=89 => Op::Unroot {
+                    obj: recent(&mut rng),
+                },
+                90..=96 => Op::Minor,
+                _ => Op::Major,
+            };
+            if matches!(op, Op::Alloc { .. }) {
+                allocated += 1;
+            }
+            ops.push(op);
+        }
+        ops
+    }
+
+    /// Replays `ops`, checking the per-step invariants, and returns the
+    /// live allocation ordinals after each step.
+    fn run(strategy: MinorStrategy, ops: &[Op]) -> Vec<Vec<usize>> {
+        let mut vm = Vm::new(
+            VmConfig::builder()
+                .heap_budget(400)
+                .grow_on_oom(true)
+                .generational(3)
+                .minor_strategy(strategy)
+                .build(),
+        );
+        let class = vm.register_class("Node", &["a", "b"]);
+        let m = vm.main();
+        let mut objs: Vec<ObjRef> = Vec::new();
+        let mut root_slot = std::collections::HashMap::new();
+        let mut allocated_since_gc: HashSet<ObjRef> = HashSet::new();
+        let mut trace = Vec::with_capacity(ops.len());
+        for (step, &op) in ops.iter().enumerate() {
+            let cycles = vm.collections() + vm.minor_collections();
+            match op {
+                Op::Alloc { parent } => {
+                    let obj = vm.alloc(m, class, FIELDS, 1).unwrap();
+                    match parent {
+                        Some((p, f)) if vm.is_live(objs[p]) => {
+                            vm.set_field(objs[p], f, obj).unwrap();
+                        }
+                        _ => {
+                            root_slot.insert(objs.len(), vm.add_root(m, obj).unwrap());
+                        }
+                    }
+                    if vm.collections() + vm.minor_collections() != cycles {
+                        allocated_since_gc.clear();
+                    }
+                    allocated_since_gc.insert(obj);
+                    objs.push(obj);
+                }
+                Op::Link { from, field, to } => {
+                    let to = to.map_or(ObjRef::NULL, |t| objs[t]);
+                    if vm.is_live(objs[from]) && (to.is_null() || vm.is_live(to)) {
+                        vm.set_field(objs[from], field, to).unwrap();
+                    }
+                }
+                Op::Unroot { obj } => {
+                    if let Some(slot) = root_slot.remove(&obj) {
+                        vm.set_root(m, slot, ObjRef::NULL).unwrap();
+                    }
+                }
+                Op::Minor => {
+                    vm.collect_minor().unwrap();
+                    allocated_since_gc.clear();
+                }
+                Op::Major => {
+                    vm.collect().unwrap();
+                    allocated_since_gc.clear();
+                }
+            }
+
+            let heap = vm.heap();
+            let mut young = HashSet::new();
+            for (r, _) in heap.iter() {
+                let flags = heap.flags_of(r).unwrap();
+                assert!(!flags.contains(Flags::MARK), "step {step}: {r} keeps MARK");
+                if !flags.contains(Flags::OLD) {
+                    young.insert(r);
+                }
+            }
+            assert_eq!(
+                young, allocated_since_gc,
+                "step {step} ({op:?}, {strategy:?}): live and not OLD is not the nursery"
+            );
+            assert_eq!(heap.verify(), Vec::<String>::new(), "step {step}");
+            trace.push((0..objs.len()).filter(|&i| vm.is_live(objs[i])).collect());
+        }
+        assert!(vm.minor_collections() > 0 && vm.collections() > 0);
+        trace
+    }
+
+    #[test]
+    fn after_every_collection_young_is_live_and_not_old() {
+        for seed in 0..24 {
+            let ops = history(0x6e75_7273 + seed, 400);
+            let cards = run(MinorStrategy::Cards, &ops);
+            let remembered = run(MinorStrategy::RememberedSet, &ops);
+            for (step, (c, r)) in cards.iter().zip(&remembered).enumerate() {
+                assert_eq!(
+                    c, r,
+                    "seed {seed} step {step}: strategies disagree on liveness"
+                );
+            }
+        }
+    }
+}

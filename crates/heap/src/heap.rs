@@ -421,6 +421,13 @@ impl Heap {
         self.table.clear_flag_word(pid, bits, mask);
     }
 
+    /// Word-wise flag set, the mirror of [`Heap::clear_flag_word`]: `mask`
+    /// must be a subset of the page's live mask. Promotion uses it.
+    #[inline]
+    pub fn set_flag_word(&self, pid: usize, bits: Flags, mask: u64) {
+        self.table.set_flag_word(pid, bits, mask);
+    }
+
     /// The dirty-card table (one card per page; see
     /// [`Heap::set_ref_field`]).
     pub fn cards(&self) -> &CardTable {
@@ -435,8 +442,9 @@ impl Heap {
 
     /// Harvests the card table into a remembered set: every **old** live
     /// object resident on a dirty page, in ascending index order. Young
-    /// residents are excluded — they are reached through the young list,
-    /// and treating them as roots would change the minor's live set.
+    /// residents are excluded — the nursery is the minor's to trace from
+    /// the real roots, and treating its residents as roots would change
+    /// the minor's live set.
     pub fn remembered_from_cards(&self) -> Vec<ObjRef> {
         let mut out = Vec::new();
         for pid in self.cards.dirty_pages() {
@@ -972,6 +980,20 @@ mod tests {
             "non-PER_GC plane kept"
         );
         assert!(heap.has_flag(b, Flags::MARK).unwrap(), "unmasked slot kept");
+    }
+
+    #[test]
+    fn set_flag_word_sets_only_masked_slots_and_dies_with_the_object() {
+        let (mut heap, c) = heap_with_class();
+        let a = heap.alloc(c, 0, 0).unwrap();
+        let b = heap.alloc(c, 0, 0).unwrap();
+        heap.set_flag_word(0, Flags::OLD, 1 << a.index());
+        assert_eq!(heap.flags_of(a), Ok(Flags::OLD));
+        assert_eq!(heap.flags_of(b), Ok(Flags::empty()), "unmasked slot kept");
+        // Reclamation clears the plane the word op set (`verify` checks
+        // that flag bits sit on live slots only).
+        heap.free(a).unwrap();
+        assert_eq!(heap.verify(), Vec::<String>::new());
     }
 
     #[test]

@@ -251,6 +251,17 @@ impl Page {
         }
     }
 
+    /// Word-wise set: the mirror of `clear_planes_masked`.
+    fn set_planes_masked(&self, bits: Flags, mask: u64) {
+        let raw = bits.bits();
+        self.hint_planes(raw);
+        for (k, plane) in self.planes.iter().enumerate() {
+            if raw >> k & 1 != 0 {
+                plane.fetch_or(mask, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// The union of the bitmap words of the planes named in `bits`.
     #[inline]
     fn plane_word(&self, bits: Flags) -> u64 {
@@ -626,6 +637,10 @@ impl PageTable {
 
     pub(crate) fn clear_flag_word(&self, pid: usize, bits: Flags, mask: u64) {
         self.pages[pid].clear_planes_masked(bits, mask);
+    }
+
+    pub(crate) fn set_flag_word(&self, pid: usize, bits: Flags, mask: u64) {
+        self.pages[pid].set_planes_masked(bits, mask);
     }
 
     /// The page-geometry address of the live object at `index`.

@@ -324,12 +324,10 @@ pub(crate) fn retire(
 }
 
 /// The nursery epilogue of a major cycle (and of every summary cycle):
-/// each surviving young object becomes old, the remembered set empties.
+/// every live object is old afterwards, the remembered set empties.
 pub(super) fn promote_young(st: &mut AbsState) {
-    for y in std::mem::take(&mut st.young) {
-        if st.objects[y].alive {
-            st.objects[y].old = true;
-        }
+    for o in st.objects.iter_mut().filter(|o| o.alive) {
+        o.old = true;
     }
     for o in &mut st.objects {
         o.remembered = false;
@@ -485,7 +483,6 @@ pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
         return Vec::new();
     }
     let engine = st.config.mode != Mode::Base;
-    let young = std::mem::take(&mut st.young);
     let remembered = std::mem::take(&mut st.remembered);
     let mut stack: Vec<ObjId> = st.gather_roots();
     for r in remembered {
@@ -498,16 +495,14 @@ pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
             }
         }
     }
-    let mut touched_old = Vec::new();
     while let Some(obj) = stack.pop() {
         if st.objects[obj].mark {
             continue;
         }
         st.objects[obj].mark = true;
         if st.objects[obj].old {
-            // Old objects bound the nursery trace; their marks are
-            // cleared below.
-            touched_old.push(obj);
+            // Old objects bound the nursery trace; the sweep clears their
+            // marks.
             continue;
         }
         for i in 0..st.objects[obj].fields.len() {
@@ -516,36 +511,32 @@ pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
             }
         }
     }
-    // Sweep the nursery only: marked survivors are promoted, the rest
-    // are freed (feeding the engine's sweep hook).
+    // Sweep in allocation order, like a major: marked objects lose their
+    // per-cycle bits and the young ones among them are promoted; unmarked
+    // young objects are freed (feeding the engine's sweep hook); unmarked
+    // old objects are immortal here.
     let mut swept_ownees = Vec::new();
     let mut swept_owners = Vec::new();
-    for y in young {
-        if !st.objects[y].alive {
+    for id in 0..st.objects.len() {
+        if !st.objects[id].alive {
             continue;
         }
-        if st.objects[y].mark {
-            st.objects[y].mark = false;
-            st.objects[y].owned = false;
-            st.objects[y].old = true;
-        } else if st.objects[y].old {
-            // Duplicate young entry already promoted this cycle.
-        } else {
+        if st.objects[id].mark {
+            st.objects[id].mark = false;
+            st.objects[id].owned = false;
+            st.objects[id].old = true;
+        } else if !st.objects[id].old {
             if engine {
-                if st.objects[y].ownee {
-                    swept_ownees.push(y);
+                if st.objects[id].ownee {
+                    swept_ownees.push(id);
                 }
-                if st.objects[y].owner {
-                    swept_owners.push(y);
+                if st.objects[id].owner {
+                    swept_owners.push(id);
                 }
             }
-            st.occupied -= st.objects[y].total_words();
-            st.objects[y].alive = false;
+            st.occupied -= st.objects[id].total_words();
+            st.objects[id].alive = false;
         }
-    }
-    for o in touched_old {
-        st.objects[o].mark = false;
-        st.objects[o].owned = false;
     }
     let mut violations = Vec::new();
     if engine {

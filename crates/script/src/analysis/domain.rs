@@ -174,9 +174,6 @@ pub(crate) struct AbsState {
     pub frames: Vec<usize>,
     /// Ownership table, in registration order.
     pub ownership: Vec<OwnerEntry>,
-    /// Objects allocated since the last collection (generational young
-    /// list), in allocation order.
-    pub young: Vec<ObjId>,
     /// Remembered set, in barrier-hit order.
     pub remembered: Vec<ObjId>,
     /// Minor collections since the last major one.

@@ -784,11 +784,10 @@ impl<'a> Analyzer<'a> {
             .hash(&mut h);
         }
         format!(
-            "{:?} {:?} {:?} {:?} {:?} {} {:?} {} {:?}",
+            "{:?} {:?} {:?} {:?} {} {:?} {} {:?}",
             self.st.roots,
             self.st.globals,
             self.st.region_queue,
-            self.st.young,
             self.st.remembered,
             self.st.region_open,
             self.st.frames,
@@ -942,12 +941,6 @@ impl<'a> Analyzer<'a> {
                             self.st.region_queue.push(id);
                         }
                     }
-                    if self.st.config.generational.is_some()
-                        && !self.st.objects[id].old
-                        && !self.st.young.contains(&id)
-                    {
-                        self.st.young.push(id);
-                    }
                     self.st.vars.insert(var.clone(), id);
                     return;
                 }
@@ -987,9 +980,6 @@ impl<'a> Analyzer<'a> {
                     ..AbsObj::new(cls, var, line, nrefs, *data_words)
                 });
                 self.st.occupied += size;
-                if self.st.config.generational.is_some() {
-                    self.st.young.push(id);
-                }
                 if self.st.region_open {
                     self.st.region_queue.push(id);
                 }
