@@ -158,17 +158,20 @@ pub(crate) fn evacuate<H: TraceHooks>(
             scan.edge(heap, hooks, ObjRef::NULL, None, r)?;
         }
     }
+    // Each gray object's fields are snapshot into one reused buffer: hooks
+    // may borrow the heap mutably while they are walked.
+    let mut fields: Vec<(usize, ObjRef)> = Vec::new();
     while let Some(obj) = scan.gray.pop_front() {
-        // Snapshot the fields: hooks may borrow the heap mutably.
-        let fields: Vec<(usize, ObjRef)> = heap
-            .get(obj)?
-            .refs()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .map(|(i, &c)| (i, c))
-            .collect();
-        for (i, child) in fields {
+        fields.clear();
+        fields.extend(
+            heap.get(obj)?
+                .refs()
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.is_some())
+                .map(|(i, &c)| (i, c)),
+        );
+        for &(i, child) in &fields {
             scan.edges += 1;
             scan.edge(heap, hooks, obj, Some(i), child)?;
         }

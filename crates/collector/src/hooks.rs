@@ -32,6 +32,7 @@ pub enum Visit {
 ///    (ownership phase)
 /// 3. root scan + transitive marking, calling [`TraceHooks::visit_new`] on
 ///    each first visit and [`TraceHooks::visit_marked`] on each re-visit
+///    of an object that may carry a [`TraceHooks::visit_interest`] flag
 ///    (a cycle with several tracing workers calls
 ///    [`TraceHooks::mark_roots_parallel`] for this step instead)
 /// 4. [`TraceHooks::trace_done`]
@@ -45,7 +46,9 @@ pub enum Visit {
 /// A minor collection ([`crate::Collector::collect_minor`]) is the same
 /// cycle restricted to the nursery and checks nothing: it calls only
 /// [`TraceHooks::swept_interest`] and step 5's [`TraceHooks::swept`] —
-/// not even [`TraceHooks::gc_abort`] when it fails.
+/// not even [`TraceHooks::gc_abort`] when it fails. Its own trace visits
+/// every object (it stops at `OLD` ones), whatever the caller's
+/// [`TraceHooks::visit_interest`].
 pub trait TraceHooks {
     /// If `true`, the collector uses the path-tracking worklist (§2.7) so
     /// [`TraceCtx::current_path`] can reconstruct root-to-object paths.
@@ -70,6 +73,22 @@ pub trait TraceHooks {
     fn pre_root_phase(&mut self, heap: &mut Heap, tracer: &mut Tracer) -> Result<(), HeapError> {
         let _ = (heap, tracer);
         Ok(())
+    }
+
+    /// The header flags this hook's visits depend on, asked at every mark
+    /// claim: the trace calls [`TraceHooks::visit_new`] and
+    /// [`TraceHooks::visit_marked`] only for an object whose header may
+    /// carry one of them, and a first arrival at any other object simply
+    /// descends. `None` — the default — means every visit.
+    ///
+    /// The contract: for an object whose header carries no interest flag,
+    /// `visit_new` would return [`Visit::Descend`] and have no effect, and
+    /// `visit_marked` would have no effect. The claim then touches only
+    /// the `MARK` bit plane and its page's plane-occupancy hint (see
+    /// [`Heap::claim_mark`]), which is what makes checks the program did
+    /// not ask for cost what the unmodified collector costs.
+    fn visit_interest(&self) -> Option<Flags> {
+        None
     }
 
     /// Called when the tracer marks `obj` for the first time this cycle.
@@ -172,7 +191,11 @@ pub trait TraceHooks {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
-impl TraceHooks for NoHooks {}
+impl TraceHooks for NoHooks {
+    fn visit_interest(&self) -> Option<Flags> {
+        Some(Flags::empty())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -5,10 +5,12 @@
 //! and a shared [`StealDeque`]; when a worker's private stack grows while
 //! its public deque is empty it *spills* the oldest half, and when a worker
 //! runs dry it steals half of a victim's deque. Mark bits are claimed with
-//! an atomic read-modify-write ([`gca_heap::Heap::fetch_set_flag`]), so for
+//! an atomic read-modify-write ([`gca_heap::Heap::claim_mark`]), so for
 //! every object exactly one worker observes the unmarked-to-marked
 //! transition and calls [`ParVisitor::visit_new`]; every other edge into
-//! the object produces exactly one [`ParVisitor::visit_marked`] call.
+//! the object produces exactly one [`ParVisitor::visit_marked`] call —
+//! unless the claim proved the object carries no
+//! [`ParVisitor::visit_interest`] flag, in which case neither is called.
 //! Those two guarantees are what make the assertion checks of the paper
 //! safe to parallelize: per-object facts (instance counts, dead bits) are
 //! counted by the unique `visit_new` winner, and per-edge facts
@@ -46,6 +48,7 @@ use gca_heap::{Flags, Heap, HeapError, ObjRef};
 use crate::deque::StealDeque;
 use crate::hooks::Visit;
 use crate::path::{HeapPath, PathStep};
+use crate::tracer::claim;
 
 /// Field value for root items, which have no parent edge.
 const NO_FIELD: u32 = u32::MAX;
@@ -89,6 +92,14 @@ impl WorkItem {
 /// (sharding any state it accumulates), and the shards are merged by the
 /// caller after the phase; the heap is shared immutably.
 pub trait ParVisitor: Send {
+    /// The header flags this visitor's calls depend on, with the contract
+    /// of [`crate::TraceHooks::visit_interest`]: objects whose header
+    /// carries none of them get no call, and a first arrival descends.
+    /// `None` — the default — means every visit.
+    fn visit_interest(&self) -> Option<Flags> {
+        None
+    }
+
     /// Called exactly once per object, by the worker that won the race to
     /// set the mark bit. `prev` is the header-flag snapshot taken by that
     /// atomic update (so checks against `DEAD`, `OWNEE`, … read a
@@ -107,6 +118,9 @@ pub trait ParVisitor: Send {
 pub struct NoParVisitor;
 
 impl ParVisitor for NoParVisitor {
+    fn visit_interest(&self) -> Option<Flags> {
+        Some(Flags::empty())
+    }
     fn visit_new(&mut self, _h: &Heap, _o: ObjRef, _p: Flags, _i: &WorkItem) -> Visit {
         Visit::Descend
     }
@@ -285,9 +299,9 @@ fn worker_loop<V: ParVisitor>(
         };
 
         // 3. Claim the mark bit; the previous flag value decides which
-        //    visit the edge gets.
-        let prev = match heap.fetch_set_flag(item.obj, Flags::MARK) {
-            Ok(prev) => prev,
+        //    visit the edge gets, and whether it gets one at all.
+        let (marked, prev) = match claim(heap, item.obj, visitor.visit_interest()) {
+            Ok(claimed) => claimed,
             Err(e) => {
                 let mut slot = error.lock().expect("error slot poisoned");
                 slot.get_or_insert(e);
@@ -295,13 +309,17 @@ fn worker_loop<V: ParVisitor>(
                 break 'run;
             }
         };
-        if prev.contains(Flags::MARK) {
-            visitor.visit_marked(heap, item.obj, prev, &item);
+        if marked {
+            if let Some(prev) = prev {
+                visitor.visit_marked(heap, item.obj, prev, &item);
+            }
             continue;
         }
         stats.objects_marked += 1;
-        if visitor.visit_new(heap, item.obj, prev, &item) == Visit::Skip {
-            continue;
+        if let Some(prev) = prev {
+            if visitor.visit_new(heap, item.obj, prev, &item) == Visit::Skip {
+                continue;
+            }
         }
         match push_child_items(heap, item.obj, &mut local) {
             Ok(edges) => stats.edges_traced += edges,

@@ -165,14 +165,15 @@ impl Tracer {
 }
 
 /// The one visit step of every sequential trace, whatever its worklist:
-/// claim `MARK` on `obj`, in the one page lookup that validates the handle
-/// and snapshots the flags it held before the claim. The first claim is
-/// the object's first visit — `claimed` runs (an evacuating trace forwards
-/// the object there), then [`TraceHooks::visit_new`], whose verdict is
-/// returned. Any later arrival is an extra incoming edge:
-/// [`TraceHooks::visit_marked`] fires and `None` is returned. Either hook
-/// gets the snapshot. Objects a pre-root phase already marked are simply
-/// "already marked" here.
+/// [`claim`] `MARK` on `obj` for the hooks' [`TraceHooks::visit_interest`].
+/// The first claim is the object's first visit — `claimed` runs (an
+/// evacuating trace forwards the object there), then
+/// [`TraceHooks::visit_new`], whose verdict is returned. Any later arrival
+/// is an extra incoming edge: [`TraceHooks::visit_marked`] fires and `None`
+/// is returned. Either hook gets the claim's header snapshot, and neither
+/// is called when the claim proved the object carries no interest flag: a
+/// first arrival then descends. Objects a pre-root phase already marked
+/// are simply "already marked" here.
 #[inline]
 pub(crate) fn visit<H: TraceHooks>(
     heap: &mut Heap,
@@ -181,18 +182,47 @@ pub(crate) fn visit<H: TraceHooks>(
     ctx: &TraceCtx<'_>,
     claimed: impl FnOnce(&mut Heap) -> Result<(), HeapError>,
 ) -> Result<Option<Visit>, HeapError> {
-    let prev = heap.fetch_set_flag(obj, Flags::MARK)?;
-    debug_assert_eq!(
-        heap.flags_of(obj),
-        Ok(prev | Flags::MARK),
-        "the mark claim's snapshot is not the header it claimed"
-    );
-    if prev.contains(Flags::MARK) {
-        hooks.visit_marked(heap, obj, prev, ctx);
+    let (marked, prev) = claim(heap, obj, hooks.visit_interest())?;
+    if marked {
+        if let Some(prev) = prev {
+            hooks.visit_marked(heap, obj, prev, ctx);
+        }
         return Ok(None);
     }
     claimed(heap)?;
-    Ok(Some(hooks.visit_new(heap, obj, prev, ctx)))
+    Ok(Some(match prev {
+        Some(prev) => hooks.visit_new(heap, obj, prev, ctx),
+        None => Visit::Descend,
+    }))
+}
+
+/// The mark claim of every trace — sequential, evacuating and parallel:
+/// [`Heap::claim_mark`], whose result debug builds (and the `mcheck`
+/// profile) check against the header it claimed. A snapshot must be that
+/// header before `MARK`; a skipped one must hide no `interest` flag.
+#[inline(always)]
+pub(crate) fn claim(
+    heap: &Heap,
+    obj: ObjRef,
+    interest: Option<Flags>,
+) -> Result<(bool, Option<Flags>), HeapError> {
+    let (marked, prev) = heap.claim_mark(obj, interest)?;
+    #[cfg(debug_assertions)]
+    {
+        let header = heap.flags_of(obj)?;
+        match prev {
+            Some(prev) => assert_eq!(
+                header,
+                prev | Flags::MARK,
+                "the mark claim's snapshot is not the header it claimed"
+            ),
+            None => assert!(
+                !header.intersects(interest.expect("a skipped header has an interest")),
+                "the mark claim skipped a header carrying an interest flag: {header:?}"
+            ),
+        }
+    }
+    Ok((marked, prev))
 }
 
 #[inline]

@@ -100,6 +100,9 @@ pub struct AssertionEngine {
     pub(crate) lifetime_reaction: Reaction,
     strict_owner_lifetime: bool,
     phase: Phase,
+    /// The root scan's [`TraceHooks::visit_interest`], set at `gc_begin`:
+    /// `None` (every visit) while `assert-instances` tracks a class.
+    pub(crate) root_interest: Option<Flags>,
     ownership: OwnershipTable,
     /// Ownees discovered during the ownership phase, queued so scans
     /// truncate at ownees ("collections are essentially truncated when
@@ -134,6 +137,7 @@ impl AssertionEngine {
             lifetime_reaction: config.effective_reaction(AssertionClass::Lifetime),
             strict_owner_lifetime: config.strict_owner_lifetime,
             phase: Phase::Idle,
+            root_interest: None,
             ownership: OwnershipTable::new(),
             deferred: Vec::new(),
             violations: Vec::new(),
@@ -307,6 +311,11 @@ impl TraceHooks for AssertionEngine {
         self.dead_edges.clear();
         self.swept_ownees.clear();
         self.swept_owners.clear();
+        self.root_interest = heap
+            .registry()
+            .tracked()
+            .is_empty()
+            .then_some(Flags::DEAD | Flags::OWNEE | Flags::UNSHARED);
         self.phase = Phase::Root;
     }
 
@@ -351,6 +360,15 @@ impl TraceHooks for AssertionEngine {
             tracer.drain(heap, self)?;
         }
         Ok(())
+    }
+
+    fn visit_interest(&self) -> Option<Flags> {
+        // The ownership phase sees every visit; the root scan's checks
+        // read `DEAD`, `OWNEE` and `UNSHARED` only.
+        match self.phase {
+            Phase::Root => self.root_interest,
+            _ => None,
+        }
     }
 
     fn visit_new(

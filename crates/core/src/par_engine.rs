@@ -53,6 +53,8 @@ struct Shard {
     /// reaction; like the sequential engine, only when path provenance is
     /// enabled).
     record_dead_edges: bool,
+    /// The engine's root-scan interest ([`AssertionEngine::root_interest`]).
+    interest: Option<Flags>,
     counters: CheckCounters,
     instance_counts: HashMap<ClassId, u32>,
     dead_edges: Vec<(ObjRef, usize)>,
@@ -72,6 +74,10 @@ impl Shard {
 }
 
 impl ParVisitor for Shard {
+    fn visit_interest(&self) -> Option<Flags> {
+        self.interest
+    }
+
     fn visit_new(&mut self, heap: &Heap, obj: ObjRef, prev: Flags, item: &WorkItem) -> Visit {
         if let Some(class) = tracked_class(heap, obj) {
             *self.instance_counts.entry(class).or_insert(0) += 1;
@@ -99,6 +105,7 @@ pub(crate) fn mark_roots(
     let mut shards: Vec<Shard> = (0..workers)
         .map(|_| Shard {
             record_dead_edges,
+            interest: engine.root_interest,
             ..Shard::default()
         })
         .collect();

@@ -321,18 +321,31 @@ impl Heap {
         Ok(())
     }
 
-    /// Atomically sets flag bits on the object behind `r`, returning the
-    /// flags held *before* the update: during a parallel trace, the
-    /// worker that sees the claimed bit clear in the return value is the
-    /// object's unique visitor.
+    /// The mark claim of every trace: sets [`Flags::MARK`] on the object
+    /// behind `r` and returns whether it was already set — during a
+    /// parallel trace, the one claimer that sees `false` is the object's
+    /// unique visitor — together with the header as the claim found it,
+    /// `MARK` included.
+    ///
+    /// `interest` names the flags the caller will test on that header
+    /// (`None`: any). When the object's page provably holds none of them
+    /// (its plane-occupancy hint, a conservative superset, rules every one
+    /// out), the claim loads only the `MARK` plane and the hint and the
+    /// header comes back `None`: the object carries no `interest` flag.
+    /// Otherwise the header is `Some`, composed from every plane in the
+    /// same pass.
     ///
     /// # Errors
     ///
     /// Reference-validity errors.
-    #[inline]
-    pub fn fetch_set_flag(&self, r: ObjRef, bits: Flags) -> Result<Flags, HeapError> {
+    #[inline(always)]
+    pub fn claim_mark(
+        &self,
+        r: ObjRef,
+        interest: Option<Flags>,
+    ) -> Result<(bool, Option<Flags>), HeapError> {
         self.check(r)?;
-        Ok(self.table.fetch_set_flags(r.index(), bits))
+        Ok(self.table.claim_mark(r.index(), interest))
     }
 
     /// Clears flag bits on the object behind `r`.
@@ -762,11 +775,109 @@ mod tests {
         let (mut heap, c) = heap_with_class();
         let a = heap.alloc(c, 0, 0).unwrap();
         heap.set_flag(a, Flags::DEAD).unwrap();
-        let prev = heap.fetch_set_flag(a, Flags::MARK).unwrap();
-        assert!(!prev.contains(Flags::MARK), "first setter sees it clear");
-        assert!(prev.contains(Flags::DEAD), "other planes are reported too");
-        let prev = heap.fetch_set_flag(a, Flags::MARK).unwrap();
-        assert!(prev.contains(Flags::MARK), "second setter sees it set");
+        let (marked, prev) = heap.claim_mark(a, None).unwrap();
+        assert!(!marked, "first claimer sees it clear");
+        assert_eq!(prev, Some(Flags::DEAD), "other planes are reported too");
+        let (marked, prev) = heap.claim_mark(a, None).unwrap();
+        assert!(marked, "second claimer sees it set");
+        assert_eq!(prev, Some(Flags::DEAD | Flags::MARK));
+    }
+
+    #[test]
+    fn claim_composes_the_header_only_when_an_interest_plane_may_be_set() {
+        let (mut heap, c) = heap_with_class();
+        let objs: Vec<ObjRef> = (0..5).map(|_| heap.alloc(c, 0, 0).unwrap()).collect();
+        heap.set_flag(objs[0], Flags::DEAD | Flags::OLD).unwrap();
+        // The page may hold DEAD: the claim returns the nine-plane header,
+        // for the flagged slot and an unflagged one alike.
+        for &o in &objs[..2] {
+            let header = heap.flags_of(o).unwrap();
+            let first = heap.claim_mark(o, Some(Flags::DEAD)).unwrap();
+            assert_eq!(first, (false, Some(header)));
+            let again = heap.claim_mark(o, Some(Flags::DEAD)).unwrap();
+            assert_eq!(again, (true, Some(header | Flags::MARK)));
+        }
+        // No interest plane is hinted: MARK alone, and no header.
+        let interest = Some(Flags::UNSHARED | Flags::OWNEE);
+        assert_eq!(heap.claim_mark(objs[2], interest).unwrap(), (false, None));
+        assert_eq!(heap.claim_mark(objs[2], interest).unwrap(), (true, None));
+        assert_eq!(
+            heap.claim_mark(objs[3], Some(Flags::empty())).unwrap(),
+            (false, None)
+        );
+        // No interest given means every plane.
+        assert_eq!(
+            heap.claim_mark(objs[4], None).unwrap(),
+            (false, Some(Flags::empty()))
+        );
+        for &o in &objs[2..] {
+            assert!(heap.has_flag(o, Flags::MARK).unwrap());
+        }
+        assert_eq!(heap.claim_mark(ObjRef::NULL, None), Err(HeapError::NullRef));
+    }
+
+    #[test]
+    fn claim_under_a_stale_hint_composes_until_a_free_tightens_it() {
+        let (mut heap, c) = heap_with_class();
+        let objs: Vec<ObjRef> = (0..4).map(|_| heap.alloc(c, 0, 0).unwrap()).collect();
+        let pid = objs[0].index() as usize / PAGE_SLOTS;
+        // A per-slot clear leaves the hint naming DEAD: still a snapshot.
+        heap.set_flag(objs[0], Flags::DEAD).unwrap();
+        heap.clear_flag(objs[0], Flags::DEAD).unwrap();
+        assert_eq!(
+            heap.claim_mark(objs[1], Some(Flags::DEAD)).unwrap(),
+            (false, Some(Flags::empty()))
+        );
+        // So does a word-wise clear.
+        heap.set_flag(objs[2], Flags::UNSHARED).unwrap();
+        heap.clear_flag_word(pid, Flags::UNSHARED, u64::MAX);
+        assert_eq!(
+            heap.claim_mark(objs[2], Some(Flags::UNSHARED)).unwrap(),
+            (false, Some(Flags::empty()))
+        );
+        // Freeing a slot re-tightens the hint from the planes that still
+        // hold bits (MARK only), and the claim skips the header.
+        heap.free(objs[3]).unwrap();
+        assert_eq!(
+            heap.claim_mark(objs[0], Some(Flags::DEAD | Flags::UNSHARED))
+                .unwrap(),
+            (false, None)
+        );
+        assert_eq!(
+            heap.flags_of(objs[0]).unwrap(),
+            Flags::MARK,
+            "the skipped header held no interest flag"
+        );
+    }
+
+    #[test]
+    fn concurrent_claims_of_one_slot_see_one_winner() {
+        let (mut heap, c) = heap_with_class();
+        let objs: Vec<ObjRef> = (0..4 * PAGE_SLOTS)
+            .map(|_| heap.alloc(c, 0, 0).unwrap())
+            .collect();
+        heap.set_flag(objs[0], Flags::DEAD).unwrap();
+        for interest in [None, Some(Flags::DEAD), Some(Flags::empty())] {
+            for pid in 0..heap.page_count() {
+                heap.clear_flag_word(pid, Flags::MARK, u64::MAX);
+            }
+            let claims = |heap: &Heap| -> Vec<bool> {
+                objs.iter()
+                    .map(|&o| heap.claim_mark(o, interest).unwrap().0)
+                    .collect()
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| claims(&heap));
+                let b = s.spawn(|| claims(&heap));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
+                assert!(
+                    x != y,
+                    "slot {i} under {interest:?}: one winner, not {x}/{y}"
+                );
+            }
+        }
     }
 
     #[test]
