@@ -79,18 +79,6 @@ struct Cheney<'a> {
     prov: Option<&'a mut Provenance>,
     marked: u64,
     edges: u64,
-    /// Fault injection (see `crate::sabotage`): while armed, drop the
-    /// first forwarding install of every cycle. The invariant modules
-    /// and the model checker must catch the resulting corruption.
-    skip_forward: bool,
-}
-
-/// Installs `obj`'s forwarding address, unless the armed fault eats it.
-fn forward(heap: &mut Heap, obj: ObjRef, skip: &mut bool) -> Result<(), HeapError> {
-    if !std::mem::take(skip) {
-        heap.evac_forward(obj)?;
-    }
-    Ok(())
 }
 
 impl Cheney<'_> {
@@ -108,7 +96,7 @@ impl Cheney<'_> {
     ) -> Result<(), HeapError> {
         let ctx = TraceCtx::from_provenance(self.prov.as_deref(), parent, child, field);
         let first = visit(heap, hooks, child, &ctx, |heap| {
-            forward(heap, child, &mut self.skip_forward)
+            heap.evac_forward(child).map(drop)
         })?;
         let Some(action) = first else { return Ok(()) };
         self.marked += 1;
@@ -138,7 +126,6 @@ pub(crate) fn evacuate<H: TraceHooks>(
         prov,
         marked: 0,
         edges: 0,
-        skip_forward: crate::sabotage::skip_first_forward(),
     };
     if let Some(prov) = scan.prov.as_deref_mut() {
         prov.begin_cycle(heap.index_bound());
@@ -150,7 +137,7 @@ pub(crate) fn evacuate<H: TraceHooks>(
     // objects. (With ownee truncation this also keeps the ownership
     // phase's bounded-collection property.)
     for_each_marked(heap, Flags::empty(), |heap, r| {
-        forward(heap, r, &mut scan.skip_forward)
+        heap.evac_forward(r).map(drop)
     })?;
 
     for &r in roots {

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 /// A shared double-ended work queue (see module docs).
 #[derive(Debug, Default)]
-pub struct StealDeque<T> {
+pub(crate) struct StealDeque<T> {
     items: Mutex<VecDeque<T>>,
     /// Length mirror so idle thieves can poll emptiness without taking
     /// the lock.

@@ -39,7 +39,8 @@ pub fn stale_mark_violations(heap: &Heap) -> Vec<String> {
 /// for a full collection, [`Flags::OLD`] for a minor. An immortal object
 /// is never black (the trace stops at it), and an edge into one is never
 /// lost (the sweep keeps it).
-pub fn tricolor_violations(heap: &Heap, immortal: Flags) -> Vec<String> {
+#[cfg(any(debug_assertions, test))]
+pub(crate) fn tricolor_violations(heap: &Heap, immortal: Flags) -> Vec<String> {
     let kept = |f: Flags| f.contains(Flags::MARK) || f.intersects(immortal);
     let mut problems = Vec::new();
     for (r, obj) in heap.iter() {
@@ -75,7 +76,8 @@ pub fn tricolor_violations(heap: &Heap, immortal: Flags) -> Vec<String> {
 /// Call only between `evac_begin` and `evac_finish` on a
 /// [`gca_heap::SpaceKind::Semispace`] heap — outside a cycle no object
 /// has a forwarding address and every marked object would be reported.
-pub fn forwarding_totality_violations(heap: &Heap) -> Vec<String> {
+#[cfg(any(debug_assertions, test))]
+pub(crate) fn forwarding_totality_violations(heap: &Heap) -> Vec<String> {
     let mut problems = Vec::new();
     for (r, _) in heap.iter() {
         let marked = heap.has_flag(r, Flags::MARK).unwrap_or(false);

@@ -38,7 +38,7 @@
 //!   owner objects **before** the root scan (§2.5.2). It runs once,
 //!   sequentially, under every strategy.
 //! * [`mark_parallel`] is the work-stealing **parallel root scan**: N
-//!   workers with private mark stacks and [`StealDeque`]s race to claim
+//!   workers with private mark stacks and stealable deques race to claim
 //!   mark bits with an atomic RMW, calling a per-worker [`ParVisitor`]
 //!   shard exactly once per object (`visit_new`) and once per extra edge
 //!   (`visit_marked`). Paths are not tracked on the fly; the caller
@@ -79,19 +79,14 @@ mod hooks;
 mod invariants;
 mod parallel;
 mod path;
-#[doc(hidden)]
-pub mod sabotage;
 mod stats;
 mod tracer;
 
 pub use census::SurvivorVisitor;
 pub use collector::{sweep_heap, Collector};
-pub use deque::StealDeque;
 pub use hooks::{NoHooks, TraceHooks, Visit};
-pub use invariants::{forwarding_totality_violations, stale_mark_violations, tricolor_violations};
-pub use parallel::{
-    mark_parallel, reconstruct_path, NoParVisitor, ParMarkStats, ParVisitor, WorkItem,
-};
+pub use invariants::stale_mark_violations;
+pub use parallel::{mark_parallel, reconstruct_path, ParMarkStats, ParVisitor, WorkItem};
 pub use path::{HeapPath, PathDisplay, PathStep};
 pub use stats::{CycleStats, GcStats, MinorStats};
-pub use tracer::{Provenance, TraceCtx, Tracer};
+pub use tracer::{TraceCtx, Tracer};

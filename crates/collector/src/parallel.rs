@@ -115,7 +115,7 @@ pub trait ParVisitor: Send {
 /// A [`ParVisitor`] with no behaviour: plain parallel marking (the Base
 /// configuration).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoParVisitor;
+pub(crate) struct NoParVisitor;
 
 impl ParVisitor for NoParVisitor {
     fn visit_interest(&self) -> Option<Flags> {

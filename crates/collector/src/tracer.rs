@@ -245,18 +245,13 @@ fn field_index(raw: u32) -> Option<usize> {
 /// retaining path. The table is keyed by heap slot and rebuilt each cycle;
 /// recording is skipped entirely in plain (no-path) mode.
 #[derive(Debug, Default)]
-pub struct Provenance {
+pub(crate) struct Provenance {
     /// Per-slot first-arrival edge: `(parent, field)`; a null parent means
     /// "reached from a root" (or never reached).
     parents: Vec<(ObjRef, u32)>,
 }
 
 impl Provenance {
-    /// Creates an empty provenance table.
-    pub fn new() -> Provenance {
-        Provenance::default()
-    }
-
     /// Clears the table and sizes it for a heap of `slot_count` slots.
     pub fn begin_cycle(&mut self, slot_count: usize) {
         self.parents.clear();
@@ -322,7 +317,7 @@ impl TraceCtx<'_> {
     /// scanned (null for a root edge), `tip_field` the index of that
     /// field. Pass `prov = None` for plain (no-path) mode; paths are then
     /// unavailable, mirroring the Base configuration.
-    pub fn from_provenance<'a>(
+    pub(crate) fn from_provenance<'a>(
         prov: Option<&'a Provenance>,
         parent: ObjRef,
         tip: ObjRef,
@@ -661,7 +656,7 @@ mod tests {
     #[test]
     fn provenance_keeps_first_arrival_edge() {
         let (heap, objs) = linked_heap();
-        let mut prov = Provenance::new();
+        let mut prov = Provenance::default();
         prov.begin_cycle(heap.index_bound());
         prov.record(objs[1], objs[0], 0);
         prov.record(objs[1], objs[2], 0); // second arrival: ignored
@@ -673,7 +668,7 @@ mod tests {
     fn provenance_ctx_reconstructs_chain() {
         // a -> b -> c as in the DFS test, but recorded breadth-first.
         let (heap, objs) = linked_heap();
-        let mut prov = Provenance::new();
+        let mut prov = Provenance::default();
         prov.begin_cycle(heap.index_bound());
         prov.record(objs[1], objs[0], 0);
         prov.record(objs[2], objs[1], 0);
@@ -693,7 +688,7 @@ mod tests {
     #[test]
     fn provenance_ctx_root_edge() {
         let (heap, objs) = linked_heap();
-        let prov = Provenance::new();
+        let prov = Provenance::default();
         let ctx = TraceCtx::from_provenance(Some(&prov), ObjRef::NULL, objs[0], None);
         assert_eq!(ctx.parent_edge(), None);
         let path = ctx.current_path(&heap);

@@ -340,6 +340,40 @@ impl VmConfig {
         }
     }
 
+    /// Checks the rules every configuration must satisfy: the heap
+    /// budget is non-zero, and the copying collector is neither
+    /// generational (it is full-heap) nor run with `gc_threads > 1` (the
+    /// Cheney scan is sequential). [`VmConfigBuilder::build`] and
+    /// [`crate::Vm::new`] panic with the message; a `config` line of a
+    /// `.gca` script reports it as an error.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken, as a message.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.heap_budget == 0 {
+            return Err("heap budget must be non-zero");
+        }
+        if self.collector == CollectorKind::Copying {
+            if self.generational.is_some() {
+                return Err("the copying collector is full-heap; it cannot be generational");
+            }
+            if self.gc_threads > 1 {
+                return Err(
+                    "the copying collector's Cheney scan is sequential; gc-threads must be 0 or 1",
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Panics with [`VmConfig::validate`]'s message if a rule is broken.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(why) = self.validate() {
+            panic!("VmConfig: {why}");
+        }
+    }
+
     /// Starts a fluent [`VmConfigBuilder`], the preferred way to assemble
     /// a configuration:
     ///
@@ -474,25 +508,10 @@ impl VmConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the heap budget is zero, or if the copying collector is
-    /// combined with generational collection (copying is full-heap) or
-    /// with `gc_threads > 1` (the Cheney scan is sequential).
+    /// If [`VmConfig::validate`] rejects the configuration, with its
+    /// message.
     pub fn build(self) -> VmConfig {
-        assert!(
-            self.config.heap_budget > 0,
-            "VmConfig: heap budget must be non-zero"
-        );
-        if self.config.collector == CollectorKind::Copying {
-            assert!(
-                self.config.generational.is_none(),
-                "VmConfig: the copying collector is full-heap; it cannot be generational"
-            );
-            assert!(
-                self.config.gc_threads <= 1,
-                "VmConfig: the copying collector's Cheney scan is sequential \
-                 (gc_threads must be 0 or 1)"
-            );
-        }
+        self.config.assert_valid();
         self.config
     }
 }

@@ -135,25 +135,16 @@ impl Vm {
     ///
     /// # Panics
     ///
-    /// Panics if `config` combines the copying collector with generational
-    /// collection or `gc_threads > 1` — [`VmConfig::builder`] rejects
-    /// these at build time; hand-assembled configs are checked here.
+    /// Panics if [`VmConfig::validate`] rejects `config` —
+    /// [`VmConfig::builder`] rejects such configurations at build time;
+    /// hand-assembled configs are checked here.
     pub fn new(config: VmConfig) -> Vm {
+        config.assert_valid();
         let budget = config.heap_budget;
         let telemetry = config
             .telemetry
             .then(|| Box::new(gca_telemetry::GcTelemetry::new()));
         let census = config.census.then(|| Box::new(CensusState::new()));
-        if config.collector == CollectorKind::Copying {
-            assert!(
-                config.generational.is_none(),
-                "Vm: the copying collector is full-heap; it cannot be generational"
-            );
-            assert!(
-                config.gc_threads <= 1,
-                "Vm: the copying collector's Cheney scan is sequential"
-            );
-        }
         // The collector kind alone determines the space layout, and the
         // space layout how the collector marks from the roots: a
         // semispace heap is evacuated, the non-moving paged space is

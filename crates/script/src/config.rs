@@ -91,20 +91,9 @@ pub(crate) fn apply_config(
         }
         _ => return Err(ConfigError::UnknownKey),
     }
-    // The combinations `Vm::new` would panic on, rejected in whichever
-    // order the two keys arrive.
-    if next.collector == CollectorKind::Copying {
-        if next.generational.is_some() {
-            return Err(ConfigError::Conflict(
-                "the copying collector is full-heap; it cannot be generational",
-            ));
-        }
-        if next.gc_threads > 1 {
-            return Err(ConfigError::Conflict(
-                "the copying collector's Cheney scan is sequential; gc-threads must be 0 or 1",
-            ));
-        }
-    }
+    // The rules `Vm::new` would panic on, rejected in whichever order
+    // the keys arrive.
+    next.validate().map_err(ConfigError::Conflict)?;
     *cfg = next;
     Ok(())
 }
@@ -161,5 +150,16 @@ mod tests {
             );
         }
         assert!(apply(&[("collector", "copying"), ("gc-threads", "0")]).is_ok());
+    }
+
+    #[test]
+    fn zero_heap_is_rejected_like_the_builder_rejects_it() {
+        let e = apply(&[("heap", "0")]).unwrap_err();
+        assert_eq!(e, ConfigError::Conflict("heap budget must be non-zero"));
+        assert_eq!(e.to_string(), "heap budget must be non-zero");
+        // On error nothing is changed.
+        let (mut cfg, mut limit) = (VmConfig::default(), 16);
+        assert!(apply_config(&mut cfg, &mut limit, "heap", "0").is_err());
+        assert_eq!(cfg.heap_budget, VmConfig::default().heap_budget);
     }
 }

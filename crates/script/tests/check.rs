@@ -4,13 +4,14 @@
 //! must be a subset of the violations the interpreter actually reports
 //! (zero false positives at error severity).
 
-use std::collections::{HashMap, VecDeque};
+mod common;
 
 use gca_script::analysis::json;
 use gca_script::{
-    analyze, apply_suggestions, parse_script, suggest, Analysis, GcPrediction, Interpreter,
-    ScriptErrorKind, Severity,
+    analyze, apply_suggestions, suggest, Analysis, Interpreter, ScriptErrorKind, Severity,
 };
+
+use common::differential_check;
 
 fn script_path(name: &str) -> String {
     format!("{}/../../scripts/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -189,93 +190,6 @@ fn check_exit_condition_matches_must_presence() {
     }
 }
 
-/// Checks one script's analyzer predictions against one dynamic run.
-///
-/// Since loops and procedures landed, a single `gc` *line* can execute
-/// any number of times, so predictions are keyed by line rather than
-/// zipped in stream order: exact predictions form a FIFO queue per line
-/// (the analyzer replays blocks in program order, so queue order is
-/// dynamic order), while a summarized prediction collapses to one
-/// sticky entry standing for *every* dynamic execution of its line —
-/// its must-set is empty by construction, which we also assert.
-fn differential_check(name: &str, src: &str, analysis: &Analysis) {
-    let mut interp = Interpreter::new();
-    for (line, cmd) in parse_script(src).unwrap_or_else(|e| panic!("{name}: {e}")) {
-        interp
-            .execute(line, &cmd)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-    let log: Vec<String> = interp
-        .vm_ref()
-        .map(|vm| vm.violation_log().iter().map(|v| v.summary()).collect())
-        .unwrap_or_default();
-    let out = interp.finish();
-
-    let mut queues: HashMap<usize, VecDeque<&GcPrediction>> = HashMap::new();
-    let mut sticky: HashMap<usize, &GcPrediction> = HashMap::new();
-    for c in analysis.collections.iter().filter(|c| c.explicit) {
-        if c.summarized {
-            assert!(
-                c.must.is_empty(),
-                "{name} line {}: a summarized collection must never promise a must-set",
-                c.line
-            );
-            sticky.insert(c.line, c);
-        } else {
-            queues.entry(c.line).or_default().push_back(c);
-        }
-    }
-
-    for (line, actual) in &out.explicit_gcs {
-        if let Some(pred) = queues.get_mut(line).and_then(|q| q.pop_front()) {
-            let mut remaining = actual.clone();
-            for must in &pred.must {
-                let pos = remaining.iter().position(|a| a == must).unwrap_or_else(|| {
-                    panic!(
-                        "{name} line {line}: FALSE POSITIVE — analyzer promised `{must}` \
-                         but the interpreter reported {actual:?}"
-                    )
-                });
-                remaining.remove(pos);
-            }
-            if pred.may.is_empty() {
-                assert!(
-                    remaining.is_empty(),
-                    "{name} line {line}: analyzer claimed exactness but the interpreter \
-                     also reported {remaining:?}"
-                );
-            }
-        } else {
-            assert!(
-                sticky.contains_key(line),
-                "{name} line {line}: the interpreter ran a gc the analyzer never predicted"
-            );
-        }
-    }
-    for (line, q) in &queues {
-        assert!(
-            q.is_empty(),
-            "{name} line {line}: analyzer predicted {} gc(s) the interpreter never ran",
-            q.len()
-        );
-    }
-
-    // Cumulative check across every collection, implicit and minor
-    // included.
-    let mut remaining = log.clone();
-    for c in &analysis.collections {
-        for must in &c.must {
-            let pos = remaining.iter().position(|a| a == must).unwrap_or_else(|| {
-                panic!(
-                    "{name}: cumulative FALSE POSITIVE — `{must}` absent from the \
-                     violation log {log:?}"
-                )
-            });
-            remaining.remove(pos);
-        }
-    }
-}
-
 /// The soundness pin: run analyzer and interpreter side by side over
 /// every shipped script.  At each explicit `gc`, the analyzer's
 /// must-set must be a sub-multiset of the report the interpreter
@@ -289,6 +203,27 @@ fn differential_must_set_is_sound() {
         let analysis = analyze(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         differential_check(&name, &src, &analysis);
     }
+}
+
+/// The agreement check itself can fail: an analysis doctored with one
+/// must-violation the run never reports is a false positive.
+#[test]
+#[should_panic(expected = "FALSE POSITIVE")]
+fn differential_check_rejects_an_extra_must_entry() {
+    let src = "class T f\nnew a T\nassert-dead a\nroot a\ngc\n";
+    let mut analysis = analyze(src).expect("analyzes");
+    let gc = analysis
+        .collections
+        .iter_mut()
+        .find(|c| c.explicit)
+        .expect("one explicit gc");
+    let extra = gc
+        .must
+        .first()
+        .cloned()
+        .expect("the leak is a must-violation");
+    gc.must.push(extra);
+    differential_check("doctored", src, &analysis);
 }
 
 /// A class declared twice is one class at run time (`TypeRegistry::register`

@@ -7,10 +7,12 @@
 //! mark-sweep, parallel-mark (`gc-threads 2`) and semispace copying
 //! engines — and that the analyzer stays sound on every variant.
 
-use std::collections::{HashMap, VecDeque};
+mod common;
 
 use gca_modelcheck::{emit_gca, normalize_violations, FuzzOp};
-use gca_script::{analyze, parse_script, Analysis, GcPrediction, Interpreter};
+use gca_script::{analyze, parse_script, Interpreter};
+
+use common::differential_check;
 
 fn all_scripts() -> Vec<(String, String)> {
     let dir = format!("{}/../../scripts", env!("CARGO_MANIFEST_DIR"));
@@ -28,75 +30,6 @@ fn all_scripts() -> Vec<(String, String)> {
         .collect();
     out.sort();
     out
-}
-
-/// Runs the analyzer/interpreter differential soundness check on one
-/// script: every explicit-gc must-set is a sub-multiset of the report
-/// the dynamic run produced at that line (predictions are per-line FIFO
-/// queues; summarized predictions match every dynamic gc of their
-/// line), exactness holds when the may-set is empty, and the union of
-/// all must-sets is a sub-multiset of the cumulative violation log.
-fn differential_check(name: &str, src: &str, analysis: &Analysis) {
-    let mut interp = Interpreter::new();
-    for (line, cmd) in parse_script(src).unwrap_or_else(|e| panic!("{name}: {e}")) {
-        interp
-            .execute(line, &cmd)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-    let log: Vec<String> = interp
-        .vm_ref()
-        .map(|vm| vm.violation_log().iter().map(|v| v.summary()).collect())
-        .unwrap_or_default();
-    let out = interp.finish();
-
-    let mut queues: HashMap<usize, VecDeque<&GcPrediction>> = HashMap::new();
-    let mut sticky: HashMap<usize, &GcPrediction> = HashMap::new();
-    for c in analysis.collections.iter().filter(|c| c.explicit) {
-        if c.summarized {
-            assert!(c.must.is_empty(), "{name}: summarized must-set not empty");
-            sticky.insert(c.line, c);
-        } else {
-            queues.entry(c.line).or_default().push_back(c);
-        }
-    }
-    for (line, actual) in &out.explicit_gcs {
-        if let Some(pred) = queues.get_mut(line).and_then(|q| q.pop_front()) {
-            let mut remaining = actual.clone();
-            for must in &pred.must {
-                let pos = remaining.iter().position(|a| a == must).unwrap_or_else(|| {
-                    panic!("{name} line {line}: FALSE POSITIVE `{must}` vs {actual:?}")
-                });
-                remaining.remove(pos);
-            }
-            if pred.may.is_empty() {
-                assert!(
-                    remaining.is_empty(),
-                    "{name} line {line}: exactness claimed but {remaining:?} also reported"
-                );
-            }
-        } else {
-            assert!(
-                sticky.contains_key(line),
-                "{name} line {line}: dynamic gc the analyzer never predicted"
-            );
-        }
-    }
-    for (line, q) in &queues {
-        assert!(
-            q.is_empty(),
-            "{name} line {line}: {} predicted gc(s) never ran",
-            q.len()
-        );
-    }
-    let mut remaining = log.clone();
-    for c in &analysis.collections {
-        for must in &c.must {
-            let pos = remaining.iter().position(|a| a == must).unwrap_or_else(|| {
-                panic!("{name}: cumulative FALSE POSITIVE `{must}` vs log {log:?}")
-            });
-            remaining.remove(pos);
-        }
-    }
 }
 
 /// Rewrites every `repeat N` / `config call-depth N` to count `n`, and

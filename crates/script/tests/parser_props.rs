@@ -11,6 +11,7 @@ use proptest::prelude::*;
 const CONFIGS: &[&str] = &[
     "heap 64",
     "heap lots",
+    "heap 0",
     "grow off",
     "grow maybe",
     "report-once off",

@@ -15,9 +15,10 @@
 //! soak. A scrape renders from the published snapshots by reference,
 //! under their locks: it never touches a VM, copies no history, and can
 //! delay a shard's next publish by at most one render. The request head
-//! gets one 500 ms deadline overall (`408` on expiry, `431` past 8 KiB,
-//! `400` for a request line without a method and a path), so no client can
-//! hold the serving thread.
+//! gets one `DEADLINE` overall (`408` on expiry, `431` past 8 KiB, `400`
+//! for a request line without a method and a path), and the response
+//! another, so no client — slow to send or never reading — can hold the
+//! serving thread.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,6 +28,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::shard::{lock_snapshot, with_snapshots, ShardSnapshot};
+
+/// How long one connection may take to send its request head, and again
+/// to take its response.
+const DEADLINE: Duration = Duration::from_millis(500);
 
 /// Shared state the server renders responses from.
 pub(crate) struct HttpState {
@@ -93,8 +98,8 @@ fn serve(listener: TcpListener, state: HttpState, stop: Arc<AtomicBool>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Serve inline: a connection holds this thread for at most
-                // the head deadline plus one render, and a soak has a
-                // handful of scrapers at most.
+                // one render and two deadlines, and a soak has a handful
+                // of scrapers at most.
                 let _ = handle_conn(stream, &state);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -117,7 +122,7 @@ fn handle_conn(mut stream: TcpStream, state: &HttpState) -> std::io::Result<()> 
     // One deadline for the whole head, however the client slices it: the
     // thread serves one connection at a time, so a dribbling client must
     // not be able to hold it.
-    let deadline = Instant::now() + Duration::from_millis(500);
+    let deadline = Instant::now() + DEADLINE;
     let (refused, (status, content_type, body)) = match read_head(&mut stream, deadline)? {
         Ok(head) => {
             // Only the request line matters; every route is a body-less GET.
@@ -135,8 +140,7 @@ fn handle_conn(mut stream: TcpStream, state: &HttpState) -> std::io::Result<()> 
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()?;
+    write_before(&mut stream, Instant::now() + DEADLINE, response.as_bytes())?;
     if refused {
         // The client may still be sending; closing over unread input would
         // reset the connection under the response. Let it finish, within
@@ -168,6 +172,31 @@ fn read_before(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Writes all of `bytes` by `deadline`, however slowly the peer reads:
+/// `TimedOut` once it has passed with bytes left over.
+fn write_before(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    mut bytes: &[u8],
+) -> std::io::Result<()> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock, WriteZero};
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            // Timed out or interrupted: the loop re-reads the clock.
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads the request head, up to its blank line (or the client's EOF).
@@ -318,6 +347,27 @@ mod tests {
         );
         let next = exchange(server.addr, b"GET /healthz HTTP/1.1\r\n\r\n");
         assert!(next.starts_with("HTTP/1.1 200 OK\r\n"), "{next}");
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_cannot_hold_the_writer() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        // The peer connects and then never reads.
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        // Far past what the kernel's socket buffers can absorb.
+        let body = vec![b'x'; 32 << 20];
+        let started = Instant::now();
+        let written = write_before(&mut stream, started + DEADLINE, &body);
+        let took = started.elapsed();
+        assert_eq!(
+            written.map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::TimedOut)
+        );
+        assert!(
+            took < DEADLINE + Duration::from_millis(500),
+            "the write must give up at its deadline, took {took:?}"
+        );
     }
 
     #[test]
