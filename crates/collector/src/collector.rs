@@ -106,12 +106,6 @@ impl Collector {
         &self.stats
     }
 
-    /// Zeroes the cumulative statistics (used between benchmark
-    /// iterations).
-    pub fn reset_stats(&mut self) {
-        self.stats = GcStats::new();
-    }
-
     /// Runs one full collection cycle with a single tracing thread and no
     /// census: `gc_begin`, the hooks' pre-root phase, root scan +
     /// transitive mark, `trace_done`, sweep, `gc_end`.
@@ -1061,17 +1055,5 @@ mod tests {
         let cycle = gc.collect(&mut heap, &[], &mut NoHooks).unwrap();
         assert_eq!(cycle.objects_marked, 0);
         assert_eq!(cycle.objects_swept, 0);
-    }
-
-    #[test]
-    fn reset_stats_zeroes() {
-        let mut heap = Heap::new();
-        let c = heap.register_class("T", &[]);
-        let root = heap.alloc(c, 0, 0).unwrap();
-        let mut gc = Collector::new();
-        gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
-        assert_eq!(gc.stats().collections, 1);
-        gc.reset_stats();
-        assert_eq!(gc.stats().collections, 0);
     }
 }

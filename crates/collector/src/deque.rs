@@ -27,7 +27,7 @@ pub(crate) struct StealDeque<T> {
 
 impl<T> StealDeque<T> {
     /// Creates an empty deque.
-    pub fn new() -> StealDeque<T> {
+    pub(crate) fn new() -> StealDeque<T> {
         StealDeque {
             items: Mutex::new(VecDeque::new()),
             len_hint: AtomicUsize::new(0),
@@ -36,19 +36,19 @@ impl<T> StealDeque<T> {
 
     /// Approximate number of queued items (exact between operations).
     #[inline]
-    pub fn len_hint(&self) -> usize {
+    pub(crate) fn len_hint(&self) -> usize {
         self.len_hint.load(Ordering::SeqCst)
     }
 
     /// Pushes a batch at the back (owner side).
-    pub fn push_batch(&self, batch: impl IntoIterator<Item = T>) {
+    pub(crate) fn push_batch(&self, batch: impl IntoIterator<Item = T>) {
         let mut q = self.items.lock().expect("deque poisoned");
         q.extend(batch);
         self.len_hint.store(q.len(), Ordering::SeqCst);
     }
 
     /// Pops one item from the back (owner side).
-    pub fn pop_back(&self) -> Option<T> {
+    pub(crate) fn pop_back(&self) -> Option<T> {
         let mut q = self.items.lock().expect("deque poisoned");
         let item = q.pop_back();
         self.len_hint.store(q.len(), Ordering::SeqCst);
@@ -57,7 +57,7 @@ impl<T> StealDeque<T> {
 
     /// Steals roughly half of the queue from the front into `into`
     /// (thief side), returning how many items were taken.
-    pub fn steal_half_into(&self, into: &mut Vec<T>) -> usize {
+    pub(crate) fn steal_half_into(&self, into: &mut Vec<T>) -> usize {
         let mut q = self.items.lock().expect("deque poisoned");
         let take = q.len().div_ceil(2).min(q.len());
         for _ in 0..take {

@@ -209,12 +209,13 @@ mod tests {
         let c = heap.register_class("T", &[]);
         let o = heap.alloc(c, 0, 0).unwrap();
         // Default hook bodies are callable no-ops.
+        let ctx = TraceCtx::from_provenance(None, ObjRef::NULL, o, None);
         h.gc_begin(&mut heap);
         assert_eq!(
-            h.visit_new(&mut heap, o, Flags::empty(), &TraceCtx::no_paths()),
+            h.visit_new(&mut heap, o, Flags::empty(), &ctx),
             Visit::Descend
         );
-        h.visit_marked(&mut heap, o, Flags::MARK, &TraceCtx::no_paths());
+        h.visit_marked(&mut heap, o, Flags::MARK, &ctx);
         assert!(h.swept_interest().is_empty());
         h.trace_done(&mut heap);
         h.swept(&heap, o);

@@ -68,7 +68,7 @@ pub struct WorkItem {
 
 impl WorkItem {
     /// A root item, with no parent edge.
-    pub fn root(obj: ObjRef) -> WorkItem {
+    pub(crate) fn root(obj: ObjRef) -> WorkItem {
         WorkItem {
             obj,
             parent: ObjRef::NULL,
@@ -566,7 +566,7 @@ mod tests {
         let c = heap.register_class("T", &[]);
         let o = heap.alloc(c, 0, 0).unwrap();
         let path = reconstruct_path(&heap, &[o], o).unwrap();
-        assert_eq!(path.len(), 1);
+        assert_eq!(path.steps().len(), 1);
         assert_eq!(path.target(), Some(o));
     }
 

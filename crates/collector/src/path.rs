@@ -69,11 +69,6 @@ impl HeapPath {
         self.steps.last().map(|s| s.object)
     }
 
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Returns `true` if the path carries no information.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
@@ -167,7 +162,7 @@ mod tests {
     #[test]
     fn accessors() {
         let (_, path) = sample();
-        assert_eq!(path.len(), 3);
+        assert_eq!(path.steps().len(), 3);
         assert!(!path.is_empty());
         assert_eq!(path.target(), Some(path.steps()[2].object));
         assert!(HeapPath::empty().is_empty());

@@ -101,13 +101,8 @@ pub struct GcStats {
 }
 
 impl GcStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> GcStats {
-        GcStats::default()
-    }
-
     /// Folds one cycle into the totals.
-    pub fn absorb(&mut self, cycle: &CycleStats) {
+    pub(crate) fn absorb(&mut self, cycle: &CycleStats) {
         self.collections += 1;
         self.total_gc_time += cycle.total;
         self.pre_root_time += cycle.pre_root;
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn absorb_accumulates() {
-        let mut total = GcStats::new();
+        let mut total = GcStats::default();
         let cycle = CycleStats {
             total: Duration::from_millis(10),
             pre_root: Duration::from_millis(1),

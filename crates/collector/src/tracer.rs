@@ -50,11 +50,6 @@ impl Tracer {
         self.path_mode = on;
     }
 
-    /// Whether path tracking is active.
-    pub fn path_mode(&self) -> bool {
-        self.path_mode
-    }
-
     /// Resets per-cycle counters and drops any leftover worklist entries.
     pub fn begin_cycle(&mut self) {
         self.entries.clear();
@@ -63,12 +58,12 @@ impl Tracer {
     }
 
     /// Objects marked so far this cycle.
-    pub fn objects_marked(&self) -> u64 {
+    pub(crate) fn objects_marked(&self) -> u64 {
         self.objects_marked
     }
 
     /// Edges traced so far this cycle.
-    pub fn edges_traced(&self) -> u64 {
+    pub(crate) fn edges_traced(&self) -> u64 {
         self.edges_traced
     }
 
@@ -253,7 +248,7 @@ pub(crate) struct Provenance {
 
 impl Provenance {
     /// Clears the table and sizes it for a heap of `slot_count` slots.
-    pub fn begin_cycle(&mut self, slot_count: usize) {
+    pub(crate) fn begin_cycle(&mut self, slot_count: usize) {
         self.parents.clear();
         self.parents.resize(slot_count, (ObjRef::NULL, ROOT_FIELD));
     }
@@ -261,7 +256,7 @@ impl Provenance {
     /// Records that `child` was first reached through `parent`'s reference
     /// field `field`. Only the first record for a child is kept — exactly
     /// the first-arrival discipline of the scan itself.
-    pub fn record(&mut self, child: ObjRef, parent: ObjRef, field: usize) {
+    pub(crate) fn record(&mut self, child: ObjRef, parent: ObjRef, field: usize) {
         let slot = child.index() as usize;
         if slot >= self.parents.len() {
             self.parents.resize(slot + 1, (ObjRef::NULL, ROOT_FIELD));
@@ -273,7 +268,7 @@ impl Provenance {
 
     /// The first-arrival edge of `obj`: `(parent, field)`, or `None` if
     /// `obj` was reached from a root (or not recorded).
-    pub fn parent_of(&self, obj: ObjRef) -> Option<(ObjRef, usize)> {
+    pub(crate) fn parent_of(&self, obj: ObjRef) -> Option<(ObjRef, usize)> {
         match self.parents.get(obj.index() as usize) {
             Some(&(p, f)) if p.is_some() => Some((p, f as usize)),
             _ => None,
@@ -298,19 +293,6 @@ pub struct TraceCtx<'a> {
 }
 
 impl TraceCtx<'_> {
-    /// A context with no path information, for tests and for hooks invoked
-    /// outside a trace.
-    pub fn no_paths() -> TraceCtx<'static> {
-        TraceCtx {
-            entries: &[],
-            path_mode: false,
-            tip: ObjRef::NULL,
-            tip_field: None,
-            prov: None,
-            parent: ObjRef::NULL,
-        }
-    }
-
     /// A context backed by a breadth-first [`Provenance`] table instead of
     /// the sequential tracer's worklist: the copying collector builds one
     /// per processed edge. `parent` is the object whose field is being
@@ -331,17 +313,6 @@ impl TraceCtx<'_> {
             prov,
             parent,
         }
-    }
-
-    /// The object the current hook call is about.
-    pub fn tip(&self) -> ObjRef {
-        self.tip
-    }
-
-    /// Whether path reconstruction is available (path-tracking worklist in
-    /// use).
-    pub fn has_paths(&self) -> bool {
-        self.path_mode
     }
 
     /// The heap edge through which the hook's object was reached: the
@@ -647,10 +618,10 @@ mod tests {
     #[test]
     fn no_paths_ctx_is_empty() {
         let heap = Heap::new();
-        let ctx = TraceCtx::no_paths();
-        assert!(!ctx.has_paths());
+        let ctx = TraceCtx::from_provenance(None, ObjRef::NULL, ObjRef::NULL, None);
+        assert_eq!(ctx.parent_edge(), None);
         assert!(ctx.current_path(&heap).is_empty());
-        assert!(ctx.tip().is_null());
+        assert!(ctx.tip.is_null());
     }
 
     #[test]
@@ -675,7 +646,6 @@ mod tests {
 
         // Hook call for the edge b.0 -> c.
         let ctx = TraceCtx::from_provenance(Some(&prov), objs[1], objs[2], Some(0));
-        assert!(ctx.has_paths());
         assert_eq!(ctx.parent_edge(), Some((objs[1], 0)));
         let path = ctx.current_path(&heap);
         let chain: Vec<ObjRef> = path.steps().iter().map(|s| s.object).collect();
@@ -700,7 +670,6 @@ mod tests {
     fn provenance_ctx_plain_mode_has_no_paths() {
         let (heap, objs) = linked_heap();
         let ctx = TraceCtx::from_provenance(None, objs[0], objs[1], Some(0));
-        assert!(!ctx.has_paths());
         assert_eq!(ctx.parent_edge(), None);
         assert!(ctx.current_path(&heap).is_empty());
     }

@@ -36,7 +36,7 @@ pub struct AllocSite(pub(crate) u32);
 impl AllocSite {
     /// The default site: allocations made while no site is set are
     /// attributed to `<unattributed>`.
-    pub const UNATTRIBUTED: AllocSite = AllocSite(UNATTRIBUTED);
+    pub(crate) const UNATTRIBUTED: AllocSite = AllocSite(UNATTRIBUTED);
 }
 
 /// One cycle's survivor tally: `(objects, bytes)` per class and per

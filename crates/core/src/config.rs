@@ -104,10 +104,11 @@ pub enum AssertionClass {
 /// ```
 /// use gc_assertions::{Reaction, VmConfig};
 ///
-/// let config = VmConfig::new()
-///     .heap_budget_words(64 * 1024)
+/// let config = VmConfig::builder()
+///     .heap_budget(64 * 1024)
 ///     .grow_on_oom(false)
-///     .reaction(Reaction::Log);
+///     .reaction(Reaction::Log)
+///     .build();
 /// assert_eq!(config.heap_budget, 64 * 1024);
 /// ```
 #[derive(Debug, Clone)]
@@ -205,26 +206,6 @@ impl Default for VmConfig {
 }
 
 impl VmConfig {
-    /// Default configuration: 1 Mi-word growable heap, instrumented mode,
-    /// path tracking on, log-and-continue.
-    pub fn new() -> VmConfig {
-        VmConfig::default()
-    }
-
-    /// Sets the heap budget in words.
-    #[must_use]
-    pub fn heap_budget_words(mut self, words: usize) -> VmConfig {
-        self.heap_budget = words;
-        self
-    }
-
-    /// Sets whether the heap may grow when full.
-    #[must_use]
-    pub fn grow_on_oom(mut self, grow: bool) -> VmConfig {
-        self.grow = grow;
-        self
-    }
-
     /// Sets the violation reaction.
     #[must_use]
     pub fn reaction(mut self, reaction: Reaction) -> VmConfig {
@@ -243,20 +224,6 @@ impl VmConfig {
     #[must_use]
     pub fn path_tracking(mut self, on: bool) -> VmConfig {
         self.path_tracking = on;
-        self
-    }
-
-    /// Enables or disables once-only violation reporting.
-    #[must_use]
-    pub fn report_once(mut self, on: bool) -> VmConfig {
-        self.report_once = on;
-        self
-    }
-
-    /// Enables the strict owner-lifetime extension.
-    #[must_use]
-    pub fn strict_owner_lifetime(mut self, on: bool) -> VmConfig {
-        self.strict_owner_lifetime = on;
         self
     }
 
@@ -304,21 +271,6 @@ impl VmConfig {
         self
     }
 
-    /// Tags this VM as shard `shard` of a fleet (see [`VmConfig::shard`]).
-    #[must_use]
-    pub fn shard(mut self, shard: u64) -> VmConfig {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Overrides the reaction for one assertion class (later overrides for
-    /// the same class win).
-    #[must_use]
-    pub fn reaction_for(mut self, class: AssertionClass, reaction: Reaction) -> VmConfig {
-        self.reaction_overrides.push((class, reaction));
-        self
-    }
-
     /// The effective reaction for an assertion class.
     pub fn effective_reaction(&self, class: AssertionClass) -> Reaction {
         self.reaction_overrides
@@ -331,7 +283,7 @@ impl VmConfig {
 
     /// The resolved tracing-worker count: `gc_threads`, with `0` mapped to
     /// the number of available cores.
-    pub fn effective_gc_threads(&self) -> usize {
+    pub(crate) fn effective_gc_threads(&self) -> usize {
         match self.gc_threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -522,7 +474,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let c = VmConfig::new();
+        let c = VmConfig::default();
         assert_eq!(c.reaction, Reaction::Log);
         assert_eq!(c.mode, Mode::Instrumented);
         assert!(c.path_tracking);
@@ -536,27 +488,29 @@ mod tests {
 
     #[test]
     fn shard_tag_round_trips_through_both_builders() {
-        assert_eq!(VmConfig::new().shard(3).shard, Some(3));
         assert_eq!(VmConfig::builder().shard(7).build().shard, Some(7));
+        assert_eq!(VmConfig::builder().build().shard, None);
     }
 
     #[test]
     fn builder_chains() {
-        let c = VmConfig::new()
-            .heap_budget_words(123)
-            .grow_on_oom(false)
+        let c = VmConfig::default()
             .reaction(Reaction::Halt)
             .mode(Mode::Base)
             .path_tracking(false)
-            .report_once(false)
-            .strict_owner_lifetime(true);
-        assert_eq!(c.heap_budget, 123);
-        assert!(!c.grow);
+            .generational(0)
+            .gc_threads(4)
+            .telemetry(true)
+            .census(true)
+            .minor_strategy(MinorStrategy::RememberedSet);
         assert_eq!(c.reaction, Reaction::Halt);
         assert_eq!(c.mode, Mode::Base);
         assert!(!c.path_tracking);
-        assert!(!c.report_once);
-        assert!(c.strict_owner_lifetime);
+        assert_eq!(c.generational, Some(1)); // clamped
+        assert_eq!(c.gc_threads, 4);
+        assert!(c.telemetry);
+        assert!(c.census);
+        assert_eq!(c.minor_strategy, MinorStrategy::RememberedSet);
     }
 
     #[test]
@@ -600,12 +554,12 @@ mod tests {
 
     #[test]
     fn collector_defaults_to_mark_sweep() {
-        assert_eq!(VmConfig::new().collector, CollectorKind::MarkSweep);
+        assert_eq!(VmConfig::default().collector, CollectorKind::MarkSweep);
         let c = VmConfig::builder()
             .collector(CollectorKind::Copying)
             .build();
         assert_eq!(c.collector, CollectorKind::Copying);
-        let c = VmConfig::new().collector(CollectorKind::Copying);
+        let c = VmConfig::default().collector(CollectorKind::Copying);
         assert_eq!(c.collector, CollectorKind::Copying);
     }
 
@@ -631,6 +585,6 @@ mod tests {
     fn gc_threads_zero_means_auto() {
         let c = VmConfig::builder().gc_threads(0).build();
         assert!(c.effective_gc_threads() >= 1);
-        assert_eq!(VmConfig::new().effective_gc_threads(), 1);
+        assert_eq!(VmConfig::default().effective_gc_threads(), 1);
     }
 }

@@ -174,17 +174,17 @@ impl AssertionEngine {
     }
 
     /// Unregisters an ownee.
-    pub fn release_ownee(&mut self, heap: &mut Heap, ownee: ObjRef) -> bool {
+    pub(crate) fn release_ownee(&mut self, heap: &mut Heap, ownee: ObjRef) -> bool {
         self.ownership.remove_ownee(heap, ownee)
     }
 
     /// Number of registered owners.
-    pub fn owner_count(&self) -> usize {
+    pub(crate) fn owner_count(&self) -> usize {
         self.ownership.len()
     }
 
     /// Number of registered ownees.
-    pub fn ownee_count(&self) -> usize {
+    pub(crate) fn ownee_count(&self) -> usize {
         self.ownership.ownee_count()
     }
 

@@ -14,13 +14,6 @@ use gca_heap::ObjRef;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MutatorId(pub(crate) u32);
 
-impl MutatorId {
-    /// Raw index, for diagnostics.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-}
-
 impl fmt::Display for MutatorId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "mutator#{}", self.0)
@@ -73,6 +66,5 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(MutatorId(3).to_string(), "mutator#3");
-        assert_eq!(MutatorId(3).as_u32(), 3);
     }
 }

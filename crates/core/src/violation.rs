@@ -114,7 +114,7 @@ pub struct Violation {
 
 impl Violation {
     /// The assertion class this violation belongs to, for per-class
-    /// reaction policies ([`crate::VmConfig::reaction_for`]).
+    /// reaction policies ([`VmConfigBuilder::reaction_for`](crate::VmConfigBuilder::reaction_for)).
     pub fn class(&self) -> crate::config::AssertionClass {
         use crate::config::AssertionClass;
         match self.kind {

@@ -773,7 +773,7 @@ impl Vm {
 
     /// Interns an allocation-site label for [`Vm::set_alloc_site`]. With
     /// the census off this is a no-op returning
-    /// [`AllocSite::UNATTRIBUTED`], so call sites need no feature branch.
+    /// the unattributed site, so call sites need no feature branch.
     pub fn alloc_site(&mut self, name: &str) -> AllocSite {
         match self.census.as_deref_mut() {
             Some(state) => state.intern(name),
@@ -783,8 +783,8 @@ impl Vm {
 
     /// Sets the allocation site attributed to subsequent [`Vm::alloc`] /
     /// [`Vm::alloc_rooted`] calls, returning the previous site so callers
-    /// can scope-restore. A no-op returning [`AllocSite::UNATTRIBUTED`]
-    /// when the census is off.
+    /// can scope-restore. A no-op returning the unattributed site when the
+    /// census is off.
     pub fn set_alloc_site(&mut self, site: AllocSite) -> AllocSite {
         match self.census.as_deref_mut() {
             Some(state) => state.set_current(site),

@@ -8,7 +8,7 @@
 //! corpus against the semispace copying backend — CI runs both legs.
 //!
 //! The random heap-program language the fuzz suites replay lives in the
-//! `gca-modelcheck` crate ([`gca_modelcheck::program`]) and is re-exported
+//! `gca-modelcheck` crate ([`gca_modelcheck::FuzzOp`]) and is re-exported
 //! here: the exhaustive model checker, the proptest fuzzers, and the
 //! counterexample shrinker all consume the *same* `FuzzOp` definition and
 //! interpreter, so they can never drift apart.

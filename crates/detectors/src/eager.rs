@@ -73,11 +73,6 @@ impl EagerOwnershipChecker {
         self.pairs.retain(|&(_, e)| e != ownee);
     }
 
-    /// Number of registered pairs.
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Number of mutations processed.
     pub fn mutations(&self) -> u64 {
         self.mutations
@@ -190,7 +185,7 @@ mod tests {
         heap.set_ref_field(_mid, 0, ObjRef::NULL).unwrap();
         heap.free(ownee).unwrap();
         assert!(eager.after_mutation(&heap).is_empty());
-        assert_eq!(eager.pair_count(), 0);
+        assert!(eager.pairs.is_empty());
     }
 
     #[test]

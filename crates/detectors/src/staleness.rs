@@ -80,11 +80,6 @@ impl StalenessDetector {
         self.now += 1;
     }
 
-    /// Current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Scans the live heap and returns objects idle beyond the threshold.
     /// An object never touched counts as idle since tick 0 — it has been
     /// "stale" its whole life, exactly the kind of judgement call that

@@ -10,8 +10,7 @@
 //! that the barrier is a single OR, fine enough that a minor scans only
 //! the pages actually written since the last collection.
 
-/// Dirty-card bitmap, one bit per page of the
-/// [`PageTable`](crate::PageTable).
+/// Dirty-card bitmap, one bit per page of the heap's page table.
 #[derive(Debug, Default, Clone)]
 pub struct CardTable {
     words: Vec<u64>,
@@ -19,11 +18,6 @@ pub struct CardTable {
 }
 
 impl CardTable {
-    /// Creates an empty card table.
-    pub fn new() -> CardTable {
-        CardTable::default()
-    }
-
     /// Grows the table to cover `pages` pages (all new cards clean).
     pub(crate) fn ensure_pages(&mut self, pages: usize) {
         if pages > self.pages {
@@ -34,7 +28,7 @@ impl CardTable {
 
     /// Number of pages the table covers.
     #[inline]
-    pub fn page_span(&self) -> usize {
+    pub(crate) fn page_span(&self) -> usize {
         self.pages
     }
 
@@ -47,21 +41,13 @@ impl CardTable {
         }
     }
 
-    /// Whether page `pid` is dirty.
-    #[inline]
-    pub fn is_dirty(&self, pid: u32) -> bool {
-        self.words
-            .get(pid as usize / 64)
-            .is_some_and(|w| w >> (pid % 64) & 1 != 0)
-    }
-
     /// Number of dirty cards.
     pub fn dirty_count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates dirty page ids in ascending order.
-    pub fn dirty_pages(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn dirty_pages(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
@@ -88,40 +74,37 @@ mod tests {
 
     #[test]
     fn dirty_and_clear_round_trip() {
-        let mut cards = CardTable::new();
+        let mut cards = CardTable::default();
         cards.ensure_pages(130);
         assert_eq!(cards.page_span(), 130);
         assert_eq!(cards.dirty_count(), 0);
         cards.dirty(0);
         cards.dirty(65);
         cards.dirty(129);
-        assert!(cards.is_dirty(0));
-        assert!(cards.is_dirty(65));
-        assert!(!cards.is_dirty(64));
         assert_eq!(cards.dirty_count(), 3);
         let dirty: Vec<u32> = cards.dirty_pages().collect();
         assert_eq!(dirty, vec![0, 65, 129], "ascending page order");
         cards.clear();
         assert_eq!(cards.dirty_count(), 0);
-        assert!(!cards.is_dirty(0));
+        assert_eq!(cards.dirty_pages().count(), 0);
     }
 
     #[test]
     fn ensure_is_monotonic_and_preserves_dirt() {
-        let mut cards = CardTable::new();
+        let mut cards = CardTable::default();
         cards.ensure_pages(2);
         cards.dirty(1);
         cards.ensure_pages(1); // shrinking request is a no-op
         assert_eq!(cards.page_span(), 2);
         cards.ensure_pages(200);
-        assert!(cards.is_dirty(1), "growth keeps existing dirt");
-        assert!(!cards.is_dirty(199));
+        let dirty: Vec<u32> = cards.dirty_pages().collect();
+        assert_eq!(dirty, vec![1], "growth keeps existing dirt");
     }
 
     #[test]
     fn out_of_range_queries_are_clean() {
-        let cards = CardTable::new();
-        assert!(!cards.is_dirty(7));
+        let mut cards = CardTable::default();
+        cards.dirty(7); // beyond the covered pages: ignored
         assert_eq!(cards.dirty_pages().count(), 0);
     }
 }

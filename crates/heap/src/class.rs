@@ -5,16 +5,17 @@ use std::fmt;
 
 /// Identifier of a registered class.
 ///
-/// Minted by [`TypeRegistry::register`]; cheap to copy and compare.
+/// Minted by [`Heap::register_class`](crate::Heap::register_class); cheap
+/// to copy and compare.
 ///
 /// # Example
 ///
 /// ```
-/// use gca_heap::TypeRegistry;
+/// use gca_heap::Heap;
 ///
-/// let mut reg = TypeRegistry::new();
-/// let order = reg.register("Order", &["customer", "items"]);
-/// assert_eq!(reg.name(order), "Order");
+/// let mut heap = Heap::new();
+/// let order = heap.register_class("Order", &["customer", "items"]);
+/// assert_eq!(heap.registry().name(order), "Order");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClassId(u32);
@@ -55,13 +56,6 @@ impl ClassInfo {
         &self.name
     }
 
-    /// Declared reference-field names. Instances may carry more reference
-    /// slots than declared names (arrays and ad-hoc payloads); extra slots
-    /// print as `[i]`.
-    pub fn field_names(&self) -> &[String] {
-        &self.field_names
-    }
-
     /// Human-readable name of reference field `index`.
     pub fn field_name(&self, index: usize) -> String {
         match self.field_names.get(index) {
@@ -93,7 +87,7 @@ impl TypeRegistry {
 
     /// Registers a class, returning its id. Registering a name twice
     /// returns the existing id (class loading is idempotent here).
-    pub fn register(&mut self, name: &str, field_names: &[&str]) -> ClassId {
+    pub(crate) fn register(&mut self, name: &str, field_names: &[&str]) -> ClassId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
@@ -157,12 +151,6 @@ impl TypeRegistry {
         }
     }
 
-    /// Stops tracking `id`.
-    pub fn untrack_instances(&mut self, id: ClassId) {
-        self.info_mut(id).instance_limit = None;
-        self.tracked.retain(|&t| t != id);
-    }
-
     /// Returns `true` if `id` is in the tracked side list.
     pub fn is_tracked(&self, id: ClassId) -> bool {
         self.info(id).instance_limit.is_some()
@@ -224,7 +212,7 @@ mod tests {
         let a = reg.register("A", &["head"]);
         assert_eq!(reg.info(a).field_name(0), "head");
         assert_eq!(reg.info(a).field_name(3), "[3]");
-        assert_eq!(reg.info(a).field_names().len(), 1);
+        assert_eq!(reg.info(a).field_names.len(), 1);
     }
 
     #[test]
@@ -243,10 +231,6 @@ mod tests {
         reg.track_instances(a, 5);
         assert_eq!(reg.tracked(), &[a, b]);
         assert_eq!(reg.info(a).instance_limit, Some(5));
-
-        reg.untrack_instances(a);
-        assert!(!reg.is_tracked(a));
-        assert_eq!(reg.tracked(), &[b]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
-use std::sync::atomic::{AtomicU16, Ordering};
 
 /// Header flag bits for a heap object.
 ///
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicU16, Ordering};
 /// f |= Flags::MARK | Flags::DEAD;
 /// assert!(f.contains(Flags::MARK));
 /// assert!(f.contains(Flags::DEAD));
-/// let f = f.without(Flags::MARK);
+/// let f = f & !Flags::MARK;
 /// assert!(!f.contains(Flags::MARK));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,20 +84,6 @@ impl Flags {
         self.0 & other.0 != 0
     }
 
-    /// Returns `self` with the bits of `other` cleared.
-    #[inline]
-    #[must_use]
-    pub fn without(self, other: Flags) -> Flags {
-        Flags(self.0 & !other.0)
-    }
-
-    /// Returns `self` with the bits of `other` set.
-    #[inline]
-    #[must_use]
-    pub fn with(self, other: Flags) -> Flags {
-        Flags(self.0 | other.0)
-    }
-
     /// Returns `true` if no bit is set.
     #[inline]
     pub fn is_empty(self) -> bool {
@@ -107,7 +92,7 @@ impl Flags {
 
     /// Raw bit pattern, for debugging.
     #[inline]
-    pub fn bits(self) -> u16 {
+    pub(crate) fn bits(self) -> u16 {
         self.0
     }
 
@@ -183,66 +168,6 @@ impl fmt::Binary for Flags {
     }
 }
 
-/// Atomically updatable header flags — the storage form of [`Flags`]
-/// inside an object header.
-///
-/// The parallel mark phase lets N tracer workers race to set
-/// [`Flags::MARK`] (and the assertion engine's per-GC bits) on shared
-/// objects; `fetch_set` returns the *previous* bits so exactly one winner
-/// observes the transition (the paper's "check and set the mark bit"
-/// step, made into a single RMW).
-///
-/// All operations use relaxed ordering: collection is stop-the-world, the
-/// object graph is immutable while tracing, and per-worker results are
-/// merged after `std::thread::scope` joins (which synchronizes
-/// everything); the bits carry no release/acquire payload of their own.
-#[derive(Debug, Default)]
-pub struct AtomicFlags(AtomicU16);
-
-impl AtomicFlags {
-    /// No bits set.
-    pub const fn empty() -> AtomicFlags {
-        AtomicFlags(AtomicU16::new(0))
-    }
-
-    /// Current bits as a value-type [`Flags`].
-    #[inline]
-    pub fn load(&self) -> Flags {
-        Flags(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Sets `bits`, returning the bits held *before* the update. The
-    /// caller that sees `!previous.contains(bit)` is the unique setter.
-    #[inline]
-    pub fn fetch_set(&self, bits: Flags) -> Flags {
-        Flags(self.0.fetch_or(bits.0, Ordering::Relaxed))
-    }
-
-    /// Clears `bits`, returning the bits held before the update.
-    #[inline]
-    pub fn fetch_clear(&self, bits: Flags) -> Flags {
-        Flags(self.0.fetch_and(!bits.0, Ordering::Relaxed))
-    }
-
-    /// Tests whether all of `bits` are currently set.
-    #[inline]
-    pub fn contains(&self, bits: Flags) -> bool {
-        self.load().contains(bits)
-    }
-}
-
-impl Clone for AtomicFlags {
-    fn clone(&self) -> AtomicFlags {
-        AtomicFlags(AtomicU16::new(self.load().0))
-    }
-}
-
-impl From<Flags> for AtomicFlags {
-    fn from(f: Flags) -> AtomicFlags {
-        AtomicFlags(AtomicU16::new(f.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,9 +188,9 @@ mod tests {
         assert!(f.contains(Flags::DEAD));
         assert!(f.intersects(Flags::DEAD | Flags::MARK));
         assert!(!f.contains(Flags::DEAD | Flags::MARK));
-        f = f.with(Flags::MARK);
+        f |= Flags::MARK;
         assert!(f.contains(Flags::DEAD | Flags::MARK));
-        f = f.without(Flags::DEAD);
+        f = f & !Flags::DEAD;
         assert!(!f.contains(Flags::DEAD));
         assert!(f.contains(Flags::MARK));
     }
@@ -299,31 +224,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn atomic_fetch_set_reports_previous_bits() {
-        let f = AtomicFlags::empty();
-        let prev = f.fetch_set(Flags::MARK);
-        assert!(prev.is_empty(), "first setter sees the bit clear");
-        let prev = f.fetch_set(Flags::MARK | Flags::DEAD);
-        assert!(prev.contains(Flags::MARK), "second setter sees it set");
-        assert!(!prev.contains(Flags::DEAD));
-        assert!(f.contains(Flags::MARK | Flags::DEAD));
-        let prev = f.fetch_clear(Flags::MARK);
-        assert!(prev.contains(Flags::MARK));
-        assert!(!f.contains(Flags::MARK));
-        assert!(f.contains(Flags::DEAD));
-    }
-
-    #[test]
-    fn atomic_clone_and_from_snapshot_bits() {
-        let f = AtomicFlags::from(Flags::OWNEE | Flags::OWNER);
-        let g = f.clone();
-        f.fetch_set(Flags::MARK);
-        assert!(f.contains(Flags::MARK));
-        assert!(!g.contains(Flags::MARK), "clone is an independent cell");
-        assert_eq!(g.load(), Flags::OWNEE | Flags::OWNER);
     }
 
     #[test]

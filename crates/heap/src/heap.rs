@@ -1,16 +1,17 @@
 //! The heap: BiBOP page-table storage behind a pluggable space backend.
 
 use crate::pages::{slots_of, PageMeta, PageTable, PAGE_SHIFT, PAGE_SLOTS};
+use crate::spaces::SemiSpaces;
 use crate::{
-    CardTable, ClassId, Flags, HeapError, HeapSpace, HeapStats, ObjRef, Object, SemiSpaces,
-    SpaceKind, TypeRegistry,
+    CardTable, ClassId, Flags, HeapError, HeapSpace, HeapStats, ObjRef, Object, SpaceKind,
+    TypeRegistry,
 };
 
 /// A heap of [`Object`]s stored in Big-Bag-of-Pages size-class pages.
 ///
 /// This is the substrate the collector and assertion engine operate on —
 /// the analogue of Jikes RVM's MarkSweep space. Object storage always
-/// lives in the [`PageTable`]: indices are stable, per-slot generations
+/// lives in the page table: indices are stable, per-slot generations
 /// are bumped on [`Heap::free`] so stale [`ObjRef`]s are detected, and
 /// all per-object flags live in per-page side bit-planes rather than
 /// object headers, so the mark and sweep loops work on whole 64-slot
@@ -89,11 +90,6 @@ impl Heap {
     /// Mutable access to the type registry.
     pub fn registry_mut(&mut self) -> &mut TypeRegistry {
         &mut self.registry
-    }
-
-    /// Convenience: the name of a class.
-    pub fn class_name(&self, class: ClassId) -> &str {
-        self.registry.name(class)
     }
 
     /// Allocates an object of `class` with `nrefs` reference fields and a
@@ -198,7 +194,7 @@ impl Heap {
     ///
     /// See [`Heap::free`] for the reference-validity errors.
     #[inline]
-    pub fn get_mut(&mut self, r: ObjRef) -> Result<&mut Object, HeapError> {
+    pub(crate) fn get_mut(&mut self, r: ObjRef) -> Result<&mut Object, HeapError> {
         self.check(r)?;
         Ok(self.table.object_mut(r.index()))
     }
@@ -1049,16 +1045,18 @@ mod tests {
             "allocation leaves cards clean"
         );
         heap.set_ref_field(a, 0, big).unwrap();
-        assert!(heap.cards().is_dirty(a.index() >> PAGE_SHIFT));
-        assert!(
-            !heap.cards().is_dirty(big.index() >> PAGE_SHIFT),
+        let dirty: Vec<u32> = heap.cards().dirty_pages().collect();
+        assert_eq!(
+            dirty,
+            vec![a.index() >> PAGE_SHIFT],
             "only the *source* page is dirtied"
         );
         heap.clear_cards();
         assert_eq!(heap.cards().dirty_count(), 0);
         // A null store still dirties (the barrier is unconditional).
         heap.set_ref_field(a, 0, ObjRef::NULL).unwrap();
-        assert!(heap.cards().is_dirty(a.index() >> PAGE_SHIFT));
+        let dirty: Vec<u32> = heap.cards().dirty_pages().collect();
+        assert_eq!(dirty, vec![a.index() >> PAGE_SHIFT]);
     }
 
     #[test]

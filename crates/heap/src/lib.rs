@@ -53,7 +53,7 @@
 //! let n = heap.alloc(node, 2, 4)?;
 //! heap.set_ref_field(l, 0, n)?;
 //! assert_eq!(heap.ref_field(l, 0)?, n);
-//! assert_eq!(heap.class_name(heap.class_of(n)?), "Node");
+//! assert_eq!(heap.registry().name(heap.class_of(n)?), "Node");
 //! # Ok(())
 //! # }
 //! ```
@@ -77,13 +77,10 @@ mod stats;
 pub use cards::CardTable;
 pub use class::{ClassId, ClassInfo, TypeRegistry};
 pub use error::HeapError;
-pub use flags::{AtomicFlags, Flags};
+pub use flags::Flags;
 pub use heap::{Heap, LiveIter};
 pub use object::{Object, HEADER_WORDS};
 pub use objref::ObjRef;
-pub use pages::{
-    slots_of, PageMeta, PageTable, LOS_THRESHOLD, PAGE_SHIFT, PAGE_SLOTS, SIZE_CLASSES,
-};
+pub use pages::{slots_of, PageMeta, LOS_THRESHOLD, PAGE_SLOTS, SIZE_CLASSES};
 pub use space::{HeapSpace, SpaceKind};
-pub use spaces::SemiSpaces;
 pub use stats::HeapStats;

@@ -55,13 +55,13 @@ impl Object {
 
     /// Size of the data payload, in words.
     #[inline]
-    pub fn data_words(&self) -> usize {
+    pub(crate) fn data_words(&self) -> usize {
         self.data.len()
     }
 
     /// The data payload.
     #[inline]
-    pub fn data(&self) -> &[u64] {
+    pub(crate) fn data(&self) -> &[u64] {
         &self.data
     }
 

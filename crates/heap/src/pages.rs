@@ -33,7 +33,7 @@ pub const PAGE_SLOTS: usize = 64;
 
 /// log2 of [`PAGE_SLOTS`]: object index `i` lives in page `i >> PAGE_SHIFT`
 /// at slot `i & (PAGE_SLOTS - 1)`.
-pub const PAGE_SHIFT: u32 = 6;
+pub(crate) const PAGE_SHIFT: u32 = 6;
 
 /// The size classes, in words per slot. An object is binned into the
 /// smallest class that fits its [`Object::size_words`] footprint; anything
@@ -331,35 +331,10 @@ impl<'a> PageMeta<'a> {
         PageMeta { page, pid }
     }
 
-    /// The page id; object index = `id * PAGE_SLOTS + slot`.
-    #[inline]
-    pub fn id(&self) -> u32 {
-        self.pid
-    }
-
-    /// Slot size in words (the size class, or the exact footprint for a
-    /// large-object page).
-    #[inline]
-    pub fn slot_words(&self) -> usize {
-        self.page.class_words
-    }
-
     /// Usable slots in this page (1 for a large-object page).
     #[inline]
     pub fn capacity(&self) -> u32 {
         self.page.capacity
-    }
-
-    /// Whether this is a large-object page.
-    #[inline]
-    pub fn is_los(&self) -> bool {
-        self.page.class_index.is_none()
-    }
-
-    /// Base address of the page's slot storage.
-    #[inline]
-    pub fn base_address(&self) -> u64 {
-        self.page.base
     }
 
     /// Bump pointer: slots below it have been allocated at least once.
@@ -372,12 +347,6 @@ impl<'a> PageMeta<'a> {
     #[inline]
     pub fn live_mask(&self) -> u64 {
         self.page.live_mask
-    }
-
-    /// Bitmap of reclaimed slots awaiting reuse.
-    #[inline]
-    pub fn free_mask(&self) -> u64 {
-        self.page.free_mask
     }
 
     /// The side-bitmap word of `bits`: bit `s` is set when slot `s` holds
@@ -409,7 +378,7 @@ impl<'a> PageMeta<'a> {
 /// copying backend, which only re-maps their *addresses*. That is what
 /// keeps [`ObjRef`] handles relocation-stable.
 #[derive(Debug)]
-pub struct PageTable {
+pub(crate) struct PageTable {
     pages: Vec<Page>,
     /// Per-size-class LIFO stacks of pages with free capacity.
     avail: [Vec<u32>; SIZE_CLASSES.len()],
@@ -788,5 +757,20 @@ impl PageTable {
             ));
         }
         problems
+    }
+}
+
+/// What the size-class tests observe of a page; nothing else reads it.
+#[cfg(test)]
+impl PageMeta<'_> {
+    /// Slot size in words (the size class, or the exact footprint for a
+    /// large-object page).
+    pub(crate) fn slot_words(&self) -> usize {
+        self.page.class_words
+    }
+
+    /// Whether this is a large-object page.
+    pub(crate) fn is_los(&self) -> bool {
+        self.page.class_index.is_none()
     }
 }

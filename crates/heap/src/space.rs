@@ -30,7 +30,6 @@
 //!    non-moving backends).
 
 use crate::pages::PageTable;
-use crate::spaces::SemiSpaces;
 
 /// Which space layout a heap was built with. Selected once at
 /// construction ([`Heap::with_space`](crate::Heap::with_space)); the VM
@@ -133,43 +132,10 @@ impl HeapSpace for PageTable {
     }
 }
 
-impl HeapSpace for SemiSpaces {
-    fn kind(&self) -> SpaceKind {
-        SpaceKind::Semispace
-    }
-
-    fn address_of(&self, index: u32) -> Option<u64> {
-        SemiSpaces::address_of(self, index as usize)
-    }
-
-    fn flips(&self) -> u64 {
-        SemiSpaces::flips(self)
-    }
-
-    fn evacuated_objects(&self) -> u64 {
-        SemiSpaces::evacuated_objects(self)
-    }
-
-    fn evacuated_words(&self) -> u64 {
-        SemiSpaces::evacuated_words(self)
-    }
-
-    fn from_space_used(&self) -> u64 {
-        SemiSpaces::from_space_used(self)
-    }
-
-    fn verify_layout(&self, resident: &[(u32, usize)]) -> Vec<String> {
-        let slots: Vec<(usize, usize)> = resident
-            .iter()
-            .map(|&(index, words)| (index as usize, words))
-            .collect();
-        self.verify(&slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spaces::SemiSpaces;
 
     #[test]
     fn kind_display_names() {

@@ -13,6 +13,8 @@
 //! model hands out handles through a moving-GC-aware indirection; our
 //! generation-checked slot index plays that role).
 
+use crate::{HeapSpace, SpaceKind};
+
 /// Sentinel for "this slot has no address" (not resident / reclaimed).
 const NO_ADDR: u64 = u64::MAX;
 
@@ -25,7 +27,7 @@ const SPACE_B_BASE: u64 = 3 << 40;
 /// From/to space address bookkeeping for the semispace copying backend.
 ///
 /// Owned by the [`Heap`](crate::Heap) (enabled via
-/// [`Heap::enable_copy_spaces`](crate::Heap::enable_copy_spaces)) so that
+/// [`Heap::with_space`](crate::Heap::with_space)) so that
 /// ordinary allocation and reclamation maintain it automatically:
 ///
 /// * [`SemiSpaces::note_alloc`] bump-allocates an address in from-space;
@@ -37,25 +39,31 @@ const SPACE_B_BASE: u64 = 3 << 40;
 ///
 /// # Example
 ///
+/// The heap drives it through its `evac_*` calls:
+///
 /// ```
-/// use gca_heap::SemiSpaces;
+/// use gca_heap::{Heap, SpaceKind};
 ///
-/// let mut spaces = SemiSpaces::new();
-/// spaces.note_alloc(0, 4);
-/// spaces.note_alloc(1, 2);
-/// let before = spaces.address_of(0).unwrap();
+/// # fn main() -> Result<(), gca_heap::HeapError> {
+/// let mut heap = Heap::with_space(SpaceKind::Semispace);
+/// let c = heap.register_class("T", &[]);
+/// let kept = heap.alloc(c, 0, 2)?;
+/// let garbage = heap.alloc(c, 0, 0)?;
+/// let before = heap.space().address_of(kept.index()).unwrap();
 ///
-/// spaces.begin_gc();
-/// spaces.forward(0, 4); // slot 0 survives; slot 1 is garbage
-/// spaces.finish_gc();
+/// heap.evac_begin();
+/// heap.evac_forward(kept)?; // `kept` survives; `garbage` does not
+/// heap.evac_finish();
 ///
-/// let after = spaces.address_of(0).unwrap();
+/// let after = heap.space().address_of(kept.index()).unwrap();
 /// assert_ne!(before, after, "survivor was relocated");
-/// assert!(spaces.address_of(1).is_none(), "garbage lost its address");
-/// assert_eq!(spaces.flips(), 1);
+/// assert!(heap.space().address_of(garbage.index()).is_none(), "garbage lost it");
+/// assert_eq!(heap.space().flips(), 1);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug)]
-pub struct SemiSpaces {
+pub(crate) struct SemiSpaces {
     /// Base address of the current from-space (where resident objects live).
     from_base: u64,
     /// Base address of the current to-space (evacuation target during GC).
@@ -88,7 +96,7 @@ impl Default for SemiSpaces {
 
 impl SemiSpaces {
     /// Creates an empty pair of semispaces.
-    pub fn new() -> SemiSpaces {
+    pub(crate) fn new() -> SemiSpaces {
         SemiSpaces {
             from_base: SPACE_A_BASE,
             to_base: SPACE_B_BASE,
@@ -114,7 +122,7 @@ impl SemiSpaces {
 
     /// Records a fresh allocation in `slot` of `words` words: the object is
     /// bump-allocated at the end of the current from-space.
-    pub fn note_alloc(&mut self, slot: usize, words: usize) {
+    pub(crate) fn note_alloc(&mut self, slot: usize, words: usize) {
         self.ensure_slot(slot);
         debug_assert_eq!(
             self.addr[slot], NO_ADDR,
@@ -127,7 +135,7 @@ impl SemiSpaces {
 
     /// Records that `slot` was reclaimed. Its from-space extent becomes a
     /// hole; holes are squeezed out at the next evacuation.
-    pub fn note_free(&mut self, slot: usize) {
+    pub(crate) fn note_free(&mut self, slot: usize) {
         if slot < self.addr.len() {
             self.addr[slot] = NO_ADDR;
             self.size[slot] = 0;
@@ -135,7 +143,7 @@ impl SemiSpaces {
     }
 
     /// The current address of the object in `slot`, if resident.
-    pub fn address_of(&self, slot: usize) -> Option<u64> {
+    pub(crate) fn address_of(&self, slot: usize) -> Option<u64> {
         match self.addr.get(slot) {
             Some(&a) if a != NO_ADDR => Some(a),
             _ => None,
@@ -148,7 +156,7 @@ impl SemiSpaces {
     /// # Panics
     ///
     /// If a GC is already in progress.
-    pub fn begin_gc(&mut self) {
+    pub(crate) fn begin_gc(&mut self) {
         assert!(!self.in_gc, "begin_gc called twice without finish_gc");
         self.in_gc = true;
         self.to_bump = 0;
@@ -166,7 +174,7 @@ impl SemiSpaces {
     ///
     /// If no GC is in progress, the slot is not resident, or the slot was
     /// already forwarded this cycle.
-    pub fn forward(&mut self, slot: usize, words: usize) -> u64 {
+    pub(crate) fn forward(&mut self, slot: usize, words: usize) -> u64 {
         assert!(self.in_gc, "forward outside begin_gc/finish_gc");
         self.ensure_slot(slot);
         assert!(
@@ -186,16 +194,11 @@ impl SemiSpaces {
     }
 
     /// The forwarding address installed for `slot` this cycle, if any.
-    pub fn forwarding_of(&self, slot: usize) -> Option<u64> {
+    pub(crate) fn forwarding_of(&self, slot: usize) -> Option<u64> {
         match self.fwd.get(slot) {
             Some(&f) if f != NO_ADDR => Some(f),
             _ => None,
         }
-    }
-
-    /// Whether `slot` has been forwarded this cycle.
-    pub fn is_forwarded(&self, slot: usize) -> bool {
-        self.forwarding_of(slot).is_some()
     }
 
     /// Completes the evacuation: survivors take their forwarding address,
@@ -205,7 +208,7 @@ impl SemiSpaces {
     /// # Panics
     ///
     /// If no GC is in progress.
-    pub fn finish_gc(&mut self) {
+    pub(crate) fn finish_gc(&mut self) {
         assert!(self.in_gc, "finish_gc without begin_gc");
         for slot in 0..self.addr.len() {
             if self.fwd[slot] != NO_ADDR {
@@ -223,38 +226,12 @@ impl SemiSpaces {
         self.flips += 1;
     }
 
-    /// Number of completed space flips.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Cumulative objects evacuated across all flips.
-    pub fn evacuated_objects(&self) -> u64 {
-        self.evacuated_objects
-    }
-
-    /// Cumulative words evacuated across all flips.
-    pub fn evacuated_words(&self) -> u64 {
-        self.evacuated_words
-    }
-
-    /// Words currently bump-allocated in from-space (live data plus any
-    /// holes left by frees since the last flip).
-    pub fn from_space_used(&self) -> u64 {
-        self.from_bump
-    }
-
-    /// Base address of the current from-space.
-    pub fn from_base(&self) -> u64 {
-        self.from_base
-    }
-
     /// Checks the address-space invariants against a set of resident slots
     /// given as `(slot, words)` pairs, returning human-readable problems
     /// (empty = healthy): every resident slot has an address inside the
     /// current from-space, extents do not overlap, and no non-resident
     /// slot has an address.
-    pub fn verify(&self, resident: &[(usize, usize)]) -> Vec<String> {
+    pub(crate) fn verify(&self, resident: &[(usize, usize)]) -> Vec<String> {
         let mut problems = Vec::new();
         let mut extents: Vec<(u64, u64, usize)> = Vec::new();
         let mut seen = vec![false; self.addr.len()];
@@ -294,6 +271,41 @@ impl SemiSpaces {
     }
 }
 
+impl HeapSpace for SemiSpaces {
+    fn kind(&self) -> SpaceKind {
+        SpaceKind::Semispace
+    }
+
+    fn address_of(&self, index: u32) -> Option<u64> {
+        SemiSpaces::address_of(self, index as usize)
+    }
+
+    fn flips(&self) -> u64 {
+        self.flips
+    }
+
+    fn evacuated_objects(&self) -> u64 {
+        self.evacuated_objects
+    }
+
+    fn evacuated_words(&self) -> u64 {
+        self.evacuated_words
+    }
+
+    /// Live data plus any holes left by frees since the last flip.
+    fn from_space_used(&self) -> u64 {
+        self.from_bump
+    }
+
+    fn verify_layout(&self, resident: &[(u32, usize)]) -> Vec<String> {
+        let slots: Vec<(usize, usize)> = resident
+            .iter()
+            .map(|&(index, words)| (index as usize, words))
+            .collect();
+        self.verify(&slots)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,7 +330,7 @@ mod tests {
         s.note_alloc(0, 4);
         s.note_alloc(1, 2);
         s.note_alloc(2, 8);
-        let old_base = s.from_base();
+        let old_base = s.from_base;
 
         s.begin_gc();
         // Slot 1 dies; 2 is evacuated before 0 (traversal order, not slot
@@ -326,11 +338,11 @@ mod tests {
         let f2 = s.forward(2, 8);
         let f0 = s.forward(0, 4);
         assert_eq!(f0, f2 + 8, "to-space is bump-allocated in copy order");
-        assert!(s.is_forwarded(2));
-        assert!(!s.is_forwarded(1));
+        assert!(s.forwarding_of(2).is_some());
+        assert!(s.forwarding_of(1).is_none());
         s.finish_gc();
 
-        assert_ne!(s.from_base(), old_base, "spaces flipped");
+        assert_ne!(s.from_base, old_base, "spaces flipped");
         assert_eq!(s.address_of(2), Some(f2));
         assert_eq!(s.address_of(0), Some(f0));
         assert_eq!(s.address_of(1), None);
@@ -371,7 +383,7 @@ mod tests {
         assert_eq!(s.address_of(0), None);
         s.note_alloc(0, 2);
         let a = s.address_of(0).unwrap();
-        assert_eq!(a, s.from_base());
+        assert_eq!(a, s.from_base);
     }
 
     #[test]
@@ -395,17 +407,17 @@ mod tests {
     #[test]
     fn two_flips_alternate_spaces() {
         let mut s = SemiSpaces::new();
-        let base_a = s.from_base();
+        let base_a = s.from_base;
         s.note_alloc(0, 4);
         s.begin_gc();
         s.forward(0, 4);
         s.finish_gc();
-        let base_b = s.from_base();
+        let base_b = s.from_base;
         assert_ne!(base_a, base_b);
         s.begin_gc();
         s.forward(0, 4);
         s.finish_gc();
-        assert_eq!(s.from_base(), base_a, "second flip returns to space A");
+        assert_eq!(s.from_base, base_a, "second flip returns to space A");
         assert_eq!(s.flips(), 2);
     }
 }

@@ -20,13 +20,6 @@ pub struct HeapStats {
     pub peak_occupied_words: usize,
 }
 
-impl HeapStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> HeapStats {
-        HeapStats::default()
-    }
-}
-
 impl fmt::Display for HeapStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -47,7 +40,7 @@ mod tests {
 
     #[test]
     fn default_is_zero() {
-        let s = HeapStats::new();
+        let s = HeapStats::default();
         assert_eq!(s.allocations, 0);
         assert_eq!(s.peak_occupied_words, 0);
     }

@@ -6,8 +6,9 @@
 #
 #   run.sh           for every patch, in one scratch git worktree of HEAD
 #                    (target/mutants/tree, reused so builds stay
-#                    incremental): apply it, run `modelcheck --k 1`, run
-#                    Tier-1 (`cargo test -q --workspace`) only if
+#                    incremental): apply it, run the per-PR model-check
+#                    gate (`modelcheck --k 1`, then `--scope 1,1,1,1,2,1`),
+#                    run Tier-1 (`cargo test -q --workspace`) only if
 #                    modelcheck missed, revert. Prints the kill matrix and
 #                    writes it to target/mutants/kill-matrix.md.
 #   run.sh --check   only `git apply --check` every patch against the
@@ -15,8 +16,8 @@
 #
 # Exits non-zero if a patch does not apply or does not build, or if a
 # mutant survives both gates without an `Expected: survives` header line
-# saying which op the k = 1 language lacks. A gate that times out counts
-# as a kill. The caller's working tree is never modified.
+# saying which op the model-check language lacks. A gate that times out
+# counts as a kill. The caller's working tree is never modified.
 set -euo pipefail
 
 here=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
@@ -90,14 +91,16 @@ culprit() {
 }
 
 mc_build='cargo build --offline --profile mcheck -p gca-modelcheck --bin modelcheck -q'
-mc_run='cargo run --offline --profile mcheck -p gca-modelcheck --bin modelcheck -q -- --k 1'
+# The same two scopes as CI's per-PR "Model-check gate" step.
+mc_bin='cargo run --offline --profile mcheck -p gca-modelcheck --bin modelcheck -q --'
+mc_run="$mc_bin --k 1 && $mc_bin --scope 1,1,1,1,2,1"
 t1_build='cargo test --offline -q --workspace --no-run'
 t1_run='cargo test --offline -q --workspace'
 
 status=0
 total_start=$(date +%s)
 {
-    echo "| mutant | expected | modelcheck --k 1 | Tier-1 | killed by |"
+    echo "| mutant | expected | modelcheck | Tier-1 | killed by |"
     echo "|---|---|---|---|---|"
 } | tee "$matrix"
 for p in "${patches[@]}"; do

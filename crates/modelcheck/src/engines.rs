@@ -27,7 +27,7 @@ use crate::program::{run_program, FuzzOp, Outcome};
 /// Heap budget for model-check runs: generous enough that no *implicit*
 /// (allocation-pressure) collection ever fires, so the GC points of a
 /// program are exactly its enumerated `Collect`/`MinorGc` ops and the
-/// shadow-state simulation in [`crate::enumerate`] stays exact.
+/// shadow-state simulation behind [`explore`](crate::explore) stays exact.
 pub const MODEL_HEAP_WORDS: usize = 1 << 16;
 
 /// One engine configuration of the matrix.

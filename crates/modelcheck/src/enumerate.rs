@@ -52,8 +52,9 @@ const LIMITS: [u32; 2] = [0, 1];
 /// Per-op-kind budgets bounding the enumerated programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scope {
-    /// Small-object allocations (both size classes; region and ownership
-    /// allocations are charged here too).
+    /// Small-object allocations (both size classes; region allocations
+    /// are charged here too, and an ownership pair counts as one
+    /// allocation, so scope k = 1 reaches `assert-ownedby`).
     pub objects: usize,
     /// Large-object allocations.
     pub large: usize,
@@ -106,7 +107,7 @@ pub struct Report {
 pub struct Counterexample {
     /// Length of the program as first discovered.
     pub original_len: usize,
-    /// The 1-minimal op sequence (see [`crate::shrink::shrink_ops`]).
+    /// The 1-minimal op sequence (see [`minimize_counterexample`]).
     pub ops: Vec<FuzzOp>,
     /// The failure the minimized program still exhibits.
     pub error: CheckError,
@@ -486,7 +487,7 @@ impl Budgets {
             FuzzOp::Region { len, .. } => {
                 take(&mut b.asserts, 1) && take(&mut b.objects, (len % 4) + 1)
             }
-            FuzzOp::OwnPair => take(&mut b.asserts, 1) && take(&mut b.objects, 2),
+            FuzzOp::OwnPair => take(&mut b.asserts, 1) && take(&mut b.objects, 1),
         };
         ok.then_some(b)
     }
@@ -618,8 +619,6 @@ fn candidates(shadow: &Shadow, budgets: &Budgets) -> Vec<FuzzOp> {
             for leak in [false, true] {
                 out.push(FuzzOp::Region { len: 0, leak });
             }
-        }
-        if budgets.objects >= 2 {
             out.push(FuzzOp::OwnPair);
         }
     }
@@ -706,7 +705,7 @@ pub fn minimize_counterexample(matrix: &[EngineSpec], ops: &[FuzzOp]) -> Counter
 
 /// Exhaustively checks every program within `scope` against `matrix`.
 /// Stops at the first failure and returns it minimized.
-pub fn explore_with(matrix: &[EngineSpec], scope: &Scope) -> Report {
+pub(crate) fn explore_with(matrix: &[EngineSpec], scope: &Scope) -> Report {
     let mut walk = Walk {
         matrix,
         memo: HashSet::new(),
@@ -731,7 +730,7 @@ pub fn explore_with(matrix: &[EngineSpec], scope: &Scope) -> Report {
     }
 }
 
-/// [`explore_with`] against the full [`engine_matrix`].
+/// Explores `scope` against the full [`engine_matrix`].
 pub fn explore(scope: &Scope) -> Report {
     explore_with(&engine_matrix(), scope)
 }

@@ -15,7 +15,10 @@ use crate::program::FuzzOp;
 ///
 /// The result is 1-minimal: removing any single remaining op makes the
 /// failure disappear.
-pub fn shrink_ops<F: FnMut(&[FuzzOp]) -> bool>(ops: &[FuzzOp], mut still_fails: F) -> Vec<FuzzOp> {
+pub(crate) fn shrink_ops<F: FnMut(&[FuzzOp]) -> bool>(
+    ops: &[FuzzOp],
+    mut still_fails: F,
+) -> Vec<FuzzOp> {
     let mut current: Vec<FuzzOp> = ops.to_vec();
 
     // Chunked pass: try dropping contiguous halves, quarters, ...

@@ -52,7 +52,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// The diagnostic's source location, for the shared renderer.
-    pub fn location(&self) -> SourceLocation {
+    pub(crate) fn location(&self) -> SourceLocation {
         SourceLocation {
             line: self.line,
             column: self.column,

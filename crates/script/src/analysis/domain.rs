@@ -107,7 +107,13 @@ pub(crate) struct AbsObj {
 
 impl AbsObj {
     /// A freshly allocated object: live, every flag clear, fields null.
-    pub fn new(class: usize, var: &str, line: usize, nrefs: usize, data_words: usize) -> AbsObj {
+    pub(crate) fn new(
+        class: usize,
+        var: &str,
+        line: usize,
+        nrefs: usize,
+        data_words: usize,
+    ) -> AbsObj {
         AbsObj {
             class,
             site_var: var.to_owned(),
@@ -134,7 +140,7 @@ impl AbsObj {
     }
 
     /// Total heap words the object occupies.
-    pub fn total_words(&self) -> usize {
+    pub(crate) fn total_words(&self) -> usize {
         HEADER_WORDS + self.fields.len() + self.size_words
     }
 }
@@ -218,7 +224,7 @@ pub(crate) struct AbsState {
 impl AbsState {
     /// Fresh pre-start state.  The mutator begins with its base frame
     /// already on the stack, mirroring `Mutator::new`.
-    pub fn new() -> AbsState {
+    pub(crate) fn new() -> AbsState {
         AbsState {
             exact: true,
             frames: vec![0],
@@ -227,14 +233,14 @@ impl AbsState {
     }
 
     /// The object bound to `var`, if any.
-    pub fn lookup(&self, var: &str) -> Option<ObjId> {
+    pub(crate) fn lookup(&self, var: &str) -> Option<ObjId> {
         self.vars.get(var).copied()
     }
 
     /// Incoming reference count for `obj`: heap edges from live objects
     /// (weak summary edges included) plus stack roots plus globals.
     /// Drives the `unshared-with-two-stores` lint.
-    pub fn incoming(&self, obj: ObjId) -> usize {
+    pub(crate) fn incoming(&self, obj: ObjId) -> usize {
         let heap_edges = self
             .objects
             .iter()
@@ -255,7 +261,7 @@ impl AbsState {
     }
 
     /// `label (Class, line N)` for messages and abstract paths.
-    pub fn describe(&self, obj: ObjId) -> String {
+    pub(crate) fn describe(&self, obj: ObjId) -> String {
         let o = &self.objects[obj];
         format!(
             "{}: {} (line {})",
@@ -265,7 +271,7 @@ impl AbsState {
 
     /// The roots in the exact order the runtime scans them: globals in
     /// push order, then the mutator stack bottom-up.
-    pub fn gather_roots(&self) -> Vec<ObjId> {
+    pub(crate) fn gather_roots(&self) -> Vec<ObjId> {
         self.globals
             .iter()
             .map(|(g, _)| *g)
@@ -275,7 +281,7 @@ impl AbsState {
 
     /// Root provenance: line where `obj` was most recently rooted (stack
     /// or global), if it is directly rooted right now.
-    pub fn rooted_at(&self, obj: ObjId) -> Option<usize> {
+    pub(crate) fn rooted_at(&self, obj: ObjId) -> Option<usize> {
         self.roots
             .iter()
             .chain(self.globals.iter())

@@ -1,5 +1,4 @@
-//! Machine-readable renderings of [`Analysis`](super::Analysis) and
-//! [`SuggestOutcome`](super::SuggestOutcome) for `gca check --json` and
+//! Machine-readable renderings of [`Analysis`] and [`SuggestOutcome`] for `gca check --json` and
 //! `gca suggest --json`.
 //!
 //! Hand-rolled (the workspace takes no serialization dependency):

@@ -3,9 +3,9 @@
 //! The analyzer runs a flow-sensitive forward interpretation over the
 //! command stream with an abstract heap — an allocation-site points-to
 //! graph tracking variables, ref fields, the root set, region
-//! membership, and incoming-edge multiplicity (see [`domain`]).  At each
+//! membership, and incoming-edge multiplicity (see `domain.rs`).  At each
 //! `gc` it replays the collector's mark/sweep cycle abstractly (see
-//! [`collect`]) and classifies every registered assertion on the verdict
+//! `collect.rs`) and classifies every registered assertion on the verdict
 //! lattice **Safe < May < Must**:
 //!
 //! * **must-violate** (error): the abstract collection proves the
@@ -96,7 +96,7 @@ impl Analysis {
     }
 
     /// Number of diagnostics at `severity`.
-    pub fn count(&self, severity: Severity) -> usize {
+    pub(crate) fn count(&self, severity: Severity) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == severity)

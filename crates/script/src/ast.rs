@@ -513,7 +513,7 @@ pub(crate) struct Blocks {
 }
 
 impl Blocks {
-    pub fn new() -> Blocks {
+    pub(crate) fn new() -> Blocks {
         Blocks {
             recording: None,
             procs: HashMap::new(),
@@ -524,17 +524,17 @@ impl Blocks {
 
     /// Whether a `repeat`/`proc` recording is open — commands fed now
     /// are buffered, not run.
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.recording.is_some()
     }
 
     /// Current dynamic `call` nesting depth.
-    pub fn call_depth(&self) -> usize {
+    pub(crate) fn call_depth(&self) -> usize {
         self.depth
     }
 
     /// Classifies one command against the block structure so far.
-    pub fn feed(&mut self, line: usize, cmd: &Command) -> Result<Step, BlockError> {
+    pub(crate) fn feed(&mut self, line: usize, cmd: &Command) -> Result<Step, BlockError> {
         let fault = |fault| Err(BlockError { line, fault });
         let Some(rec) = &mut self.recording else {
             let kind = match cmd {
@@ -589,7 +589,11 @@ impl Blocks {
 
     /// Enters `call <name>`: `Some(body)` to run (then [`Blocks::exit_call`]),
     /// or `None` at the depth bound, where the call is a no-op.
-    pub fn enter_call(&mut self, line: usize, name: &str) -> Result<Option<Body>, BlockError> {
+    pub(crate) fn enter_call(
+        &mut self,
+        line: usize,
+        name: &str,
+    ) -> Result<Option<Body>, BlockError> {
         let Some(body) = self.procs.get(name) else {
             let fault = BlockFault::UnknownProc(name.to_owned());
             return Err(BlockError { line, fault });
@@ -602,12 +606,12 @@ impl Blocks {
     }
 
     /// Leaves the body entered by the matching [`Blocks::enter_call`].
-    pub fn exit_call(&mut self) {
+    pub(crate) fn exit_call(&mut self) {
         self.depth -= 1;
     }
 
     /// End of script: an open block is an error at its opener's line.
-    pub fn finish(&self) -> Result<(), BlockError> {
+    pub(crate) fn finish(&self) -> Result<(), BlockError> {
         match &self.recording {
             Some(rec) => Err(BlockError {
                 line: rec.line,

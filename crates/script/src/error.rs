@@ -72,7 +72,7 @@ pub struct ScriptError {
 
 impl ScriptError {
     /// Creates an error at `line` with no token information.
-    pub fn new(line: usize, kind: ScriptErrorKind) -> ScriptError {
+    pub(crate) fn new(line: usize, kind: ScriptErrorKind) -> ScriptError {
         ScriptError {
             line,
             kind,
@@ -83,14 +83,18 @@ impl ScriptError {
 
     /// Attaches the offending token (and its 1-based column, when known).
     #[must_use]
-    pub fn with_token(mut self, token: impl Into<String>, column: Option<usize>) -> ScriptError {
+    pub(crate) fn with_token(
+        mut self,
+        token: impl Into<String>,
+        column: Option<usize>,
+    ) -> ScriptError {
         self.token = Some(token.into());
         self.column = column;
         self
     }
 
     /// The error's source location, for the shared renderer.
-    pub fn location(&self) -> SourceLocation {
+    pub(crate) fn location(&self) -> SourceLocation {
         SourceLocation {
             line: self.line,
             column: self.column,

@@ -19,10 +19,10 @@ pub enum Pacing {
 }
 
 /// Virtual-pacing model: nominal service time per request, nanoseconds.
-pub const SERVICE_NS: u64 = 1_000_000;
+pub(crate) const SERVICE_NS: u64 = 1_000_000;
 /// Virtual-pacing model: added pause per major collection that ran
 /// during a request, nanoseconds.
-pub const GC_PENALTY_NS: u64 = 5_000_000;
+pub(crate) const GC_PENALTY_NS: u64 = 5_000_000;
 
 /// One arrival-rate phase of the open-loop schedule. The instantaneous
 /// rate interpolates linearly from `rate_start` to `rate_end` across the
@@ -123,12 +123,12 @@ impl SoakConfig {
     }
 
     /// The scenario shard `i` runs (round-robin over `scenarios`).
-    pub fn scenario_for(&self, shard: usize) -> ScenarioKind {
+    pub(crate) fn scenario_for(&self, shard: usize) -> ScenarioKind {
         self.scenarios[shard % self.scenarios.len()]
     }
 
     /// The fault planned for shard `i`, if any.
-    pub fn fault_for(&self, shard: usize) -> Option<&FaultPlan> {
+    pub(crate) fn fault_for(&self, shard: usize) -> Option<&FaultPlan> {
         self.faults.iter().find(|f| f.shard == shard)
     }
 
@@ -144,7 +144,7 @@ impl SoakConfig {
 /// how fast the server actually processes requests (that difference *is*
 /// the queueing delay the latency histograms measure).
 #[derive(Debug, Clone)]
-pub struct Arrivals {
+pub(crate) struct Arrivals {
     phases: Vec<Phase>,
     phase: usize,
     /// Offset inside the current phase, nanoseconds.
@@ -155,7 +155,7 @@ pub struct Arrivals {
 
 impl Arrivals {
     /// Builds the schedule for `phases`.
-    pub fn new(phases: &[Phase]) -> Arrivals {
+    pub(crate) fn new(phases: &[Phase]) -> Arrivals {
         Arrivals {
             phases: phases.to_vec(),
             phase: 0,

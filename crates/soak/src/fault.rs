@@ -41,7 +41,7 @@ impl FaultKind {
     ];
 
     /// Stable CLI/export label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::Leak => "leak",
             FaultKind::Ownership => "ownership",
@@ -50,7 +50,8 @@ impl FaultKind {
         }
     }
 
-    /// Parses a CLI label (as printed by [`FaultKind::label`]).
+    /// Parses a CLI label (`leak`, `ownership`, `unshared` or `drift`, as
+    /// the kind displays itself).
     pub fn parse(s: &str) -> Option<FaultKind> {
         FaultKind::ALL.into_iter().find(|k| k.label() == s)
     }
@@ -98,7 +99,7 @@ pub struct Detection {
 /// request, keeps degenerative faults (drift) progressing, and watches
 /// the violation log / census for the first matching report.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     armed_at: Option<(u64, Instant)>,
     detection: Option<Detection>,
@@ -109,7 +110,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Creates the injector for `plan`.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
+    pub(crate) fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector {
             plan,
             armed_at: None,
@@ -119,18 +120,13 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether the fault has been injected yet.
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.armed_at.is_some()
     }
 
     /// The detection, once the fault has been reported.
-    pub fn detection(&self) -> Option<Detection> {
+    pub(crate) fn detection(&self) -> Option<Detection> {
         self.detection
     }
 
@@ -140,7 +136,7 @@ impl FaultInjector {
     /// # Errors
     ///
     /// VM errors from the injected allocations.
-    pub fn after_request(&mut self, vm: &mut Vm, requests_done: u64) -> Result<(), VmError> {
+    pub(crate) fn after_request(&mut self, vm: &mut Vm, requests_done: u64) -> Result<(), VmError> {
         if self.armed_at.is_none() {
             if requests_done >= self.plan.after_requests {
                 self.arm(vm)?;
@@ -237,7 +233,7 @@ impl FaultInjector {
     /// Feeds the violations drained since the last call, plus the
     /// current census drift view, and records the first matching report.
     /// Returns `true` when detection happened on this observation.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         vm: &Vm,
         drained: &[gc_assertions::Violation],

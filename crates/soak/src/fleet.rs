@@ -2,7 +2,6 @@
 //! observability plane fed, merge the event logs, and produce the final
 //! [`SoakReport`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -21,14 +20,13 @@ use crate::shard::{
 };
 
 /// A running soak fleet. Construct with [`Fleet::start`]; consume with
-/// [`Fleet::wait`]. While running, [`Fleet::metrics`] /
-/// [`Fleet::status_json`] render the same payloads the HTTP plane serves.
+/// [`Fleet::wait`]. While running, [`Fleet::metrics`] renders the same
+/// payload the HTTP plane serves on `/metrics`.
 #[derive(Debug)]
 pub struct Fleet {
     config: SoakConfig,
     snapshots: Vec<Arc<Mutex<ShardSnapshot>>>,
     handles: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
     http: Option<HttpServer>,
     started: Instant,
 }
@@ -45,7 +43,6 @@ impl Fleet {
         if let Some(dir) = config.jsonl_dir.as_ref() {
             std::fs::create_dir_all(dir)?;
         }
-        let stop = Arc::new(AtomicBool::new(false));
         let snapshots: Vec<_> = (0..config.shards)
             .map(|i| snapshot_slot(&config, i))
             .collect();
@@ -75,7 +72,6 @@ impl Fleet {
                 slo_ns: config.slo_ns,
                 fault: config.fault_for(i).map(|p| FaultInjector::new(*p)),
                 snapshot: Arc::clone(snapshot),
-                stop: Arc::clone(&stop),
                 jsonl_path: config
                     .jsonl_dir
                     .as_ref()
@@ -93,7 +89,6 @@ impl Fleet {
             config,
             snapshots,
             handles,
-            stop,
             http,
             started,
         })
@@ -108,8 +103,8 @@ impl Fleet {
 
     /// Clones the current per-shard snapshots, every recorded cycle
     /// included — O(history), for a caller that wants to own the data.
-    /// [`Fleet::metrics`], [`Fleet::status_json`] and the HTTP plane render
-    /// from the slots by reference instead.
+    /// [`Fleet::metrics`] and the HTTP plane render from the slots by
+    /// reference instead.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
         clone_snapshots(&self.snapshots)
     }
@@ -122,18 +117,6 @@ impl Fleet {
     /// Renders the current `/metrics` payload.
     pub fn metrics(&self) -> String {
         with_snapshots(&self.snapshots, render_metrics)
-    }
-
-    /// Renders the current `/status` payload.
-    pub fn status_json(&self) -> String {
-        with_snapshots(&self.snapshots, |snaps| {
-            render_status(snaps, self.config.slo_ns, self.started.elapsed())
-        })
-    }
-
-    /// Asks every shard to stop at its next request boundary.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
     }
 
     /// Joins every shard, merges the per-shard JSONL logs into
@@ -454,7 +437,6 @@ mod tests {
             config,
             snapshots,
             handles,
-            stop: Arc::new(AtomicBool::new(false)),
             http: None,
             started: Instant::now(),
         };
@@ -500,7 +482,6 @@ mod tests {
             config,
             snapshots,
             handles,
-            stop: Arc::new(AtomicBool::new(false)),
             http: Some(http),
             started: Instant::now(),
         };
@@ -520,9 +501,7 @@ mod tests {
         };
         assert!(get("/healthz").starts_with("HTTP/1.1 503 "));
         assert!(get("/metrics").starts_with("HTTP/1.1 200 "));
-        assert!(fleet
-            .status_json()
-            .contains("\"error\":\"shard panicked: boom\""));
+        assert!(get("/status").contains("\"error\":\"shard panicked: boom\""));
 
         let report = fleet.wait().unwrap();
         assert!(!report.passed());

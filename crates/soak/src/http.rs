@@ -62,7 +62,7 @@ impl std::fmt::Debug for HttpServer {
 
 impl HttpServer {
     /// Binds `127.0.0.1:port` and starts serving.
-    pub fn start(port: u16, state: HttpState) -> std::io::Result<HttpServer> {
+    pub(crate) fn start(port: u16, state: HttpState) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -79,7 +79,7 @@ impl HttpServer {
     }
 
     /// Signals the accept loop to exit and joins it.
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();

@@ -25,15 +25,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod fault;
-pub mod fleet;
+mod config;
+mod fault;
+mod fleet;
 mod http;
-pub mod report;
-pub mod shard;
+mod report;
+mod shard;
 
 pub use config::{Pacing, Phase, SoakConfig};
-pub use fault::{Detection, FaultInjector, FaultKind, FaultPlan};
+pub use fault::{Detection, FaultKind, FaultPlan};
 pub use fleet::{run_soak, Fleet};
 pub use report::{normalize_metrics, ShardReport, SoakReport};
 pub use shard::ShardSnapshot;

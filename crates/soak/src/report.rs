@@ -62,7 +62,7 @@ pub struct SoakReport {
 
 impl SoakReport {
     /// Builds the report from the fleet's final snapshots.
-    pub fn from_snapshots(snaps: &[&ShardSnapshot], wall_ms: u64) -> SoakReport {
+    pub(crate) fn from_snapshots(snaps: &[&ShardSnapshot], wall_ms: u64) -> SoakReport {
         SoakReport {
             shards: snaps
                 .iter()
@@ -116,7 +116,7 @@ impl SoakReport {
     }
 
     /// Serializes the report as the `BENCH_soak.json` payload.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.shards.len() * 256);
         out.push_str(&format!(
             "{{\"bench\":\"soak\",\"wall_ms\":{},\"passed\":{},\
@@ -168,7 +168,7 @@ impl SoakReport {
     /// # Errors
     ///
     /// Propagates the underlying write error.
-    pub fn write_bench(&self, path: &std::path::Path) -> std::io::Result<()> {
+    pub(crate) fn write_bench(&self, path: &std::path::Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;

@@ -2,7 +2,6 @@
 //! arrival schedule on its own thread, publishing snapshots for the
 //! observability plane.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -19,11 +18,11 @@ const PUBLISH_EVERY: u64 = 32;
 /// The state a shard exposes to the observability plane: a copy of its
 /// VM's recorders, complete history included, plus the harness's own
 /// counters. The shard thread owns its VM outright and brings the copy
-/// forward every [`PUBLISH_EVERY`] requests with `catch_up`, so a publish
+/// forward every `PUBLISH_EVERY` requests with `catch_up`, so a publish
 /// costs the cycles recorded since the last one, not the history; after
 /// every publish `telemetry == *vm.telemetry()` and
 /// `census == *vm.census()`. Scrapes render from the slot by reference
-/// under its lock ([`with_snapshots`]) and never touch the VM; only
+/// under its lock (`with_snapshots`) and never touch the VM; only
 /// [`Fleet::snapshots`](crate::Fleet::snapshots) clones one.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
@@ -55,10 +54,10 @@ pub struct ShardSnapshot {
     pub fault_armed: bool,
     /// Detection record, once the fault was reported.
     pub detection: Option<Detection>,
-    /// The shard finished its schedule (or was stopped).
+    /// The shard finished its schedule.
     pub done: bool,
     /// Set when the shard died: on a VM error (by the shard itself) or by
-    /// panicking (by its thread's unwind handler, [`run_isolated`]).
+    /// panicking (by its thread's unwind handler, `run_isolated`).
     pub error: Option<String>,
 }
 
@@ -86,7 +85,7 @@ impl ShardSnapshot {
 
     /// `true` when the shard has neither violations nor active drift —
     /// the state every *clean* shard must end a soak in.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations == 0 && self.drifting_keys == 0
     }
 }
@@ -101,7 +100,6 @@ pub(crate) struct ShardTask {
     pub slo_ns: u64,
     pub fault: Option<FaultInjector>,
     pub snapshot: Arc<Mutex<ShardSnapshot>>,
-    pub stop: Arc<AtomicBool>,
     /// Stream this shard's cycle records here as JSONL, when set.
     pub jsonl_path: Option<std::path::PathBuf>,
 }
@@ -204,9 +202,6 @@ pub(crate) fn run_shard(mut task: ShardTask) {
 
     let arrivals: Vec<u64> = task.arrivals.clone().collect();
     for &arrival_ns in &arrivals {
-        if task.stop.load(Ordering::Relaxed) {
-            break;
-        }
         // Open loop: wall pacing waits for the scheduled arrival (never
         // for the previous completion); virtual pacing just advances the
         // model clock.
@@ -364,7 +359,6 @@ mod tests {
             slo_ns: config.slo_ns,
             fault: None,
             snapshot: Arc::clone(&slot),
-            stop: Arc::new(AtomicBool::new(false)),
             jsonl_path: None,
         };
         let mut scenario = task.kind.build(task.seed);

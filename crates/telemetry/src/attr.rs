@@ -68,22 +68,13 @@ pub struct KindOverhead {
 }
 
 impl KindOverhead {
-    /// Sum of all mechanisms (a scalar "work units" figure).
-    pub fn total(&self) -> u64 {
-        self.registered
-            + self.header_bit_checks
-            + self.counter_bumps
-            + self.extra_edges_traced
-            + self.phase_work
-    }
-
     /// `true` when every counter is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         *self == KindOverhead::default()
     }
 
     /// Adds `other` into `self` field-wise.
-    pub fn absorb(&mut self, other: &KindOverhead) {
+    pub(crate) fn absorb(&mut self, other: &KindOverhead) {
         self.registered += other.registered;
         self.header_bit_checks += other.header_bit_checks;
         self.counter_bumps += other.counter_bumps;
@@ -110,7 +101,7 @@ pub struct AssertionOverhead {
 
 impl AssertionOverhead {
     /// The counters for one kind.
-    pub fn kind(&self, kind: AssertionKind) -> &KindOverhead {
+    pub(crate) fn kind(&self, kind: AssertionKind) -> &KindOverhead {
         match kind {
             AssertionKind::Dead => &self.dead,
             AssertionKind::Region => &self.region,
@@ -121,7 +112,7 @@ impl AssertionOverhead {
     }
 
     /// Mutable counters for one kind.
-    pub fn kind_mut(&mut self, kind: AssertionKind) -> &mut KindOverhead {
+    pub(crate) fn kind_mut(&mut self, kind: AssertionKind) -> &mut KindOverhead {
         match kind {
             AssertionKind::Dead => &mut self.dead,
             AssertionKind::Region => &mut self.region,
@@ -131,21 +122,13 @@ impl AssertionOverhead {
         }
     }
 
-    /// Sum of all kinds' work units.
-    pub fn total(&self) -> u64 {
-        AssertionKind::ALL
-            .iter()
-            .map(|&k| self.kind(k).total())
-            .sum()
-    }
-
     /// `true` when no kind recorded any work.
     pub fn is_zero(&self) -> bool {
         *self == AssertionOverhead::default()
     }
 
     /// Adds `other` into `self` kind- and field-wise.
-    pub fn absorb(&mut self, other: &AssertionOverhead) {
+    pub(crate) fn absorb(&mut self, other: &AssertionOverhead) {
         for kind in AssertionKind::ALL {
             self.kind_mut(kind).absorb(other.kind(kind));
         }
@@ -173,7 +156,6 @@ mod tests {
         }
         assert_eq!(o.dead.registered, 1);
         assert_eq!(o.owned_by.registered, 5);
-        assert_eq!(o.total(), 1 + 2 + 3 + 4 + 5);
         assert!(!o.is_zero());
     }
 
@@ -200,7 +182,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.unshared.header_bit_checks, 5);
         assert_eq!(a.owned_by.extra_edges_traced, 7);
-        assert_eq!(a.unshared.total(), 5);
     }
 
     #[test]

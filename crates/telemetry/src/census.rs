@@ -61,19 +61,9 @@ impl CensusData {
         self.sites.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// Total live bytes across all classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.classes.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Total live objects across all classes.
-    pub fn total_objects(&self) -> u64 {
-        self.classes.iter().map(|e| e.objects).sum()
-    }
-
     /// The `n` classes retaining the most live bytes (ties broken by
     /// name), for dashboards and the Prometheus exporter.
-    pub fn top_classes_by_bytes(&self, n: usize) -> Vec<&CensusEntry> {
+    pub(crate) fn top_classes_by_bytes(&self, n: usize) -> Vec<&CensusEntry> {
         let mut v: Vec<&CensusEntry> = self.classes.iter().collect();
         v.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.name.cmp(&b.name)));
         v.truncate(n);
@@ -101,7 +91,7 @@ pub enum DriftScope {
 
 impl DriftScope {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DriftScope::Class => "class",
             DriftScope::Site => "site",
@@ -177,7 +167,7 @@ pub struct HeapDiffRow {
 
 impl HeapDiffRow {
     /// Object-count delta (`to - from`).
-    pub fn objects_delta(&self) -> i64 {
+    pub(crate) fn objects_delta(&self) -> i64 {
         self.to_objects as i64 - self.from_objects as i64
     }
 
@@ -237,7 +227,7 @@ pub struct CycleCensus {
 }
 
 /// Default drift-detection window (major cycles).
-pub const DEFAULT_DRIFT_WINDOW: usize = 6;
+pub(crate) const DEFAULT_DRIFT_WINDOW: usize = 6;
 
 /// How many top classes/sites the Prometheus exporter emits.
 pub(crate) const PROM_TOP_N: usize = 10;
@@ -692,8 +682,7 @@ mod tests {
         assert_eq!(c.cycles(), 1);
         let latest = c.latest().unwrap();
         assert_eq!(latest.data.classes[0].name, "A", "sorted by name");
-        assert_eq!(latest.data.total_objects(), 3);
-        assert_eq!(latest.data.total_bytes(), 30);
+        assert_eq!(latest.data.classes.len(), 2);
         c.record_minor(CensusData::default());
         assert_eq!(c.minor_cycles(), 1);
         assert_eq!(c.records()[1].seq, 2);

@@ -134,7 +134,7 @@ pub fn record_to_json(record: &CycleRecord, bench: Option<&str>) -> String {
 /// As [`record_to_json`], additionally tagging the line with the shard
 /// index that produced it (emitted right after `"bench"`). Fleet soak
 /// logs use this so per-shard streams stay attributable after merging.
-pub fn record_to_json_tagged(
+pub(crate) fn record_to_json_tagged(
     record: &CycleRecord,
     bench: Option<&str>,
     shard: Option<u64>,
@@ -699,7 +699,7 @@ fn ns_as_seconds(ns: u64) -> String {
 /// everything else (including other control characters and UTF-8) passes
 /// through verbatim. Shared by the telemetry, census and fleet renderers
 /// so hostile class/site names can never break a scrape.
-pub fn prom_escape_label(s: &str) -> String {
+pub(crate) fn prom_escape_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -737,7 +737,12 @@ fn push_help_type(out: &mut String, name: &str, help: &str, kind: &str) {
 /// Emits one histogram's sample lines (`_bucket`/`_sum`/`_count`, no
 /// HELP/TYPE headers) with `prefix` merged into every label set. Buckets
 /// are emitted up to the highest non-empty one, then `+Inf`.
-pub fn push_histogram_series(out: &mut String, name: &str, hist: &LatencyHistogram, prefix: &str) {
+pub(crate) fn push_histogram_series(
+    out: &mut String,
+    name: &str,
+    hist: &LatencyHistogram,
+    prefix: &str,
+) {
     let mut cumulative = 0u64;
     if let Some(max) = hist.max_bucket() {
         for (i, &c) in hist.bucket_counts().iter().enumerate().take(max + 1) {

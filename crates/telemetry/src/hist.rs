@@ -23,8 +23,8 @@ pub(crate) const BUCKETS: usize = 64;
 /// h.record_ns(900);   // bucket 10
 /// h.record_ns(5_000); // bucket 13: [4096, 8192)
 /// assert_eq!(h.count(), 3);
-/// assert_eq!(h.sum_ns(), 6_600);
-/// assert_eq!(h.bucket_counts()[10], 2);
+/// assert_eq!(h.mean_ns(), 2_200);
+/// assert_eq!(h.quantile_ns(50), 1_023); // upper bound of bucket 10
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
@@ -51,13 +51,13 @@ impl LatencyHistogram {
 
     /// The bucket index a nanosecond sample falls into (the sample's bit
     /// length, clamped so the final bucket absorbs the top of the range).
-    pub fn bucket_index(ns: u64) -> usize {
+    pub(crate) fn bucket_index(ns: u64) -> usize {
         ((64 - ns.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 
     /// The inclusive upper bound of bucket `i` (`2^i - 1`; the final
     /// bucket saturates to `u64::MAX`).
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
         if i >= BUCKETS - 1 {
             u64::MAX
         } else {
@@ -78,7 +78,7 @@ impl LatencyHistogram {
     }
 
     /// Sum of all recorded samples in nanoseconds (saturating).
-    pub fn sum_ns(&self) -> u64 {
+    pub(crate) fn sum_ns(&self) -> u64 {
         self.sum_ns
     }
 
@@ -88,12 +88,12 @@ impl LatencyHistogram {
     }
 
     /// The per-bucket sample counts (index = bit length of the sample).
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> &[u64; BUCKETS] {
         &self.counts
     }
 
     /// Index of the highest non-empty bucket, or `None` when empty.
-    pub fn max_bucket(&self) -> Option<usize> {
+    pub(crate) fn max_bucket(&self) -> Option<usize> {
         self.counts.iter().rposition(|&c| c > 0)
     }
 

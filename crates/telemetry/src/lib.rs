@@ -23,7 +23,7 @@
 //!   live histograms accumulated during the mark, a rolling-window leak
 //!   detector emitting [`CensusDrift`] events, cycle-vs-cycle
 //!   [`HeapDiff`] reports, and a census Prometheus exporter
-//!   ([`census`], [`HeapCensus`]).
+//!   ([`HeapCensus`]).
 //!
 //! The crate is deliberately dependency-free and knows nothing about the
 //! heap or the collector: the VM converts its own cycle statistics into
@@ -36,7 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 mod attr;
-pub mod census;
+mod census;
 pub mod export;
 mod hist;
 mod record;

@@ -19,7 +19,7 @@ pub enum CycleKind {
 
 impl CycleKind {
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CycleKind::Major => "major",
             CycleKind::Minor => "minor",
@@ -42,7 +42,7 @@ pub enum GcPhase {
 
 impl GcPhase {
     /// All phases, in reporting order.
-    pub const ALL: [GcPhase; 4] = [
+    pub(crate) const ALL: [GcPhase; 4] = [
         GcPhase::PreRoot,
         GcPhase::Mark,
         GcPhase::Sweep,
@@ -50,7 +50,7 @@ impl GcPhase {
     ];
 
     /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             GcPhase::PreRoot => "pre_root",
             GcPhase::Mark => "mark",
@@ -124,7 +124,7 @@ pub struct CycleRecord {
 
 impl CycleRecord {
     /// The wall time of one phase of this record.
-    pub fn phase_ns(&self, phase: GcPhase) -> u64 {
+    pub(crate) fn phase_ns(&self, phase: GcPhase) -> u64 {
         match phase {
             GcPhase::PreRoot => self.pre_root_ns,
             GcPhase::Mark => self.mark_ns,
@@ -288,17 +288,9 @@ impl GcTelemetry {
         Duration::from_nanos(self.total_pause_ns)
     }
 
-    /// Cumulative per-worker mark-phase busy time. The length is the
-    /// highest worker count seen in any cycle; sequential cycles
-    /// contribute to worker 0.
-    pub fn worker_mark_times(&self) -> Vec<Duration> {
-        self.worker_mark_ns
-            .iter()
-            .map(|&ns| Duration::from_nanos(ns))
-            .collect()
-    }
-
-    /// Cumulative per-worker mark-phase busy time in nanoseconds.
+    /// Cumulative per-worker mark-phase busy time in nanoseconds. The
+    /// length is the highest worker count seen in any cycle; sequential
+    /// cycles contribute to worker 0.
     pub fn worker_mark_ns(&self) -> &[u64] {
         &self.worker_mark_ns
     }

@@ -32,7 +32,7 @@ const MSG_BODY: usize = 0;
 
 /// Tuning knobs for [`MessageBroker`].
 #[derive(Debug, Clone, Copy)]
-pub struct BrokerParams {
+pub(crate) struct BrokerParams {
     /// Number of topics (one FIFO queue each).
     pub topics: usize,
     /// Per-topic backlog bound: produce is forced below it, consume at it.
@@ -70,7 +70,7 @@ struct BrokerHeap {
 
 /// Message-broker scenario. See the module docs.
 #[derive(Debug, Clone)]
-pub struct MessageBroker {
+pub(crate) struct MessageBroker {
     params: BrokerParams,
     seed: u64,
     rng: SmallRng,
@@ -82,12 +82,12 @@ pub struct MessageBroker {
 
 impl MessageBroker {
     /// Creates the scenario with default parameters and the given seed.
-    pub fn new(seed: u64) -> MessageBroker {
+    pub(crate) fn new(seed: u64) -> MessageBroker {
         MessageBroker::with_params(BrokerParams::default(), seed)
     }
 
     /// Creates the scenario with explicit parameters.
-    pub fn with_params(params: BrokerParams, seed: u64) -> MessageBroker {
+    pub(crate) fn with_params(params: BrokerParams, seed: u64) -> MessageBroker {
         MessageBroker {
             params,
             seed,
@@ -97,16 +97,6 @@ impl MessageBroker {
             produced: 0,
             consumed: 0,
         }
-    }
-
-    /// Messages produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// Messages consumed (and asserted dead) so far.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
     }
 
     /// Allocates one message and enqueues it on `topic`, registering the
@@ -282,7 +272,7 @@ mod tests {
     #[test]
     fn backlog_stays_within_bounds() {
         let (s, vm) = stepped(29, 400);
-        assert!(s.produced() > 0 && s.consumed() > 0);
+        assert!(s.produced > 0 && s.consumed > 0);
         for topic in 0..s.params.topics {
             let d = s.depth(&vm, topic).unwrap();
             assert!(d <= s.params.depth_cap, "topic {topic} over cap: {d}");

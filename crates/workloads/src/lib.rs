@@ -17,8 +17,8 @@
 //!   [`lusearch_app`] (the 32-IndexSearcher finding), and [`swapleak`]
 //!   (the hidden inner-class reference);
 //! * [`scenario`] — session-style scenarios driven one request at a time
-//!   by the fleet soak harness ([`session_cache`], [`social_graph`],
-//!   [`broker`]), each doubling as a batch [`runner::Workload`].
+//!   by the fleet soak harness (a session cache, a social graph and a
+//!   message broker), each doubling as a batch [`runner::Workload`].
 //!
 //! All workloads are deterministic (seeded [`rand::rngs::SmallRng`]), so
 //! every experiment in the repository reproduces bit-for-bit.
@@ -27,15 +27,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod broker;
+mod broker;
 pub mod db;
-pub mod luindex_app;
 pub mod lusearch_app;
 pub mod pseudojbb;
 pub mod runner;
 pub mod scenario;
-pub mod session_cache;
-pub mod social_graph;
+mod session_cache;
+mod social_graph;
 pub mod structures;
 pub mod suite;
 pub mod swapleak;

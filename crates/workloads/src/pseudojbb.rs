@@ -44,7 +44,7 @@ pub struct JbbBugs {
 
 impl JbbBugs {
     /// All bugs present — faithful SPEC JBB2000 behaviour.
-    pub fn all_present() -> JbbBugs {
+    pub(crate) fn all_present() -> JbbBugs {
         JbbBugs {
             fix_customer_back_ref: false,
             fix_order_table: false,
@@ -139,17 +139,6 @@ impl PseudoJbb {
         PseudoJbb {
             bugs: JbbBugs::all_present(),
             style: JbbAssertions::Dead,
-            transactions: 600,
-            ..PseudoJbb::default()
-        }
-    }
-
-    /// The §3.2.1 follow-up: the same bugs found with ownership assertions
-    /// instead (no need to know where orders die).
-    pub fn buggy_with_ownership_asserts() -> PseudoJbb {
-        PseudoJbb {
-            bugs: JbbBugs::all_present(),
-            style: JbbAssertions::Ownership,
             transactions: 600,
             ..PseudoJbb::default()
         }
@@ -503,7 +492,11 @@ mod tests {
 
     #[test]
     fn both_leaks_found_by_ownership_asserts() {
-        let jbb = small(PseudoJbb::buggy_with_ownership_asserts());
+        let jbb = small(PseudoJbb {
+            bugs: JbbBugs::all_present(),
+            style: JbbAssertions::Ownership,
+            ..PseudoJbb::default()
+        });
         let mut vm = gc_assertions::Vm::new(
             gc_assertions::VmConfig::builder()
                 .heap_budget(jbb.budget)

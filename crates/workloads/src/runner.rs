@@ -43,7 +43,7 @@ pub enum ExpConfig {
 
 impl ExpConfig {
     /// Display label matching the paper's figures.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ExpConfig::Base => "Base",
             ExpConfig::Infrastructure => "Infrastructure",

@@ -30,7 +30,7 @@ const SESSION_DATA: usize = 0;
 
 /// Tuning knobs for [`SessionCache`].
 #[derive(Debug, Clone, Copy)]
-pub struct SessionCacheParams {
+pub(crate) struct SessionCacheParams {
     /// Maximum number of cached sessions (LRU evicts past this).
     pub capacity: usize,
     /// Number of distinct session keys requests draw from.
@@ -65,7 +65,7 @@ struct CacheHeap {
 
 /// LRU session-cache scenario. See the module docs.
 #[derive(Debug, Clone)]
-pub struct SessionCache {
+pub(crate) struct SessionCache {
     params: SessionCacheParams,
     seed: u64,
     rng: SmallRng,
@@ -79,12 +79,12 @@ pub struct SessionCache {
 
 impl SessionCache {
     /// Creates the scenario with default parameters and the given seed.
-    pub fn new(seed: u64) -> SessionCache {
+    pub(crate) fn new(seed: u64) -> SessionCache {
         SessionCache::with_params(SessionCacheParams::default(), seed)
     }
 
     /// Creates the scenario with explicit parameters.
-    pub fn with_params(params: SessionCacheParams, seed: u64) -> SessionCache {
+    pub(crate) fn with_params(params: SessionCacheParams, seed: u64) -> SessionCache {
         SessionCache {
             params,
             seed,
@@ -95,22 +95,6 @@ impl SessionCache {
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Evictions so far (each one carries an `assert-dead` when
-    /// assertions are on).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     fn draw_key(&mut self) -> u64 {
@@ -270,9 +254,9 @@ mod tests {
         for _ in 0..500 {
             s.request(&mut vm, true).unwrap();
         }
-        assert!(s.hits() > 0, "hot keys should hit");
-        assert!(s.misses() > 0, "cold keys should miss");
-        assert!(s.evictions() > 0, "full cache should evict");
+        assert!(s.hits > 0, "hot keys should hit");
+        assert!(s.misses > 0, "cold keys should miss");
+        assert!(s.evictions > 0, "full cache should evict");
         assert!(s.lru.len() <= s.params.capacity);
     }
 
@@ -294,7 +278,7 @@ mod tests {
         let victim = h.map.get(&vm, victim_key).unwrap().unwrap();
         vm.add_global(victim).unwrap();
         // Force misses until the victim is evicted.
-        while s.evictions() == 0 {
+        while s.evictions == 0 {
             let key = s.params.keyspace + s.misses; // guaranteed-cold keys
             s.fill(&mut vm, key, true).unwrap();
         }

@@ -26,7 +26,7 @@ const CARD_PROFILE: usize = 0;
 
 /// Tuning knobs for [`SocialGraph`].
 #[derive(Debug, Clone, Copy)]
-pub struct SocialGraphParams {
+pub(crate) struct SocialGraphParams {
     /// Number of users in the graph.
     pub users: usize,
     /// Friends per user (edge-array fan-out).
@@ -63,7 +63,7 @@ struct GraphHeap {
 
 /// Friend-of-friend traversal scenario. See the module docs.
 #[derive(Debug, Clone)]
-pub struct SocialGraph {
+pub(crate) struct SocialGraph {
     params: SocialGraphParams,
     seed: u64,
     rng: SmallRng,
@@ -75,12 +75,12 @@ pub struct SocialGraph {
 
 impl SocialGraph {
     /// Creates the scenario with default parameters and the given seed.
-    pub fn new(seed: u64) -> SocialGraph {
+    pub(crate) fn new(seed: u64) -> SocialGraph {
         SocialGraph::with_params(SocialGraphParams::default(), seed)
     }
 
     /// Creates the scenario with explicit parameters.
-    pub fn with_params(params: SocialGraphParams, seed: u64) -> SocialGraph {
+    pub(crate) fn with_params(params: SocialGraphParams, seed: u64) -> SocialGraph {
         SocialGraph {
             params,
             seed,
@@ -90,16 +90,6 @@ impl SocialGraph {
             rewires: 0,
             cards_scored: 0,
         }
-    }
-
-    /// Traversals served so far.
-    pub fn traversals(&self) -> u64 {
-        self.traversals
-    }
-
-    /// Edge rewires performed so far.
-    pub fn rewires(&self) -> u64 {
-        self.rewires
     }
 
     fn random_other(&mut self, me: usize) -> usize {
@@ -287,8 +277,8 @@ mod tests {
         for _ in 0..200 {
             s.request(&mut vm, true).unwrap();
         }
-        assert!(s.traversals() > 0);
-        assert!(s.rewires() > 0);
+        assert!(s.traversals > 0);
+        assert!(s.rewires > 0);
         assert!(s.cards_scored > 0);
     }
 

@@ -78,7 +78,7 @@ impl HArrayList {
     /// # Errors
     ///
     /// Reference-validity errors.
-    pub fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
+    pub(crate) fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
         Ok(self.len(vm)? == 0)
     }
 
@@ -87,7 +87,7 @@ impl HArrayList {
     /// # Errors
     ///
     /// Reference-validity errors.
-    pub fn capacity(&self, vm: &Vm) -> Result<usize, VmError> {
+    pub(crate) fn capacity(&self, vm: &Vm) -> Result<usize, VmError> {
         let storage = vm.field(self.handle, STORAGE)?;
         Ok(vm.heap().get(storage).map_err(VmError::Heap)?.ref_count())
     }
@@ -131,7 +131,7 @@ impl HArrayList {
     /// # Errors
     ///
     /// Bounds or reference-validity errors.
-    pub fn get(&self, vm: &Vm, index: usize) -> Result<ObjRef, VmError> {
+    pub(crate) fn get(&self, vm: &Vm, index: usize) -> Result<ObjRef, VmError> {
         self.check_bounds(vm, index)?;
         let storage = vm.field(self.handle, STORAGE)?;
         vm.field(storage, index)
@@ -142,7 +142,7 @@ impl HArrayList {
     /// # Errors
     ///
     /// Bounds or reference-validity errors.
-    pub fn set(&self, vm: &mut Vm, index: usize, value: ObjRef) -> Result<ObjRef, VmError> {
+    pub(crate) fn set(&self, vm: &mut Vm, index: usize, value: ObjRef) -> Result<ObjRef, VmError> {
         self.check_bounds(vm, index)?;
         let storage = vm.field(self.handle, STORAGE)?;
         vm.set_field(storage, index, value)
@@ -165,38 +165,6 @@ impl HArrayList {
         vm.set_field(storage, len - 1, ObjRef::NULL)?;
         vm.set_data_word(self.handle, LEN_WORD, (len - 1) as u64)?;
         Ok(removed)
-    }
-
-    /// Removes the first occurrence of `value`; returns whether found.
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors.
-    pub fn remove_value(&self, vm: &mut Vm, value: ObjRef) -> Result<bool, VmError> {
-        let len = self.len(vm)?;
-        let storage = vm.field(self.handle, STORAGE)?;
-        for i in 0..len {
-            if vm.field(storage, i)? == value {
-                self.remove(vm, i)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Drops all elements (capacity retained).
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors.
-    pub fn clear(&self, vm: &mut Vm) -> Result<(), VmError> {
-        let len = self.len(vm)?;
-        let storage = vm.field(self.handle, STORAGE)?;
-        for i in 0..len {
-            vm.set_field(storage, i, ObjRef::NULL)?;
-        }
-        vm.set_data_word(self.handle, LEN_WORD, 0)?;
-        Ok(())
     }
 
     /// Collects the elements in order.
@@ -304,22 +272,5 @@ mod tests {
         // live: initial objects + 20 elements + 1 storage array (old
         // arrays collected).
         assert_eq!(vm.heap().live_objects(), before + 20);
-    }
-
-    #[test]
-    fn remove_value_and_clear() {
-        let (mut vm, m, list, elem) = setup();
-        let a = vm.alloc_rooted(m, elem, 0, 0).unwrap();
-        let b = vm.alloc(m, elem, 0, 0).unwrap();
-        list.push(&mut vm, m, a).unwrap();
-        list.push(&mut vm, m, b).unwrap();
-        assert!(list.remove_value(&mut vm, a).unwrap());
-        assert!(!list.remove_value(&mut vm, a).unwrap());
-        assert_eq!(list.len(&vm).unwrap(), 1);
-        list.clear(&mut vm).unwrap();
-        assert!(list.is_empty(&vm).unwrap());
-        vm.collect().unwrap();
-        assert!(!vm.is_live(b), "cleared element collected");
-        assert!(vm.is_live(a), "still rooted");
     }
 }

@@ -98,7 +98,7 @@ impl HBTree {
     /// # Errors
     ///
     /// Reference-validity errors.
-    pub fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
+    pub(crate) fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
         Ok(self.len(vm)? == 0)
     }
 
@@ -385,21 +385,6 @@ impl HBTree {
         }
         Ok(())
     }
-
-    /// Tree height (levels from root to leaf), for tests.
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors.
-    pub fn depth(&self, vm: &Vm) -> Result<usize, VmError> {
-        let mut d = 1;
-        let mut node = vm.field(self.handle, ROOT)?;
-        while !self.is_leaf(vm, node)? {
-            node = self.slot(vm, node, 0)?;
-            d += 1;
-        }
-        Ok(d)
-    }
 }
 
 #[cfg(test)]
@@ -409,6 +394,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
+
+    /// Tree height (levels from root to leaf).
+    fn depth(tree: &HBTree, vm: &Vm) -> usize {
+        let mut d = 1;
+        let mut node = vm.field(tree.handle, ROOT).unwrap();
+        while !tree.is_leaf(vm, node).unwrap() {
+            node = tree.slot(vm, node, 0).unwrap();
+            d += 1;
+        }
+        d
+    }
 
     fn setup() -> (Vm, MutatorId, HBTree, ClassId) {
         let mut vm = Vm::new(VmConfig::builder().build());
@@ -430,7 +426,7 @@ mod tests {
             vals.push((k, o));
         }
         assert_eq!(tree.len(&vm).unwrap(), 500);
-        assert!(tree.depth(&vm).unwrap() >= 3, "really split");
+        assert!(depth(&tree, &vm) >= 3, "really split");
         for (k, o) in vals {
             assert_eq!(tree.get(&vm, k).unwrap(), Some(o));
         }

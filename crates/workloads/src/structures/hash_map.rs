@@ -89,7 +89,7 @@ impl HHashMap {
     /// # Errors
     ///
     /// Reference-validity errors.
-    pub fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
+    pub(crate) fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
         Ok(self.len(vm)? == 0)
     }
 

@@ -58,22 +58,6 @@ impl HList {
         self.handle
     }
 
-    /// Rebuilds a wrapper from a container handle previously obtained via
-    /// [`HList::handle`] (e.g. stored in another structure).
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors if `handle` is not a live `LinkedList`.
-    pub fn from_handle(vm: &mut Vm, handle: ObjRef) -> Result<HList, VmError> {
-        let list_class = vm.register_class("LinkedList", &["head"]);
-        let node_class = vm.register_class("ListNode", &["next", "value"]);
-        let actual = vm.class_of(handle)?;
-        if actual != list_class {
-            return Err(VmError::Heap(gc_assertions::HeapError::InvalidRef(handle)));
-        }
-        Ok(HList { handle, node_class })
-    }
-
     /// Number of elements.
     ///
     /// # Errors
@@ -81,15 +65,6 @@ impl HList {
     /// Reference-validity errors if the list was collected.
     pub fn len(&self, vm: &Vm) -> Result<usize, VmError> {
         Ok(vm.data_word(self.handle, LEN_WORD)? as usize)
-    }
-
-    /// Returns `true` if the list has no elements.
-    ///
-    /// # Errors
-    ///
-    /// Reference-validity errors if the list was collected.
-    pub fn is_empty(&self, vm: &Vm) -> Result<bool, VmError> {
-        Ok(self.len(vm)? == 0)
     }
 
     /// Pushes `value` at the front.
@@ -210,7 +185,7 @@ mod tests {
         assert_eq!(list.pop_front(&mut vm).unwrap(), Some(b));
         assert_eq!(list.pop_front(&mut vm).unwrap(), Some(a));
         assert_eq!(list.pop_front(&mut vm).unwrap(), None);
-        assert!(list.is_empty(&vm).unwrap());
+        assert_eq!(list.len(&vm).unwrap(), 0);
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn scale_up(mut v: Vec<SyntheticWorkload>) -> Vec<SyntheticWorkload> {
 }
 
 /// The eleven DaCapo 2006 analogues.
-pub fn dacapo() -> Vec<SyntheticWorkload> {
+pub(crate) fn dacapo() -> Vec<SyntheticWorkload> {
     scale_up(dacapo_base())
 }
 
@@ -352,7 +352,7 @@ fn dacapo_base() -> Vec<SyntheticWorkload> {
 
 /// The seven SPEC JVM98 analogues (run at the `-s100` scale of §3.1.1,
 /// proportionally).
-pub fn specjvm98() -> Vec<SyntheticWorkload> {
+pub(crate) fn specjvm98() -> Vec<SyntheticWorkload> {
     scale_up(specjvm98_base())
 }
 
