@@ -7,7 +7,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gca_telemetry::export::{
-    escape_json, fleet_to_prometheus, prom_label, push_histogram_family, ShardExport,
+    escape_json, parse_jsonl, push_census_families, push_rows, push_telemetry_families, Family,
+    Label, MetricType, Row, Seconds,
 };
 
 use crate::config::{Arrivals, SoakConfig};
@@ -160,20 +161,25 @@ pub fn run_soak(config: SoakConfig) -> std::io::Result<SoakReport> {
     Fleet::start(config)?.wait()
 }
 
-/// Merges `shard-<i>.jsonl` files into one `fleet.jsonl`, ordered by
-/// `(seq, shard)` so interleaved fleet history reads chronologically.
+/// Merges `shard-<i>.jsonl` files into one `fleet.jsonl`: every line kept
+/// verbatim, ordered by `(seq, shard)` so interleaved fleet history reads
+/// chronologically. A line the telemetry reader rejects (a short write)
+/// has no `seq`; it follows every parsed line, in shard and file order.
 fn merge_fleet_jsonl(dir: &std::path::Path, shards: usize) -> std::io::Result<()> {
-    let mut lines: Vec<(u64, u64, String)> = Vec::new();
+    let mut lines: Vec<(Option<u64>, usize, String)> = Vec::new();
     for i in 0..shards {
         let path = dir.join(format!("shard-{i}.jsonl"));
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue; // a shard that never collected writes no file
         };
         for line in text.lines() {
-            lines.push((json_u64_field(line, "seq"), i as u64, line.to_string()));
+            let seq = parse_jsonl(line)
+                .ok()
+                .and_then(|parsed| Some(parsed.first()?.record.seq));
+            lines.push((seq, i, line.to_string()));
         }
     }
-    lines.sort_by_key(|(seq, shard, _)| (*seq, *shard));
+    lines.sort_by_key(|&(seq, shard, _)| (seq.is_none(), seq, shard));
     let mut out = String::with_capacity(lines.iter().map(|(_, _, l)| l.len() + 1).sum());
     for (_, _, line) in &lines {
         out.push_str(line);
@@ -182,173 +188,117 @@ fn merge_fleet_jsonl(dir: &std::path::Path, shards: usize) -> std::io::Result<()
     std::fs::write(dir.join("fleet.jsonl"), out)
 }
 
-/// Pulls an unsigned integer field out of a flat JSON line (the merge
-/// key only — full parsing lives in `gca-telemetry`).
-fn json_u64_field(line: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let Some(at) = line.find(&needle) else {
-        return 0;
-    };
-    line[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
-}
+/// Soak's families with one value per shard, under `shard` and `scenario`.
+const SHARD_ROWS: [Row<ShardSnapshot>; 4] = [
+    (
+        "gca_soak_requests_total",
+        "Requests served by each shard.",
+        MetricType::Counter,
+        |s| s.requests_done,
+    ),
+    (
+        "gca_soak_slo_breaches_total",
+        "Requests whose latency exceeded the configured SLO.",
+        MetricType::Counter,
+        |s| s.slo_breaches,
+    ),
+    (
+        "gca_soak_assertion_violations_total",
+        "GC assertion violations reported by each shard.",
+        MetricType::Counter,
+        |s| s.violations,
+    ),
+    (
+        "gca_soak_shard_done",
+        "1 once the shard finished its arrival schedule.",
+        MetricType::Gauge,
+        |s| u64::from(s.done),
+    ),
+];
+
+/// The fault-injection markers, one value per faulted shard, under
+/// `shard`, `scenario` and `fault`.
+const FAULT_ROWS: [Row<ShardSnapshot>; 2] = [
+    (
+        "gca_soak_fault_armed",
+        "1 once the planned fault was injected.",
+        MetricType::Gauge,
+        |s| u64::from(s.fault_armed),
+    ),
+    (
+        "gca_soak_fault_detected",
+        "1 once the fault's first matching report arrived.",
+        MetricType::Gauge,
+        |s| u64::from(s.detection.is_some()),
+    ),
+];
 
 /// Renders the fleet `/metrics` payload: every telemetry and census
 /// family with `shard` labels, plus the soak harness's own families
 /// (request latency vs SLO, fault-injection detection).
 pub(crate) fn render_metrics(snaps: &[&ShardSnapshot]) -> String {
-    let exports: Vec<ShardExport<'_>> = snaps
+    let mut out = String::with_capacity(4096 * snaps.len().max(1));
+    // Each shard's labels in prefix order: telemetry and census take the
+    // first, soak's own families two, the fault families all three.
+    let labels: Vec<Vec<Label<'_>>> = snaps
         .iter()
-        .map(|s| ShardExport {
-            shard: s.shard.to_string(),
-            telemetry: &s.telemetry,
-            census: Some(&s.census),
+        .map(|s| {
+            let mut l: Vec<Label<'_>> = vec![("shard", &s.shard), ("scenario", &s.scenario)];
+            if let Some(kind) = &s.fault {
+                l.push(("fault", kind));
+            }
+            l
         })
         .collect();
-    let mut out = fleet_to_prometheus(&exports);
+    let shards = || snaps.iter().copied().zip(&labels);
 
-    let labels: Vec<String> = snaps.iter().map(|s| shard_labels(s)).collect();
-    push_counter_family(
-        &mut out,
-        "gca_soak_requests_total",
-        "Requests served by each shard.",
-        snaps
-            .iter()
-            .zip(&labels)
-            .map(|(s, l)| (l.as_str(), s.requests_done)),
-    );
-    push_counter_family(
-        &mut out,
-        "gca_soak_slo_breaches_total",
-        "Requests whose latency exceeded the configured SLO.",
-        snaps
-            .iter()
-            .zip(&labels)
-            .map(|(s, l)| (l.as_str(), s.slo_breaches)),
-    );
-    push_counter_family(
-        &mut out,
-        "gca_soak_assertion_violations_total",
-        "GC assertion violations reported by each shard.",
-        snaps
-            .iter()
-            .zip(&labels)
-            .map(|(s, l)| (l.as_str(), s.violations)),
-    );
-    push_counter_family(
-        &mut out,
-        "gca_soak_shard_done",
-        "1 once the shard finished its arrival schedule.",
-        snaps
-            .iter()
-            .zip(&labels)
-            .map(|(s, l)| (l.as_str(), u64::from(s.done))),
-    );
+    let telemetry: Vec<_> = shards().map(|(s, l)| (&l[..1], &s.telemetry)).collect();
+    push_telemetry_families(&mut out, &telemetry);
+    let census: Vec<_> = shards().map(|(s, l)| (&l[..1], &s.census)).collect();
+    push_census_families(&mut out, &census);
 
-    let series: Vec<(String, &gca_telemetry::LatencyHistogram)> = snaps
-        .iter()
-        .zip(&labels)
-        .map(|(s, l)| (l.clone(), &s.latency))
-        .collect();
-    push_histogram_family(
+    let own: Vec<_> = shards().map(|(s, l)| (&l[..2], s)).collect();
+    push_rows(&mut out, &SHARD_ROWS, &own);
+    let mut family = Family::start(
         &mut out,
         "gca_soak_request_latency_seconds",
         "Request latency from scheduled arrival to completion.",
-        &series,
+        MetricType::Histogram,
     );
+    for (prefix, s) in &own {
+        family.histogram(prefix, &s.latency);
+    }
 
-    // Fault-injection plane: armed/detected markers and the headline
-    // detection-latency figures, one series per faulted shard.
-    let faulted: Vec<_> = snaps.iter().filter(|s| s.fault.is_some()).collect();
+    let faulted: Vec<_> = shards()
+        .filter(|(s, _)| s.fault.is_some())
+        .map(|(s, l)| (&l[..], s))
+        .collect();
     if !faulted.is_empty() {
-        push_help_type(
-            &mut out,
-            "gca_soak_fault_armed",
-            "1 once the planned fault was injected.",
-            "gauge",
-        );
-        for s in &faulted {
-            out.push_str(&format!(
-                "gca_soak_fault_armed{{{}}} {}\n",
-                fault_labels(s),
-                u64::from(s.fault_armed)
-            ));
-        }
-        push_help_type(
-            &mut out,
-            "gca_soak_fault_detected",
-            "1 once the fault's first matching report arrived.",
-            "gauge",
-        );
-        for s in &faulted {
-            out.push_str(&format!(
-                "gca_soak_fault_detected{{{}}} {}\n",
-                fault_labels(s),
-                u64::from(s.detection.is_some())
-            ));
-        }
-        push_help_type(
+        push_rows(&mut out, &FAULT_ROWS, &faulted);
+        let detected: Vec<_> = faulted
+            .iter()
+            .filter_map(|&(l, s)| Some((l, s.detection?)))
+            .collect();
+        let mut family = Family::start(
             &mut out,
             "gca_soak_detection_latency_cycles",
             "GC cycles from injection to detection.",
-            "gauge",
+            MetricType::Gauge,
         );
-        push_help_type(
+        for (prefix, d) in &detected {
+            family.sample(prefix, &[], d.cycles);
+        }
+        let mut family = Family::start(
             &mut out,
             "gca_soak_detection_latency_seconds",
             "Wall time from injection to detection.",
-            "gauge",
+            MetricType::Gauge,
         );
-        for s in &faulted {
-            if let Some(d) = s.detection {
-                out.push_str(&format!(
-                    "gca_soak_detection_latency_cycles{{{}}} {}\n",
-                    fault_labels(s),
-                    d.cycles
-                ));
-                out.push_str(&format!(
-                    "gca_soak_detection_latency_seconds{{{}}} {:.9}\n",
-                    fault_labels(s),
-                    d.wall_ns as f64 / 1e9
-                ));
-            }
+        for (prefix, d) in &detected {
+            family.sample(prefix, &[], Seconds(d.wall_ns));
         }
     }
     out
-}
-
-fn shard_labels(s: &ShardSnapshot) -> String {
-    format!(
-        "{},{}",
-        prom_label("shard", &s.shard.to_string()),
-        prom_label("scenario", s.scenario)
-    )
-}
-
-fn fault_labels(s: &ShardSnapshot) -> String {
-    let kind = s.fault.map(|k| k.label()).unwrap_or("none");
-    format!("{},{}", shard_labels(s), prom_label("fault", kind))
-}
-
-fn push_help_type(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} {kind}\n"));
-}
-
-fn push_counter_family<'a>(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: impl Iterator<Item = (&'a str, u64)>,
-) {
-    push_help_type(out, name, help, "counter");
-    for (labels, value) in series {
-        out.push_str(&format!("{name}{{{labels}}} {value}\n"));
-    }
 }
 
 /// Renders the `/status` JSON payload.
@@ -416,6 +366,39 @@ pub(crate) fn render_status(snaps: &[&ShardSnapshot], slo_ns: u64, elapsed: Dura
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fleet_jsonl_merge_keeps_lines_verbatim_in_seq_shard_order() {
+        use gca_telemetry::export::records_to_jsonl_tagged;
+        use gca_telemetry::CycleRecord;
+
+        let dir = std::env::temp_dir().join(format!("gca-soak-merge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = |seqs: &[u64], shard| {
+            let records: Vec<_> = seqs
+                .iter()
+                .map(|&seq| CycleRecord {
+                    seq,
+                    ..Default::default()
+                })
+                .collect();
+            records_to_jsonl_tagged(&records, Some("soak"), Some(shard))
+        };
+        // Each shard's file ends in a short write the reader rejects; the
+        // second one's `"seq":` digits must not decide its place.
+        let shard0 = records(&[1, 3], 0) + "{\"bench\":\"soak\",\"shard\":0,\"se\n";
+        let shard1 = records(&[1, 2], 1) + "{\"shard\":1,\"seq\":0,\"kind\":\"maj\n";
+        std::fs::write(dir.join("shard-0.jsonl"), &shard0).unwrap();
+        std::fs::write(dir.join("shard-1.jsonl"), &shard1).unwrap();
+
+        merge_fleet_jsonl(&dir, 3).unwrap(); // shard 2 wrote no file
+        let merged = std::fs::read_to_string(dir.join("fleet.jsonl")).unwrap();
+        let (l0, l1): (Vec<_>, Vec<_>) = (shard0.lines().collect(), shard1.lines().collect());
+        let want = [l0[0], l1[0], l1[1], l0[1], l0[2], l1[2]];
+        assert_eq!(merged, want.map(|l| format!("{l}\n")).concat());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn a_panicked_shard_fails_the_report() {

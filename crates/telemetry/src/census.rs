@@ -595,7 +595,7 @@ impl HeapCensus {
     ///   `assert-instances` limits for drifted classes.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
-        crate::export::push_census_families(&mut out, &[(String::new(), self)]);
+        crate::export::push_census_families(&mut out, &[(&[], self)]);
         out
     }
 }

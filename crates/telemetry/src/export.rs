@@ -7,10 +7,10 @@
 //! yields a [`TelemetryParseError`], never a panic — because benchmark
 //! artifacts get concatenated, grepped and truncated by shell pipelines.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::attr::{AssertionKind, AssertionOverhead, KindOverhead};
-use crate::census::{CensusData, CensusEntry, DriftScope, HeapCensus};
+use crate::census::{CensusData, CensusEntry, DriftScope, HeapCensus, PROM_TOP_N};
 use crate::hist::LatencyHistogram;
 use crate::record::{CycleKind, CycleRecord, GcPhase, GcTelemetry};
 
@@ -468,187 +468,155 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn get<'v>(obj: &'v [(String, Val)], key: &str) -> Option<&'v Val> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
+impl Val {
+    fn as_u64(&self) -> Option<u64> {
+        match self {
+            Val::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
 
-fn get_u64(
-    obj: &[(String, Val)],
-    key: &'static str,
-    line: usize,
-) -> Result<u64, TelemetryParseError> {
-    match get(obj, key) {
-        None => Ok(0),
-        Some(Val::Int(n)) => Ok(*n),
-        Some(_) => Err(TelemetryParseError::WrongType { line, field: key }),
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Val::Str(s) => Some(s),
+            _ => None,
+        }
     }
 }
 
-fn decode_kind_overhead(val: &Val, line: usize) -> Result<KindOverhead, TelemetryParseError> {
-    let Val::Obj(fields) = val else {
-        return Err(TelemetryParseError::WrongType {
-            line,
-            field: "overhead",
-        });
-    };
-    Ok(KindOverhead {
-        registered: get_u64(fields, "registered", line)?,
-        header_bit_checks: get_u64(fields, "header_bit_checks", line)?,
-        counter_bumps: get_u64(fields, "counter_bumps", line)?,
-        extra_edges_traced: get_u64(fields, "extra_edges_traced", line)?,
-        phase_work: get_u64(fields, "phase_work", line)?,
-    })
+/// A parsed JSON object and the typed accessors the schema reads it by.
+/// An absent key reads as the schema's default; a value of the wrong JSON
+/// type is a [`TelemetryParseError::WrongType`] naming the field.
+struct Fields<'v> {
+    fields: &'v [(String, Val)],
+    line: usize,
 }
 
-fn decode_census_entries(val: &Val, line: usize) -> Result<Vec<CensusEntry>, TelemetryParseError> {
-    let Val::Arr(items) = val else {
-        return Err(TelemetryParseError::WrongType {
-            line,
-            field: "census",
-        });
-    };
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let Val::Obj(fields) = item else {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "census",
-            });
+impl<'v> Fields<'v> {
+    fn of(val: &'v Val, line: usize) -> Option<Fields<'v>> {
+        match val {
+            Val::Obj(fields) => Some(Fields { fields, line }),
+            _ => None,
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&'v Val> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn wrong(&self, field: &'static str) -> TelemetryParseError {
+        TelemetryParseError::WrongType {
+            line: self.line,
+            field,
+        }
+    }
+
+    /// `key`'s value through `as_t`, `None` when absent or (if `nullable`)
+    /// `null`; a value `as_t` rejects is the wrong type for `field`.
+    fn get_as<T>(
+        &self,
+        key: &str,
+        field: &'static str,
+        nullable: bool,
+        as_t: impl FnOnce(&'v Val) -> Option<T>,
+    ) -> Result<Option<T>, TelemetryParseError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(Val::Null) if nullable => Ok(None),
+            Some(v) => as_t(v).map(Some).ok_or_else(|| self.wrong(field)),
+        }
+    }
+
+    /// An unsigned integer; absent reads 0.
+    fn u64(&self, key: &'static str) -> Result<u64, TelemetryParseError> {
+        Ok(self.get_as(key, key, false, Val::as_u64)?.unwrap_or(0))
+    }
+
+    /// A nested object, `None` when absent (or `null`, if `nullable`).
+    fn object(
+        &self,
+        key: &str,
+        field: &'static str,
+        nullable: bool,
+    ) -> Result<Option<Fields<'v>>, TelemetryParseError> {
+        self.get_as(key, field, nullable, |v| Fields::of(v, self.line))
+    }
+
+    /// A census entry list; absent reads empty.
+    fn census_entries(&self, key: &str) -> Result<Vec<CensusEntry>, TelemetryParseError> {
+        let Some(items) = self.get_as(key, "census", false, |v| match v {
+            Val::Arr(items) => Some(items),
+            _ => None,
+        })?
+        else {
+            return Ok(Vec::new());
         };
-        let name = match get(fields, "name") {
-            Some(Val::Str(s)) => s.clone(),
-            _ => {
-                return Err(TelemetryParseError::WrongType {
-                    line,
-                    field: "census",
+        items
+            .iter()
+            .map(|item| {
+                let e = Fields::of(item, self.line).ok_or_else(|| self.wrong("census"))?;
+                let name = e.get("name").and_then(Val::as_str);
+                Ok(CensusEntry {
+                    name: name.ok_or_else(|| self.wrong("census"))?.to_owned(),
+                    objects: e.u64("objects")?,
+                    bytes: e.u64("bytes")?,
                 })
-            }
-        };
-        out.push(CensusEntry {
-            name,
-            objects: get_u64(fields, "objects", line)?,
-            bytes: get_u64(fields, "bytes", line)?,
-        });
+            })
+            .collect()
     }
-    Ok(out)
 }
 
-fn decode_census(val: &Val, line: usize) -> Result<CensusData, TelemetryParseError> {
-    let Val::Obj(fields) = val else {
-        return Err(TelemetryParseError::WrongType {
-            line,
-            field: "census",
-        });
-    };
-    let classes = match get(fields, "classes") {
-        None => Vec::new(),
-        Some(v) => decode_census_entries(v, line)?,
-    };
-    let sites = match get(fields, "sites") {
-        None => Vec::new(),
-        Some(v) => decode_census_entries(v, line)?,
-    };
-    Ok(CensusData { classes, sites })
-}
-
-fn decode_record(
-    fields: &[(String, Val)],
-    line: usize,
-) -> Result<JsonlRecord, TelemetryParseError> {
-    let bench = match get(fields, "bench") {
-        None | Some(Val::Null) => None,
-        Some(Val::Str(s)) => Some(s.clone()),
-        Some(_) => {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "bench",
-            })
-        }
-    };
-    let shard = match get(fields, "shard") {
-        None | Some(Val::Null) => None,
-        Some(Val::Int(n)) => Some(*n),
-        Some(_) => {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "shard",
-            })
-        }
-    };
-    let kind = match get(fields, "kind") {
-        None => CycleKind::Major,
-        Some(Val::Str(s)) if s == "major" => CycleKind::Major,
-        Some(Val::Str(s)) if s == "minor" => CycleKind::Minor,
-        Some(_) => {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "kind",
-            })
-        }
-    };
-    let worker_mark_ns = match get(fields, "worker_mark_ns") {
-        None => Vec::new(),
-        Some(Val::Arr(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Val::Int(n) => out.push(*n),
-                    _ => {
-                        return Err(TelemetryParseError::WrongType {
-                            line,
-                            field: "worker_mark_ns",
-                        })
-                    }
-                }
-            }
-            out
-        }
-        Some(_) => {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "worker_mark_ns",
-            })
-        }
-    };
+fn decode_record(f: &Fields<'_>) -> Result<JsonlRecord, TelemetryParseError> {
+    let bench = f.get_as("bench", "bench", true, Val::as_str)?;
+    let shard = f.get_as("shard", "shard", true, Val::as_u64)?;
+    let kind = f.get_as("kind", "kind", false, |v| match v.as_str()? {
+        "major" => Some(CycleKind::Major),
+        "minor" => Some(CycleKind::Minor),
+        _ => None,
+    })?;
+    let worker_mark_ns = f.get_as("worker_mark_ns", "worker_mark_ns", false, |v| match v {
+        Val::Arr(items) => items.iter().map(Val::as_u64).collect(),
+        _ => None,
+    })?;
     let mut overhead = AssertionOverhead::default();
-    match get(fields, "overhead") {
-        None => {}
-        Some(Val::Obj(kinds)) => {
-            for kind in AssertionKind::ALL {
-                if let Some(val) = get(kinds, kind.label()) {
-                    *overhead.kind_mut(kind) = decode_kind_overhead(val, line)?;
-                }
+    if let Some(kinds) = f.object("overhead", "overhead", false)? {
+        for kind in AssertionKind::ALL {
+            if let Some(k) = kinds.object(kind.label(), "overhead", false)? {
+                *overhead.kind_mut(kind) = KindOverhead {
+                    registered: k.u64("registered")?,
+                    header_bit_checks: k.u64("header_bit_checks")?,
+                    counter_bumps: k.u64("counter_bumps")?,
+                    extra_edges_traced: k.u64("extra_edges_traced")?,
+                    phase_work: k.u64("phase_work")?,
+                };
             }
         }
-        Some(_) => {
-            return Err(TelemetryParseError::WrongType {
-                line,
-                field: "overhead",
-            })
-        }
     }
-    let census = match get(fields, "census") {
-        None | Some(Val::Null) => None,
-        Some(v) => Some(decode_census(v, line)?),
+    let census = match f.object("census", "census", true)? {
+        None => None,
+        Some(c) => Some(CensusData {
+            classes: c.census_entries("classes")?,
+            sites: c.census_entries("sites")?,
+        }),
     };
     Ok(JsonlRecord {
-        bench,
+        bench: bench.map(str::to_owned),
         shard,
         record: CycleRecord {
-            seq: get_u64(fields, "seq", line)?,
-            kind,
-            total_ns: get_u64(fields, "total_ns", line)?,
-            pre_root_ns: get_u64(fields, "pre_root_ns", line)?,
-            mark_ns: get_u64(fields, "mark_ns", line)?,
-            sweep_ns: get_u64(fields, "sweep_ns", line)?,
-            objects_marked: get_u64(fields, "objects_marked", line)?,
-            edges_traced: get_u64(fields, "edges_traced", line)?,
-            pre_root_edges: get_u64(fields, "pre_root_edges", line)?,
-            objects_swept: get_u64(fields, "objects_swept", line)?,
-            words_swept: get_u64(fields, "words_swept", line)?,
-            promoted: get_u64(fields, "promoted", line)?,
-            violations: get_u64(fields, "violations", line)?,
-            worker_mark_ns,
+            seq: f.u64("seq")?,
+            kind: kind.unwrap_or(CycleKind::Major),
+            total_ns: f.u64("total_ns")?,
+            pre_root_ns: f.u64("pre_root_ns")?,
+            mark_ns: f.u64("mark_ns")?,
+            sweep_ns: f.u64("sweep_ns")?,
+            objects_marked: f.u64("objects_marked")?,
+            edges_traced: f.u64("edges_traced")?,
+            pre_root_edges: f.u64("pre_root_edges")?,
+            objects_swept: f.u64("objects_swept")?,
+            words_swept: f.u64("words_swept")?,
+            promoted: f.u64("promoted")?,
+            violations: f.u64("violations")?,
+            worker_mark_ns: worker_mark_ns.unwrap_or_default(),
             overhead,
             census,
         },
@@ -672,115 +640,184 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JsonlRecord>, TelemetryParseError> 
         if parser.pos != parser.bytes.len() {
             return Err(parser.unexpected());
         }
-        let Val::Obj(fields) = value else {
+        let Some(fields) = Fields::of(&value, line) else {
             return Err(TelemetryParseError::WrongType {
                 line,
                 field: "<record>",
             });
         };
-        out.push(decode_record(&fields, line)?);
+        out.push(decode_record(&fields)?);
     }
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus exporter
+// Prometheus exporter — the one writer of the text exposition format
 // ---------------------------------------------------------------------------
 
-/// Formats nanoseconds as decimal seconds with full nanosecond precision
-/// using only integer arithmetic, so output is deterministic across
+/// One label: its name and its value. [`Family`] escapes the value as the
+/// exposition format requires, so a hostile class or site name can never
+/// break a scrape.
+pub type Label<'a> = (&'a str, &'a dyn fmt::Display);
+
+/// The metric type a family declares on its TYPE line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricType {
+    /// A count that only grows.
+    Counter,
+    /// A value that goes up and down.
+    Gauge,
+    /// `_bucket`/`_sum`/`_count` series, written by [`Family::histogram`].
+    Histogram,
+}
+
+/// A family that holds one integer per series: name, help text, type and
+/// the series' value. [`push_rows`] renders a table of them.
+pub type Row<T> = (&'static str, &'static str, MetricType, fn(&T) -> u64);
+
+/// Nanoseconds shown as decimal seconds with full nanosecond precision,
+/// by integer arithmetic only, so output is deterministic across
 /// platforms (no float formatting).
-fn ns_as_seconds(ns: u64) -> String {
-    format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seconds(pub u64);
+
+impl fmt::Display for Seconds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}.{:09}",
+            self.0 / 1_000_000_000,
+            self.0 % 1_000_000_000
+        )
+    }
 }
 
-/// Escapes a Prometheus label *value* per the text exposition format:
-/// backslash, double-quote and newline become `\\`, `\"` and `\n`;
-/// everything else (including other control characters and UTF-8) passes
-/// through verbatim. Shared by the telemetry, census and fleet renderers
-/// so hostile class/site names can never break a scrape.
-pub(crate) fn prom_escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// One metric family being written into a caller's buffer: the
+/// workspace's one writer of the Prometheus text exposition format.
+/// [`Family::start`] writes the HELP and TYPE lines; the family's samples
+/// are then written through the handle, which holds the buffer, so no
+/// other family's lines can come between them.
+#[derive(Debug)]
+pub struct Family<'o> {
+    out: &'o mut String,
+    name: &'o str,
+}
+
+impl<'o> Family<'o> {
+    /// Writes the HELP and TYPE lines of family `name`.
+    pub fn start(out: &'o mut String, name: &'o str, help: &str, ty: MetricType) -> Family<'o> {
+        let ty = match ty {
+            MetricType::Counter => "counter",
+            MetricType::Gauge => "gauge",
+            MetricType::Histogram => "histogram",
+        };
+        let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {ty}\n");
+        Family { out, name }
+    }
+
+    /// Writes one sample whose label set is `prefix` followed by `labels`
+    /// (no braces when both are empty).
+    pub fn sample(&mut self, prefix: &[Label<'_>], labels: &[Label<'_>], value: impl fmt::Display) {
+        self.series("", prefix, labels, value);
+    }
+
+    /// Writes one histogram's `_bucket`/`_sum`/`_count` series under
+    /// `prefix`. Buckets are written up to the highest non-empty one, then
+    /// `+Inf`.
+    pub fn histogram(&mut self, prefix: &[Label<'_>], hist: &LatencyHistogram) {
+        let mut cumulative = 0u64;
+        if let Some(max) = hist.max_bucket() {
+            for (i, &c) in hist.bucket_counts().iter().enumerate().take(max + 1) {
+                cumulative += c;
+                let le = Seconds(LatencyHistogram::bucket_upper_bound(i));
+                self.series("_bucket", prefix, &[("le", &le)], cumulative);
+            }
+        }
+        self.series("_bucket", prefix, &[("le", &"+Inf")], hist.count());
+        self.series("_sum", prefix, &[], Seconds(hist.sum_ns()));
+        self.series("_count", prefix, &[], hist.count());
+    }
+
+    fn series(
+        &mut self,
+        suffix: &str,
+        prefix: &[Label<'_>],
+        labels: &[Label<'_>],
+        value: impl fmt::Display,
+    ) {
+        let out = &mut *self.out;
+        out.push_str(self.name);
+        out.push_str(suffix);
+        for (i, (key, label)) in prefix.iter().chain(labels).enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(key);
+            out.push_str("=\"");
+            let _ = write!(LabelValue(out), "{label}");
+            out.push('"');
+        }
+        if !(prefix.is_empty() && labels.is_empty()) {
+            out.push('}');
+        }
+        let _ = writeln!(out, " {value}");
+    }
+}
+
+/// Writes a label value with backslash, double quote and newline escaped
+/// as `\\`, `\"` and `\n`; everything else (other control characters,
+/// UTF-8) passes through verbatim, as the exposition format specifies.
+struct LabelValue<'a>(&'a mut String);
+
+impl fmt::Write for LabelValue<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '"' => self.0.push_str("\\\""),
+                '\n' => self.0.push_str("\\n"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Renders a table: one family per row, one sample per `(prefix, source)`
+/// series in each.
+pub fn push_rows<T>(out: &mut String, rows: &[Row<T>], series: &[(&[Label<'_>], &T)]) {
+    for &(name, help, ty, value) in rows {
+        let mut family = Family::start(out, name, help, ty);
+        for (prefix, source) in series {
+            family.sample(prefix, &[], value(source));
         }
     }
-    out
 }
 
-/// Renders one `key="value"` label pair with the value escaped.
-pub fn prom_label(key: &str, value: &str) -> String {
-    format!("{key}=\"{}\"", prom_escape_label(value))
-}
+const TELEMETRY_COUNTS: [Row<GcTelemetry>; 3] = [
+    (
+        "gca_gc_cycles_total",
+        "Major collection cycles observed.",
+        MetricType::Counter,
+        GcTelemetry::cycles,
+    ),
+    (
+        "gca_gc_minor_cycles_total",
+        "Minor collection cycles observed.",
+        MetricType::Counter,
+        GcTelemetry::minor_cycles,
+    ),
+    (
+        "gca_gc_violations_total",
+        "Assertion violations detected.",
+        MetricType::Counter,
+        GcTelemetry::violations,
+    ),
+];
 
-/// Joins a pre-rendered label prefix (e.g. `shard="3"`) with a family's
-/// own labels into a `{...}` label set; empty when both parts are empty,
-/// so unlabelled single-VM output keeps its historical shape.
-fn labelset(prefix: &str, rest: &str) -> String {
-    match (prefix.is_empty(), rest.is_empty()) {
-        (true, true) => String::new(),
-        (false, true) => format!("{{{prefix}}}"),
-        (true, false) => format!("{{{rest}}}"),
-        (false, false) => format!("{{{prefix},{rest}}}"),
-    }
-}
-
-fn push_help_type(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} {kind}\n"));
-}
-
-/// Emits one histogram's sample lines (`_bucket`/`_sum`/`_count`, no
-/// HELP/TYPE headers) with `prefix` merged into every label set. Buckets
-/// are emitted up to the highest non-empty one, then `+Inf`.
-pub(crate) fn push_histogram_series(
-    out: &mut String,
-    name: &str,
-    hist: &LatencyHistogram,
-    prefix: &str,
-) {
-    let mut cumulative = 0u64;
-    if let Some(max) = hist.max_bucket() {
-        for (i, &c) in hist.bucket_counts().iter().enumerate().take(max + 1) {
-            cumulative += c;
-            let le = LatencyHistogram::bucket_upper_bound(i);
-            let ls = labelset(prefix, &format!("le=\"{}\"", ns_as_seconds(le)));
-            out.push_str(&format!("{name}_bucket{ls} {cumulative}\n"));
-        }
-    }
-    let ls = labelset(prefix, "le=\"+Inf\"");
-    out.push_str(&format!("{name}_bucket{ls} {}\n", hist.count()));
-    let ls = labelset(prefix, "");
-    out.push_str(&format!(
-        "{name}_sum{ls} {}\n",
-        ns_as_seconds(hist.sum_ns())
-    ));
-    out.push_str(&format!("{name}_count{ls} {}\n", hist.count()));
-}
-
-/// Emits one histogram metric family: HELP/TYPE headers once, then one
-/// series per `(label-prefix, histogram)` pair. Used by the fleet
-/// exporter (one series per shard) and by external consumers (the soak
-/// harness's request-latency histograms).
-pub fn push_histogram_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(String, &LatencyHistogram)],
-) {
-    push_help_type(out, name, help, "histogram");
-    for (prefix, hist) in series {
-        push_histogram_series(out, name, hist, prefix);
-    }
-}
-
-/// Renders a snapshot in the Prometheus text exposition format.
+/// Writes every telemetry metric family, one series per `(prefix,
+/// snapshot)` pair. With one empty prefix this is
+/// [`GcTelemetry::to_prometheus`]; the soak fleet passes a `shard` label
+/// per shard. The families:
 ///
-/// Metrics:
 /// * `gca_gc_cycles_total`, `gca_gc_minor_cycles_total`,
 ///   `gca_gc_violations_total` — plain counters.
 /// * `gca_gc_phase_seconds_total{phase=...}` — cumulative wall time per
@@ -788,301 +825,160 @@ pub fn push_histogram_family(
 /// * `gca_gc_worker_mark_seconds_total{worker="i"}` — cumulative mark-phase
 ///   busy time per tracing worker.
 /// * `gca_assertion_overhead_total{kind=...,metric=...}` — the full 5×5
-///   attribution matrix (all cells emitted, including zeros, so scrapes
-///   have a stable shape).
-/// * `gca_gc_pause_seconds` — log₂-bucketed major-pause histogram
-///   (`_bucket`/`_sum`/`_count`), buckets emitted up to the highest
-///   non-empty one.
-pub fn to_prometheus(t: &GcTelemetry) -> String {
-    let mut out = String::with_capacity(2048);
-    push_telemetry_families(&mut out, &[(String::new(), t)]);
-    out
-}
-
-/// Emits every telemetry metric family: HELP/TYPE once per family, then
-/// one series per `(label-prefix, snapshot)` pair. With a single empty
-/// prefix this is exactly the historical [`to_prometheus`] output; the
-/// fleet exporter passes one `shard="i"` prefix per shard.
-fn push_telemetry_families(out: &mut String, shards: &[(String, &GcTelemetry)]) {
-    push_help_type(
-        out,
-        "gca_gc_cycles_total",
-        "Major collection cycles observed.",
-        "counter",
-    );
-    for (p, t) in shards {
-        out.push_str(&format!(
-            "gca_gc_cycles_total{} {}\n",
-            labelset(p, ""),
-            t.cycles()
-        ));
-    }
-
-    push_help_type(
-        out,
-        "gca_gc_minor_cycles_total",
-        "Minor collection cycles observed.",
-        "counter",
-    );
-    for (p, t) in shards {
-        out.push_str(&format!(
-            "gca_gc_minor_cycles_total{} {}\n",
-            labelset(p, ""),
-            t.minor_cycles()
-        ));
-    }
-
-    push_help_type(
-        out,
-        "gca_gc_violations_total",
-        "Assertion violations detected.",
-        "counter",
-    );
-    for (p, t) in shards {
-        out.push_str(&format!(
-            "gca_gc_violations_total{} {}\n",
-            labelset(p, ""),
-            t.violations()
-        ));
-    }
-
-    push_help_type(
+///   attribution matrix (all cells, zeros included, so scrapes have a
+///   stable shape).
+/// * `gca_gc_pause_seconds` — log₂-bucketed major-pause histogram.
+pub fn push_telemetry_families(out: &mut String, shards: &[(&[Label<'_>], &GcTelemetry)]) {
+    push_rows(out, &TELEMETRY_COUNTS, shards);
+    let mut family = Family::start(
         out,
         "gca_gc_phase_seconds_total",
         "Cumulative wall time per GC phase.",
-        "counter",
+        MetricType::Counter,
     );
     for (p, t) in shards {
         for phase in GcPhase::ALL {
-            out.push_str(&format!(
-                "gca_gc_phase_seconds_total{} {}\n",
-                labelset(p, &format!("phase=\"{}\"", phase.label())),
-                ns_as_seconds(t.phase_total(phase).as_nanos() as u64)
-            ));
+            let ns = t.phase_total(phase).as_nanos() as u64;
+            family.sample(p, &[("phase", &phase.label())], Seconds(ns));
         }
     }
-
-    push_help_type(
+    let mut family = Family::start(
         out,
         "gca_gc_worker_mark_seconds_total",
         "Cumulative mark-phase busy time per worker.",
-        "counter",
+        MetricType::Counter,
     );
     for (p, t) in shards {
         for (i, &ns) in t.worker_mark_ns().iter().enumerate() {
-            out.push_str(&format!(
-                "gca_gc_worker_mark_seconds_total{} {}\n",
-                labelset(p, &format!("worker=\"{i}\"")),
-                ns_as_seconds(ns)
-            ));
+            family.sample(p, &[("worker", &i)], Seconds(ns));
         }
     }
-
-    push_help_type(
+    let mut family = Family::start(
         out,
         "gca_assertion_overhead_total",
         "Assertion-checking work units by kind and mechanism.",
-        "counter",
+        MetricType::Counter,
     );
     for (p, t) in shards {
         for kind in AssertionKind::ALL {
             let k = t.overhead().kind(kind);
-            let cells = [
+            for (metric, value) in [
                 ("registered", k.registered),
                 ("header_bit_checks", k.header_bit_checks),
                 ("counter_bumps", k.counter_bumps),
                 ("extra_edges_traced", k.extra_edges_traced),
                 ("phase_work", k.phase_work),
-            ];
-            for (metric, value) in cells {
-                out.push_str(&format!(
-                    "gca_assertion_overhead_total{} {value}\n",
-                    labelset(p, &format!("kind=\"{}\",metric=\"{metric}\"", kind.label()))
-                ));
+            ] {
+                family.sample(p, &[("kind", &kind.label()), ("metric", &metric)], value);
             }
         }
     }
-
-    push_help_type(
+    let mut family = Family::start(
         out,
         "gca_gc_pause_seconds",
         "Log2-bucketed pause time histogram (seconds).",
-        "histogram",
+        MetricType::Histogram,
     );
     for (p, t) in shards {
-        push_histogram_series(out, "gca_gc_pause_seconds", t.pause_histogram(), p);
+        family.histogram(p, t.pause_histogram());
     }
 }
 
-/// Emits every census metric family, HELP/TYPE once per family, one
-/// series set per `(label-prefix, census)` pair. Class, site and drift
-/// names are escaped with [`prom_escape_label`] — a hostile name
-/// (backslashes, quotes, embedded newlines) must never corrupt a scrape.
-pub(crate) fn push_census_families(out: &mut String, shards: &[(String, &HeapCensus)]) {
-    push_help_type(
-        out,
+const CENSUS_CYCLES: [Row<HeapCensus>; 2] = [
+    (
         "gca_census_cycles_total",
         "Major census cycles recorded.",
-        "counter",
-    );
-    for (p, c) in shards {
-        out.push_str(&format!(
-            "gca_census_cycles_total{} {}\n",
-            labelset(p, ""),
-            c.cycles()
-        ));
-    }
-    push_help_type(
-        out,
+        MetricType::Counter,
+        HeapCensus::cycles,
+    ),
+    (
         "gca_census_minor_cycles_total",
         "Minor census cycles recorded.",
-        "counter",
-    );
-    for (p, c) in shards {
-        out.push_str(&format!(
-            "gca_census_minor_cycles_total{} {}\n",
-            labelset(p, ""),
-            c.minor_cycles()
-        ));
-    }
+        MetricType::Counter,
+        HeapCensus::minor_cycles,
+    ),
+];
 
-    push_help_type(
-        out,
+const CENSUS_DRIFTING: [Row<HeapCensus>; 1] = [(
+    "gca_census_drifting_keys",
+    "Classes and sites currently flagged as drifting.",
+    MetricType::Gauge,
+    |c| c.drifts().len() as u64,
+)];
+
+/// A census family over the latest major census's largest entries: name,
+/// help text, label key, the entries, and each entry's value.
+type TopRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&CensusData, usize) -> Vec<&CensusEntry>,
+    fn(&CensusEntry) -> u64,
+);
+
+const CENSUS_TOPS: [TopRow; 3] = [
+    (
         "gca_census_live_objects",
         "Live objects per class, latest major census (top classes by bytes).",
-        "gauge",
-    );
-    for (p, c) in shards {
-        if let Some(latest) = c.latest() {
-            for e in latest.data.top_classes_by_bytes(crate::census::PROM_TOP_N) {
-                out.push_str(&format!(
-                    "gca_census_live_objects{} {}\n",
-                    labelset(p, &prom_label("class", &e.name)),
-                    e.objects
-                ));
-            }
-        }
-    }
-    push_help_type(
-        out,
+        "class",
+        CensusData::top_classes_by_bytes,
+        |e| e.objects,
+    ),
+    (
         "gca_census_live_bytes",
         "Live bytes per class, latest major census (top classes by bytes).",
-        "gauge",
-    );
-    for (p, c) in shards {
-        if let Some(latest) = c.latest() {
-            for e in latest.data.top_classes_by_bytes(crate::census::PROM_TOP_N) {
-                out.push_str(&format!(
-                    "gca_census_live_bytes{} {}\n",
-                    labelset(p, &prom_label("class", &e.name)),
-                    e.bytes
-                ));
-            }
-        }
-    }
-    push_help_type(
-        out,
+        "class",
+        CensusData::top_classes_by_bytes,
+        |e| e.bytes,
+    ),
+    (
         "gca_census_site_live_bytes",
         "Live bytes per allocation site, latest major census (top sites by bytes).",
-        "gauge",
-    );
-    for (p, c) in shards {
-        if let Some(latest) = c.latest() {
-            for e in latest.data.top_sites_by_bytes(crate::census::PROM_TOP_N) {
-                out.push_str(&format!(
-                    "gca_census_site_live_bytes{} {}\n",
-                    labelset(p, &prom_label("site", &e.name)),
-                    e.bytes
-                ));
+        "site",
+        CensusData::top_sites_by_bytes,
+        |e| e.bytes,
+    ),
+];
+
+/// Writes every census metric family, one series set per `(prefix,
+/// census)` pair; [`HeapCensus::to_prometheus`] lists them.
+pub fn push_census_families(out: &mut String, shards: &[(&[Label<'_>], &HeapCensus)]) {
+    push_rows(out, &CENSUS_CYCLES, shards);
+    for (name, help, key, top, value) in CENSUS_TOPS {
+        let mut family = Family::start(out, name, help, MetricType::Gauge);
+        for (p, c) in shards {
+            for e in c.latest().map_or(Vec::new(), |l| top(&l.data, PROM_TOP_N)) {
+                family.sample(p, &[(key, &e.name)], value(e));
             }
         }
     }
-
-    push_help_type(
-        out,
-        "gca_census_drifting_keys",
-        "Classes and sites currently flagged as drifting.",
-        "gauge",
-    );
-    for (p, c) in shards {
-        out.push_str(&format!(
-            "gca_census_drifting_keys{} {}\n",
-            labelset(p, ""),
-            c.drifts().len()
-        ));
-    }
-    push_help_type(
+    push_rows(out, &CENSUS_DRIFTING, shards);
+    let mut family = Family::start(
         out,
         "gca_census_drift",
         "Keys flagged as drifting (value = last observed live objects).",
-        "gauge",
+        MetricType::Gauge,
     );
     for (p, c) in shards {
         for d in c.drifts() {
-            out.push_str(&format!(
-                "gca_census_drift{} {}\n",
-                labelset(
-                    p,
-                    &format!(
-                        "scope=\"{}\",{}",
-                        d.scope.label(),
-                        prom_label("name", &d.name)
-                    )
-                ),
-                d.last_objects
-            ));
+            family.sample(
+                p,
+                &[("scope", &d.scope.label()), ("name", &d.name)],
+                d.last_objects,
+            );
         }
     }
-    push_help_type(
+    let mut family = Family::start(
         out,
         "gca_census_suggested_instance_limit",
         "Data-derived assert-instances limit for drifted classes.",
-        "gauge",
+        MetricType::Gauge,
     );
     for (p, c) in shards {
-        for d in c.drifts() {
-            if d.scope == DriftScope::Class {
-                out.push_str(&format!(
-                    "gca_census_suggested_instance_limit{} {}\n",
-                    labelset(p, &prom_label("class", &d.name)),
-                    d.suggested_limit
-                ));
-            }
+        for d in c.drifts().iter().filter(|d| d.scope == DriftScope::Class) {
+            family.sample(p, &[("class", &d.name)], d.suggested_limit);
         }
     }
-}
-
-/// One shard's exportable state for [`fleet_to_prometheus`].
-#[derive(Debug)]
-pub struct ShardExport<'a> {
-    /// The `shard` label value (conventionally the shard index).
-    pub shard: String,
-    /// The shard's telemetry snapshot.
-    pub telemetry: &'a GcTelemetry,
-    /// The shard's census snapshot, when census is enabled.
-    pub census: Option<&'a HeapCensus>,
-}
-
-/// Renders a whole fleet's telemetry (and census, where enabled) in the
-/// Prometheus text exposition format: HELP/TYPE once per metric family,
-/// then one series per shard carrying a `shard="i"` label merged into the
-/// family's own labels. This is the `/metrics` payload of the soak
-/// harness's scrape endpoint.
-pub fn fleet_to_prometheus(shards: &[ShardExport<'_>]) -> String {
-    let mut out = String::with_capacity(4096 * shards.len().max(1));
-    let tel: Vec<(String, &GcTelemetry)> = shards
-        .iter()
-        .map(|s| (prom_label("shard", &s.shard), s.telemetry))
-        .collect();
-    push_telemetry_families(&mut out, &tel);
-    let cens: Vec<(String, &HeapCensus)> = shards
-        .iter()
-        .filter_map(|s| s.census.map(|c| (prom_label("shard", &s.shard), c)))
-        .collect();
-    if !cens.is_empty() {
-        push_census_families(&mut out, &cens);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1301,19 +1197,26 @@ mod tests {
 
     #[test]
     fn ns_formatting_is_integer_exact() {
-        assert_eq!(ns_as_seconds(0), "0.000000000");
-        assert_eq!(ns_as_seconds(1), "0.000000001");
-        assert_eq!(ns_as_seconds(1_500_000_000), "1.500000000");
-        assert_eq!(ns_as_seconds(u64::MAX), "18446744073.709551615");
+        assert_eq!(Seconds(0).to_string(), "0.000000000");
+        assert_eq!(Seconds(1).to_string(), "0.000000001");
+        assert_eq!(Seconds(1_500_000_000).to_string(), "1.500000000");
+        assert_eq!(Seconds(u64::MAX).to_string(), "18446744073.709551615");
+    }
+
+    /// A label value as the writer escapes it.
+    fn escaped(value: &str) -> String {
+        let mut out = String::new();
+        let _ = write!(LabelValue(&mut out), "{value}");
+        out
     }
 
     #[test]
     fn hostile_label_values_are_escaped_per_exposition_format() {
         // The three characters the exposition format requires escaping in
         // label values: backslash, double quote, newline.
-        assert_eq!(prom_escape_label(r"C:\temp"), r"C:\\temp");
-        assert_eq!(prom_escape_label("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(prom_escape_label("a\nb"), "a\\nb");
+        assert_eq!(escaped(r"C:\temp"), r"C:\\temp");
+        assert_eq!(escaped("say \"hi\""), "say \\\"hi\\\"");
+        assert_eq!(escaped("a\nb"), "a\\nb");
         // Pin the full rendered line for a hostile allocation-site name.
         let mut census = HeapCensus::new();
         census.record_major(CensusData {
@@ -1354,18 +1257,10 @@ mod tests {
             }],
             sites: Vec::new(),
         });
-        let text = fleet_to_prometheus(&[
-            ShardExport {
-                shard: "0".to_owned(),
-                telemetry: &t0,
-                census: Some(&census),
-            },
-            ShardExport {
-                shard: "1".to_owned(),
-                telemetry: &t1,
-                census: None,
-            },
-        ]);
+        let (s0, s1): ([Label<'_>; 1], [Label<'_>; 1]) = ([("shard", &0)], [("shard", &1)]);
+        let mut text = String::new();
+        push_telemetry_families(&mut text, &[(&s0, &t0), (&s1, &t1)]);
+        push_census_families(&mut text, &[(&s0, &census)]);
         // Exactly one HELP/TYPE per family even with two shards.
         assert_eq!(
             text.matches("# HELP gca_gc_cycles_total ").count(),

@@ -18,7 +18,8 @@
 //! * **Two exporters** — JSON-lines, one machine-diffable record per GC
 //!   cycle ([`export::records_to_jsonl`], with a non-panicking parser
 //!   [`export::parse_jsonl`]), and Prometheus-style text
-//!   ([`export::to_prometheus`]).
+//!   ([`GcTelemetry::to_prometheus`]), written by the one family writer
+//!   [`export::Family`].
 //! * **Heap census & drift detection** — per-class and per-allocation-site
 //!   live histograms accumulated during the mark, a rolling-window leak
 //!   detector emitting [`CensusDrift`] events, cycle-vs-cycle
@@ -46,6 +47,6 @@ pub use census::{
     CensusData, CensusDrift, CensusEntry, CycleCensus, DriftScope, HeapCensus, HeapDiff,
     HeapDiffRow,
 };
-pub use export::{fleet_to_prometheus, JsonlRecord, ShardExport, TelemetryParseError};
+pub use export::{JsonlRecord, TelemetryParseError};
 pub use hist::LatencyHistogram;
 pub use record::{CycleKind, CycleRecord, GcPhase, GcTelemetry};

@@ -317,10 +317,12 @@ impl GcTelemetry {
         crate::export::records_to_jsonl(&self.records, bench)
     }
 
-    /// Renders the snapshot in Prometheus text exposition format. See
-    /// [`crate::export::to_prometheus`].
+    /// Renders the snapshot in Prometheus text exposition format; the
+    /// families are listed at [`crate::export::push_telemetry_families`].
     pub fn to_prometheus(&self) -> String {
-        crate::export::to_prometheus(self)
+        let mut out = String::with_capacity(2048);
+        crate::export::push_telemetry_families(&mut out, &[(&[], self)]);
+        out
     }
 }
 

@@ -2,7 +2,7 @@
 //! a Prometheus golden-file pin, and fuzz-ish decoding of truncated and
 //! corrupted lines (the parser must never panic).
 
-use gca_telemetry::export::{parse_jsonl, record_to_json, records_to_jsonl, to_prometheus};
+use gca_telemetry::export::{parse_jsonl, record_to_json, records_to_jsonl};
 use gca_telemetry::{
     AssertionKind, AssertionOverhead, CensusData, CensusEntry, CycleKind, CycleRecord, GcTelemetry,
     HeapCensus, KindOverhead,
@@ -109,7 +109,7 @@ fn snapshot_to_jsonl_roundtrip() {
 /// `cargo test -p gca-telemetry --test export_roundtrip -- --ignored regenerate`
 #[test]
 fn prometheus_golden_pin() {
-    let got = to_prometheus(&fixture_snapshot());
+    let got = fixture_snapshot().to_prometheus();
     let want = include_str!("golden/prometheus.txt");
     assert_eq!(got, want, "Prometheus output drifted from the golden file");
 }
@@ -118,7 +118,7 @@ fn prometheus_golden_pin() {
 #[ignore = "writes the golden fixture; run explicitly to regenerate"]
 fn regenerate_prometheus_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prometheus.txt");
-    std::fs::write(path, to_prometheus(&fixture_snapshot())).unwrap();
+    std::fs::write(path, fixture_snapshot().to_prometheus()).unwrap();
 }
 
 /// A deterministic census fixture: three major cycles with one leaking
@@ -335,7 +335,7 @@ proptest! {
 
 #[test]
 fn overhead_matrix_is_complete_in_prometheus() {
-    let text = to_prometheus(&fixture_snapshot());
+    let text = fixture_snapshot().to_prometheus();
     for kind in AssertionKind::ALL {
         for metric in [
             "registered",
